@@ -51,11 +51,12 @@ void Main() {
     WallTimer wall;
     team.Run([&](WorkerContext& ctx) {
       PhaseScope scope(ctx, kPhaseSortPublic);
-      // Pin the paper's single-pass sort: the "paper[ms]" column is
-      // calibrated against §2.3, not the multi-pass default.
+      // Pin the paper's single-pass sort (max_passes = 1): the
+      // "paper[ms]" column is calibrated against §2.3, not the
+      // multi-pass default.
       SortChunkIntoRun(rel.chunk(ctx.worker_id), *ctx.arena, ctx.node,
                        ctx.Counters(kPhaseSortPublic),
-                       sort::SortKind::kSinglePassRadix);
+                       sort::RadixSortConfig{.max_passes = 1});
     });
     const double local_wall = wall.ElapsedMillis();
     double local_model = 0;

@@ -91,9 +91,10 @@ void BM_StdSort(benchmark::State& state) {
 }
 BENCHMARK(BM_StdSort)->Arg(1 << 16)->Arg(1 << 20);
 
-// A/B pair for the merge kernel: identical workload, scalar kernel vs
-// the prefetch-pipelined variant (distance = kDefaultMergePrefetchDistance).
-void MergeJoinBench(benchmark::State& state, uint32_t prefetch_distance,
+// Merge kernel rows on one workload: the paper's plain loop
+// (MergeJoinRunPair, no prefetch) vs the join phase's kernel
+// (MergeJoinRunPairWith: prefetch pipeline + the `simd` advance).
+void MergeJoinBench(benchmark::State& state, bool pipelined,
                     simd::SimdKind simd_kind = simd::SimdKind::kScalar) {
   if (simd::Resolve(simd_kind) != simd_kind) {
     state.SkipWithError("simd kind unsupported on this host");
@@ -105,48 +106,44 @@ void MergeJoinBench(benchmark::State& state, uint32_t prefetch_distance,
   sort::RadixIntroSort(s.data(), s.size());
   for (auto _ : state) {
     uint64_t matches = 0;
-    MergeJoinRunPairWith(prefetch_distance, simd_kind, r.data(), r.size(),
-                         s.data(), s.size(),
-                         [&](size_t, const Tuple&, const Tuple*,
-                             size_t count) { matches += count; });
+    const auto on_match = [&](size_t, const Tuple&, const Tuple*,
+                              size_t count) { matches += count; };
+    if (pipelined) {
+      MergeJoinRunPairWith(simd_kind, r.data(), r.size(), s.data(), s.size(),
+                           on_match);
+    } else {
+      MergeJoinRunPair(r.data(), r.size(), s.data(), s.size(), on_match);
+    }
     benchmark::DoNotOptimize(matches);
   }
   state.SetItemsProcessed(state.iterations() * (r.size() + s.size()));
 }
 
 void BM_MergeJoinKernel(benchmark::State& state) {
-  MergeJoinBench(state, 0);
+  MergeJoinBench(state, /*pipelined=*/false);
 }
 BENCHMARK(BM_MergeJoinKernel)->Arg(1 << 16)->Arg(1 << 19)->Arg(1 << 21);
 
 void BM_MergeJoinKernelPrefetch(benchmark::State& state) {
-  MergeJoinBench(state, kDefaultMergePrefetchDistance);
+  MergeJoinBench(state, /*pipelined=*/true);
 }
 BENCHMARK(BM_MergeJoinKernelPrefetch)->Arg(1 << 16)->Arg(1 << 19)->Arg(1 << 21);
 
-// SIMD A/B family for the merge compare (docs/simd.md): same workload
-// and prefetch pipeline, only the advance kernel varies. Unsupported
-// kinds skip with an error so the JSON row says why.
+// SIMD family for the merge compare (docs/simd.md): same workload and
+// prefetch pipeline, only the advance kernel varies. Unsupported kinds
+// skip with an error so the JSON row says why.
 void BM_MergeScalar(benchmark::State& state) {
-  MergeJoinBench(state, kDefaultMergePrefetchDistance,
-                 simd::SimdKind::kScalar);
+  MergeJoinBench(state, /*pipelined=*/true, simd::SimdKind::kScalar);
 }
 BENCHMARK(BM_MergeScalar)->Arg(1 << 20)->Arg(1 << 21);
 
-void BM_MergeSse(benchmark::State& state) {
-  MergeJoinBench(state, kDefaultMergePrefetchDistance, simd::SimdKind::kSse);
-}
-BENCHMARK(BM_MergeSse)->Arg(1 << 20)->Arg(1 << 21);
-
 void BM_MergeAvx2(benchmark::State& state) {
-  MergeJoinBench(state, kDefaultMergePrefetchDistance,
-                 simd::SimdKind::kAvx2);
+  MergeJoinBench(state, /*pipelined=*/true, simd::SimdKind::kAvx2);
 }
 BENCHMARK(BM_MergeAvx2)->Arg(1 << 20)->Arg(1 << 21);
 
 void BM_MergeAvx512(benchmark::State& state) {
-  MergeJoinBench(state, kDefaultMergePrefetchDistance,
-                 simd::SimdKind::kAvx512);
+  MergeJoinBench(state, /*pipelined=*/true, simd::SimdKind::kAvx512);
 }
 BENCHMARK(BM_MergeAvx512)->Arg(1 << 20)->Arg(1 << 21);
 
@@ -190,10 +187,10 @@ void BM_HistogramSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramSimd)->Arg(11)->Arg(14);
 
-// SIMD A/B for the phase-2.3 digit precompute (MpsmOptions::
-// simd_scatter_digits): the per-tuple cluster digit stream the scatter
-// consumes instead of recomputing each key's cluster in its fused
-// scalar lambda. arg = log2 tuples.
+// SIMD A/B for the phase-2.3 digit precompute (runs whenever
+// MpsmOptions::simd resolves past scalar): the per-tuple cluster digit
+// stream the scatter consumes instead of recomputing each key's
+// cluster in its fused scalar lambda. arg = log2 tuples.
 void ScatterDigitsBench(benchmark::State& state, simd::SimdKind simd_kind) {
   if (simd::Resolve(simd_kind) != simd_kind) {
     state.SkipWithError("simd kind unsupported on this host");
@@ -974,12 +971,11 @@ void BM_BufferPoolWriteback(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolWriteback);
 
-// Spool-write A/B on the synthetic device (docs/storage.md): the same
-// D-MPSM join with run spooling blocking on every page write (sync)
-// vs riding the pool's write-back cache. spool_stall_ms is
-// DMpsmReport::spool_write_stall_ns — the wait the flusher removes
-// from the foreground sort phases.
-void DMpsmSpoolBench(benchmark::State& state, bool synchronous_spool) {
+// Spool writes on the synthetic device (docs/storage.md): a D-MPSM
+// join whose run spooling rides the pool's write-back cache.
+// spool_stall_ms is DMpsmReport::spool_write_stall_ns — the wait for a
+// free frame left in the foreground sort phases.
+void BM_DMpsmSpoolWriteback(benchmark::State& state) {
   const auto topology = numa::Topology::Probe();
   const uint32_t team_size = 4;
   workload::DatasetSpec spec;
@@ -994,7 +990,6 @@ void DMpsmSpoolBench(benchmark::State& state, bool synchronous_spool) {
   options.pool_pages = 16;
   options.io_backend = io::IoBackendKind::kThreadpool;
   options.io_delay_us = 100;
-  options.synchronous_spool = synchronous_spool;
 
   double spool_stall_ms = 0;
   double writebacks = 0;
@@ -1017,14 +1012,6 @@ void DMpsmSpoolBench(benchmark::State& state, bool synchronous_spool) {
                           (dataset.r.size() + dataset.s.size()));
 }
 
-void BM_DMpsmSpoolSync(benchmark::State& state) {
-  DMpsmSpoolBench(state, /*synchronous_spool=*/true);
-}
-BENCHMARK(BM_DMpsmSpoolSync)->Unit(benchmark::kMillisecond);
-
-void BM_DMpsmSpoolWriteback(benchmark::State& state) {
-  DMpsmSpoolBench(state, /*synchronous_spool=*/false);
-}
 BENCHMARK(BM_DMpsmSpoolWriteback)->Unit(benchmark::kMillisecond);
 
 void BM_CdfEstimateRank(benchmark::State& state) {

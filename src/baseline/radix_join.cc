@@ -310,7 +310,7 @@ Result<JoinRunInfo> RadixHashJoin::Execute(WorkerTeam& team,
       PhasePipeline::PhaseOptions{.self_timed = true});
 
   WallTimer timer;
-  pipeline.Run(team, /*phase_barriers=*/true);
+  pipeline.Run(team);
   return CollectRunInfo(team, timer.ElapsedSeconds());
 }
 

@@ -376,9 +376,8 @@ uint64_t RunCache::CompactPending(WorkerTeam* team) {
   };
 
   if (team != nullptr && jobs.size() > 1) {
-    // Low-priority background shape: one guest-safe stealable morsel
-    // per merge, so idle workers — including donated foreign ones —
-    // drain the compaction backlog (docs/cache.md).
+    // Low-priority background shape: one stealable morsel per merge,
+    // so idle workers drain the compaction backlog (docs/cache.md).
     PhasePipeline pipeline(team->topology(), team->size(),
                            SchedulerKind::kStealing);
     pipeline.AddPhase(
@@ -392,8 +391,7 @@ uint64_t RunCache::CompactPending(WorkerTeam* team) {
         },
         [&](WorkerContext&, const Morsel& morsel) {
           merge_job(jobs[morsel.task]);
-        },
-        PhasePipeline::PhaseOptions{.guest_safe = true});
+        });
     pipeline.Run(*team);
   } else {
     for (CompactJob& job : jobs) merge_job(job);

@@ -13,7 +13,7 @@
 //
 // Keying. An entry is identified by (relation id, chunk count,
 // histogram bounds). The sorted-run *content* is canonical — every
-// sort kind / ISA / scheduler produces the same bytes — so kernel
+// sort pass budget / ISA / scheduler produces the same bytes — so kernel
 // knobs deliberately do not fragment the key; only the equi-height
 // bound count changes the histograms a view carries.
 //
@@ -169,9 +169,9 @@ class RunCache {
   /// Runs every ready merge job (contiguous stretches of >=
   /// delta_level_fanout same-level segments, never across a live
   /// entry's covered-version boundary). With a team, jobs run as
-  /// stealable guest-safe morsels on the task scheduler — idle service
-  /// lanes and donated workers compact; nullptr merges inline on the
-  /// caller. Returns the number of merges performed.
+  /// stealable morsels on the task scheduler — idle service lanes
+  /// compact; nullptr merges inline on the caller. Returns the number
+  /// of merges performed.
   uint64_t CompactPending(WorkerTeam* team = nullptr);
 
   // --------------------------------------------------------- eviction

@@ -33,8 +33,6 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   RunJoinOptions join_options;
   join_options.kind = options.kind;
   join_options.search = options.start_search;
-  join_options.prefetch_distance = options.merge_prefetch_distance;
-  join_options.skip_private_prefix = options.merge_skip_private_prefix;
   join_options.simd = options.simd;
 
   PhasePipeline pipeline(team.topology(), num_workers, options.scheduler);
@@ -52,7 +50,7 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   RunGenState s_gen;
   AddRunGenerationPhases(pipeline, kPhaseSortPublic, s_public, arena_of,
                          s_runs, s_gen, /*histograms=*/nullptr,
-                         /*num_bounds=*/0, options.scheduler, options.sort,
+                         /*num_bounds=*/0, options.scheduler,
                          options.sort_config, options.morsel_tuples);
 
   // Phase 3 slot: sort the private chunks (B-MPSM has no partition
@@ -60,9 +58,8 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   RunGenState r_gen;
   AddRunGenerationPhases(pipeline, kPhaseSortPrivate, r_private, arena_of,
                          r_runs, r_gen, /*histograms=*/nullptr,
-                         /*num_bounds=*/0, options.scheduler, options.sort,
-                         options.sort_config, options.morsel_tuples,
-                         /*optional_barrier=*/true);
+                         /*num_bounds=*/0, options.scheduler,
+                         options.sort_config, options.morsel_tuples);
 
   // Phase 4: merge join the private runs against all public runs.
   if (options.scheduler == SchedulerKind::kStatic) {
@@ -101,7 +98,7 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   }
 
   WallTimer timer;
-  pipeline.Run(team, options.phase_barriers);
+  pipeline.Run(team);
   return CollectRunInfo(team, timer.ElapsedSeconds());
 }
 

@@ -26,9 +26,9 @@ enum class JoinKind : uint8_t {
 /// Name of a JoinKind ("inner", "left-semi", ...).
 const char* JoinKindName(JoinKind kind);
 
-/// Default lookahead (in tuples) of the prefetch-pipelined merge
-/// kernel: 16 tuples = 4 cache lines, roughly one memory latency ahead
-/// of a ~1 tuple/cycle merge loop.
+/// Lookahead (in tuples) of the prefetch-pipelined merge kernel: 16
+/// tuples = 4 cache lines, roughly one memory latency ahead of a
+/// ~1 tuple/cycle merge loop.
 inline constexpr uint32_t kDefaultMergePrefetchDistance = 16;
 
 /// Strategy for locating the merge-join start position in a public run
@@ -61,11 +61,6 @@ struct MpsmOptions {
   /// R cardinality only (false; Figure 16's equi-height strawman).
   bool cost_balanced_splitters = true;
 
-  /// Insert barriers between phases so per-phase wall times are
-  /// comparable across workers (the paper's phase breakdown charts).
-  /// The algorithm itself only requires the single sort/join barrier.
-  bool phase_barriers = true;
-
   // ------------------------------------------------ phase orchestration
   /// How phase work is distributed over the team: the paper's static
   /// per-worker scripts, or morsel-driven NUMA-aware work stealing so
@@ -87,13 +82,9 @@ struct MpsmOptions {
   uint32_t morsel_tuples = 1u << 14;
 
   // ------------------------------------------- cache-conscious kernels
-  // Each hot path keeps its scalar implementation selectable for A/B
-  // benchmarking (docs/tuning.md); the defaults are the fast variants.
-
-  /// Sort that turns chunks/partitions into runs (phases 1 and 3).
-  sort::SortKind sort = sort::SortKind::kMultiPassRadix;
-
-  /// Bucket threshold / pass cap of the multi-pass radix sort.
+  /// Bucket threshold / pass cap of the radix sort that turns chunks
+  /// and partitions into runs (phases 1 and 3); max_passes = 1 is the
+  /// paper's single MSD pass (§2.3).
   sort::RadixSortConfig sort_config;
 
   /// Scatter implementation for phase 2.3 range partitioning. kAuto
@@ -105,27 +96,12 @@ struct MpsmOptions {
   /// for A/B runs.
   ScatterKind scatter = ScatterKind::kAuto;
 
-  /// Precompute the scatter's partition digits blockwise with the
-  /// vectorized cluster kernel (simd/histogram_kernels.h ClusterDigits)
-  /// instead of the fused scalar subtract-shift-clamp per tuple. Takes
-  /// effect only when `simd` resolves past kScalar; false keeps the
-  /// fused loop as the A/B baseline (BM_ScatterDigits*).
-  bool simd_scatter_digits = true;
-
-  /// Software-prefetch lookahead (tuples) of the merge-join kernel;
-  /// 0 selects the scalar kernel.
-  uint32_t merge_prefetch_distance = kDefaultMergePrefetchDistance;
-
-  /// Skip non-overlapping private-run prefixes in the join phase with
-  /// the same start search used for public runs.
-  bool merge_skip_private_prefix = true;
-
-  /// Vector ISA of the merge-advance, start-search, key-range and
-  /// radix-histogram kernels (docs/simd.md). kAuto resolves to the
-  /// widest ISA this build and CPU support; kScalar keeps the paper's
-  /// one-key-per-compare loops as the A/B baseline. The sort's digit
-  /// histograms follow sort_config.simd (the engine front door sets
-  /// both from its one canonical knob).
+  /// Vector ISA of the merge-advance, start-search, key-range,
+  /// radix-histogram and scatter-digit kernels (docs/simd.md). kAuto
+  /// resolves to the widest ISA this build and CPU support; kScalar
+  /// keeps the paper's one-key-per-compare loops as the A/B baseline.
+  /// The sort's digit histograms follow sort_config.simd (the engine
+  /// front door sets both from its one canonical knob).
   simd::SimdKind simd = simd::SimdKind::kAuto;
 
   /// Checks every knob against its legal range for a team of

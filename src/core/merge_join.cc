@@ -96,25 +96,22 @@ uint64_t JoinPrivateAgainstRuns(const Run& ri, const RunSet& s_runs,
     // Symmetric skip: private tuples below the public run's first
     // relevant key cannot match either; locate the private start with
     // the same search instead of advancing the merge one-by-one.
-    size_t r_start = 0;
-    if (options.skip_private_prefix) {
-      SearchStats r_search;
-      r_start = FindStart(ri.data, ri.size, sj.data[start].key,
-                          options.search, advance, &r_search);
-      if (counters != nullptr) {
-        counters->CountRead(r_local, /*sequential=*/false,
-                            r_search.probes * sizeof(Tuple));
-      }
-      if (r_start == ri.size) continue;
+    SearchStats r_search;
+    const size_t r_start = FindStart(ri.data, ri.size, sj.data[start].key,
+                                     options.search, advance, &r_search);
+    if (counters != nullptr) {
+      counters->CountRead(r_local, /*sequential=*/false,
+                          r_search.probes * sizeof(Tuple));
     }
+    if (r_start == ri.size) continue;
 
     const Tuple* r_base = ri.data + r_start;
     const size_t r_size = ri.size - r_start;
     const Tuple* s_base = sj.data + start;
     const size_t s_size = sj.size - start;
     const auto merge = [&](auto&& on_match) {
-      return MergeJoinRunPairWith(options.prefetch_distance, simd_kind,
-                                  r_base, r_size, s_base, s_size, on_match);
+      return MergeJoinRunPairWith(simd_kind, r_base, r_size, s_base, s_size,
+                                  on_match);
     };
 
     MergeScan scan;

@@ -53,20 +53,22 @@ struct MergeScan {
 namespace internal {
 
 /// Shared merge loop; `kPrefetch` selects the pipelined variant that
-/// keeps both run cursors `prefetch_tuples` ahead in flight.
+/// keeps both run cursors kDefaultMergePrefetchDistance tuples ahead in
+/// flight.
 template <bool kPrefetch, typename OnMatch>
 MergeScan MergeJoinLoop(const Tuple* r, size_t nr, const Tuple* s, size_t ns,
-                        size_t prefetch_tuples, OnMatch&& on_match) {
+                        OnMatch&& on_match) {
+  constexpr size_t kAhead = kDefaultMergePrefetchDistance;
   MergeScan scan;
   size_t i = 0;
   size_t j = 0;
   while (i < nr && j < ns) {
     if constexpr (kPrefetch) {
-      // Touch the line `prefetch_tuples` ahead of each cursor. Reads
-      // past the run tail are harmless (prefetch never faults), and
+      // Touch the line kAhead tuples ahead of each cursor. Reads past
+      // the run tail are harmless (prefetch never faults), and
       // duplicate prefetches of a resident line are ~free.
-      __builtin_prefetch(r + i + prefetch_tuples, /*rw=*/0, /*locality=*/3);
-      __builtin_prefetch(s + j + prefetch_tuples, /*rw=*/0, /*locality=*/3);
+      __builtin_prefetch(r + i + kAhead, /*rw=*/0, /*locality=*/3);
+      __builtin_prefetch(s + j + kAhead, /*rw=*/0, /*locality=*/3);
     }
     const uint64_t r_key = r[i].key;
     if (r_key < s[j].key) {
@@ -104,29 +106,26 @@ MergeScan MergeJoinLoop(const Tuple* r, size_t nr, const Tuple* s, size_t ns,
 // Composes with the prefetch pipeline: the lookahead is issued per
 // outer iteration, ahead of both cursors.
 #define MPSM_MERGE_LOOP_SIMD(NAME, ISA, WINDOW, ADVANCE)                   \
-  template <bool kPrefetch, typename OnMatch>                              \
+  template <typename OnMatch>                                              \
   MPSM_SIMD_TARGET(ISA)                                                    \
   MergeScan NAME(const Tuple* r, size_t nr, const Tuple* s, size_t ns,     \
-                 size_t prefetch_tuples, OnMatch&& on_match) {             \
+                 OnMatch&& on_match) {                                     \
     constexpr size_t kW = simd::WINDOW::kWidth;                            \
     constexpr size_t kNoWindow = static_cast<size_t>(-1);                  \
+    constexpr size_t kAhead = kDefaultMergePrefetchDistance;               \
     MergeScan scan;                                                        \
     size_t i = 0;                                                          \
     size_t j = 0;                                                          \
     simd::WINDOW window;                                                   \
     size_t jw = kNoWindow; /* s index the cached window starts at */       \
     while (i < nr && j < ns) {                                             \
-      if constexpr (kPrefetch) {                                           \
-        __builtin_prefetch(r + i + prefetch_tuples, /*rw=*/0,              \
-                           /*locality=*/3);                                \
-        /* The public cursor outruns the private one by the        */      \
-        /* multiplicity; a vector step consumes a whole window per */      \
-        /* compare, so keep several windows' worth of s in flight. */      \
-        __builtin_prefetch(s + j + 4 * prefetch_tuples, /*rw=*/0,          \
-                           /*locality=*/3);                                \
-        __builtin_prefetch(s + j + 4 * prefetch_tuples + 4, /*rw=*/0,      \
-                           /*locality=*/3);                                \
-      }                                                                    \
+      __builtin_prefetch(r + i + kAhead, /*rw=*/0, /*locality=*/3);        \
+      /* The public cursor outruns the private one by the        */        \
+      /* multiplicity; a vector step consumes a whole window per */        \
+      /* compare, so keep several windows' worth of s in flight. */        \
+      __builtin_prefetch(s + j + 4 * kAhead, /*rw=*/0, /*locality=*/3);    \
+      __builtin_prefetch(s + j + 4 * kAhead + 4, /*rw=*/0,                 \
+                         /*locality=*/3);                                  \
       const uint64_t pivot = r[i].key;                                     \
       /* Catch s up to the pivot's lower bound. Pivots ascend, so  */      \
       /* against one window the count of keys below the pivot only */      \
@@ -184,8 +183,6 @@ MergeScan MergeJoinLoop(const Tuple* r, size_t nr, const Tuple* s, size_t ns,
     return scan;                                                           \
   }
 
-MPSM_MERGE_LOOP_SIMD(MergeJoinLoopSse, "sse4.2", SKeyWindowSse,
-                     AdvanceLowerBoundSse)
 MPSM_MERGE_LOOP_SIMD(MergeJoinLoopAvx2, "avx2", SKeyWindowAvx2,
                      AdvanceLowerBoundAvx2)
 MPSM_MERGE_LOOP_SIMD(MergeJoinLoopAvx512, "avx512f", SKeyWindowAvx512,
@@ -205,80 +202,51 @@ MPSM_MERGE_LOOP_SIMD(MergeJoinLoopAvx512, "avx512f", SKeyWindowAvx512,
 template <typename OnMatch>
 MergeScan MergeJoinRunPair(const Tuple* r, size_t nr, const Tuple* s,
                            size_t ns, OnMatch&& on_match) {
-  return internal::MergeJoinLoop<false>(r, nr, s, ns, 0,
+  return internal::MergeJoinLoop<false>(r, nr, s, ns,
                                         std::forward<OnMatch>(on_match));
 }
 
 /// Prefetch-pipelined variant of MergeJoinRunPair: issues software
-/// prefetches `prefetch_tuples` ahead of both run cursors so the merge
-/// streams from memory instead of stalling on each new cache line
-/// (public runs are mostly remote, §3.3). Identical output contract.
+/// prefetches kDefaultMergePrefetchDistance tuples ahead of both run
+/// cursors so the merge streams from memory instead of stalling on
+/// each new cache line (public runs are mostly remote, §3.3).
+/// Identical output contract.
 template <typename OnMatch>
 MergeScan MergeJoinRunPairPrefetch(const Tuple* r, size_t nr, const Tuple* s,
-                                   size_t ns, size_t prefetch_tuples,
-                                   OnMatch&& on_match) {
-  return internal::MergeJoinLoop<true>(r, nr, s, ns, prefetch_tuples,
+                                   size_t ns, OnMatch&& on_match) {
+  return internal::MergeJoinLoop<true>(r, nr, s, ns,
                                        std::forward<OnMatch>(on_match));
 }
 
-/// Kernel dispatch over both axes: the pipelined variant when
-/// `prefetch_tuples` > 0 (the `merge_prefetch_distance` knob), and the
-/// per-ISA SIMD-advance loop selected by `simd` (resolved via
-/// simd::Resolve; kScalar keeps the paper's one-key-per-compare loop —
-/// the `simd` knob). Every combination emits the identical match
-/// sequence.
+/// The join phase's kernel: the prefetch-pipelined loop, with the
+/// per-ISA SIMD-advance variant selected by `simd` (resolved via
+/// simd::Resolve; kScalar keeps the paper's one-key-per-compare loop).
+/// Every kind emits the identical match sequence.
 template <typename OnMatch>
-MergeScan MergeJoinRunPairWith(size_t prefetch_tuples, simd::SimdKind simd,
-                               const Tuple* r, size_t nr, const Tuple* s,
-                               size_t ns, OnMatch&& on_match) {
+MergeScan MergeJoinRunPairWith(simd::SimdKind simd, const Tuple* r, size_t nr,
+                               const Tuple* s, size_t ns, OnMatch&& on_match) {
 #if MPSM_SIMD_X86
-  const auto simd_loop = [&](auto&& loop) {
-    return prefetch_tuples > 0
-               ? loop.template operator()<true>(prefetch_tuples)
-               : loop.template operator()<false>(size_t{0});
-  };
   switch (simd::Resolve(simd)) {
-    case simd::SimdKind::kSse:
-      return simd_loop([&]<bool kPrefetch>(size_t distance) {
-        return internal::MergeJoinLoopSse<kPrefetch>(
-            r, nr, s, ns, distance, std::forward<OnMatch>(on_match));
-      });
     case simd::SimdKind::kAvx2:
-      return simd_loop([&]<bool kPrefetch>(size_t distance) {
-        return internal::MergeJoinLoopAvx2<kPrefetch>(
-            r, nr, s, ns, distance, std::forward<OnMatch>(on_match));
-      });
+      return internal::MergeJoinLoopAvx2(r, nr, s, ns,
+                                         std::forward<OnMatch>(on_match));
     case simd::SimdKind::kAvx512:
-      return simd_loop([&]<bool kPrefetch>(size_t distance) {
-        return internal::MergeJoinLoopAvx512<kPrefetch>(
-            r, nr, s, ns, distance, std::forward<OnMatch>(on_match));
-      });
+      return internal::MergeJoinLoopAvx512(r, nr, s, ns,
+                                           std::forward<OnMatch>(on_match));
     default:
       break;  // kScalar
   }
 #else
   (void)simd;
 #endif
-  return prefetch_tuples > 0
-             ? MergeJoinRunPairPrefetch(r, nr, s, ns, prefetch_tuples,
-                                        std::forward<OnMatch>(on_match))
-             : MergeJoinRunPair(r, nr, s, ns,
-                                std::forward<OnMatch>(on_match));
+  return MergeJoinRunPairPrefetch(r, nr, s, ns,
+                                  std::forward<OnMatch>(on_match));
 }
 
 /// Options for the per-worker run-join driver.
 struct RunJoinOptions {
   JoinKind kind = JoinKind::kInner;
   StartSearch search = StartSearch::kInterpolation;
-
-  /// Software-prefetch lookahead of the merge kernel, in tuples;
-  /// 0 selects the scalar kernel.
-  uint32_t prefetch_distance = kDefaultMergePrefetchDistance;
-
-  /// Skip the private run's non-overlapping prefix with the same start
-  /// search used for the public run (the scalar driver only skips the
-  /// public side), saving one-by-one advances when Ri starts below Sj.
-  bool skip_private_prefix = true;
 
   /// Vector ISA of the merge-advance and start-search kernels
   /// (docs/simd.md); kScalar selects the one-key-per-compare loops.

@@ -189,8 +189,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         pipeline, kPhaseSortPublic, s_public,
         [&arenas](uint32_t w) -> numa::Arena& { return *arenas[w]; },
         shared.s_runs, shared.s_gen, &shared.s_histograms, num_bounds,
-        options.scheduler, options.sort, options.sort_config,
-        options.morsel_tuples);
+        options.scheduler, options.sort_config, options.morsel_tuples);
   }
 
   // ---------------------------------------------------- phase 2
@@ -207,8 +206,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         ctx.Counters(kPhasePartition)
             .CountRead(chunk.node == ctx.node, /*sequential=*/true,
                        size * sizeof(Tuple));
-      },
-      PhasePipeline::PhaseOptions{.guest_safe = true});
+      });
 
   // Phase 2.1 + key-range merge (cheap single-threaded).
   pipeline.AddSerial(kPhasePartition, [&](WorkerContext&) {
@@ -239,8 +237,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         ctx.Counters(kPhasePartition)
             .CountRead(chunk.node == ctx.node, /*sequential=*/true,
                        size * sizeof(Tuple));
-      },
-      PhasePipeline::PhaseOptions{.guest_safe = true});
+      });
 
   // Phase 2.3a: splitters + prefix-sum scatter plan over blocks.
   pipeline.AddSerial(kPhasePartition, [&](WorkerContext& ctx) {
@@ -334,15 +331,14 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
                 ? nullptr
                 : shared.wc_buffers[ctx.worker_id].data();
         // The per-tuple partition digit is a subtract-shift-clamp plus
-        // a splitter-vector lookup. With the knob on, the arithmetic
+        // a splitter-vector lookup. Under a vector ISA the arithmetic
         // part runs vectorized over the whole block first
         // (simd::ClusterDigits) and the scatter consumes the digit
         // stream in step — both scatter kernels visit tuples strictly
         // in source order, exactly once. A scalar-resolved ISA keeps
         // the fused loop: a scalar precompute pass would only add a
         // second trip over the block.
-        if (options.simd_scatter_digits &&
-            simd::Resolve(options.simd) != simd::SimdKind::kScalar) {
+        if (simd::Resolve(options.simd) != simd::SimdKind::kScalar) {
           std::vector<uint32_t> digits(size);
           simd::ClusterDigits(chunk.data + block.begin, size,
                               normalizer.min_key(), normalizer.shift(),
@@ -407,12 +403,9 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         const uint64_t split_threshold =
             std::max<uint64_t>(2 * shared.partition_morsel_tuples,
                                2 * sort::kRadixBuckets);
-        const bool split = stealing &&
-                           options.sort != sort::SortKind::kIntroSort &&
-                           run.size > split_threshold;
+        const bool split = stealing && run.size > split_threshold;
         if (!split) {
-          sort::SortTuples(run.data, run.size, options.sort,
-                           options.sort_config);
+          sort::SortTuples(run.data, run.size, options.sort_config);
           counters.CountSort(run.size);
           return;
         }
@@ -428,12 +421,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         // One 256-way pass fixes 8 key bits: charge 8 n*log units; the
         // bucket morsels charge the rest (CountSort per bucket).
         counters.sort_tuple_logs += uint64_t{8} * run.size;
-      },
-      // The legacy phase_barriers knob only made the sort/join barrier
-      // optional; preserved here (static mode only — worker w's phase-4
-      // script reads nothing but its own partition's run).
-      PhasePipeline::PhaseOptions{.optional_barrier = true,
-                                  .guest_safe = true});
+      });
 
   if (stealing) {
     // Phase 3 (continued): bucket-sort morsels of the split partitions
@@ -446,18 +434,16 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         },
         [&](WorkerContext& ctx, const Morsel& morsel) {
           SortRunBuckets(shared.r_runs[morsel.task], shared.r_gen, morsel,
-                         options.sort, options.sort_config,
+                         options.sort_config,
                          ctx.Counters(kPhaseSortPrivate));
         },
-        PhasePipeline::PhaseOptions{.eager = false, .guest_safe = true});
+        PhasePipeline::PhaseOptions{.eager = false});
   }
 
   // ---------------------------------------------------- phase 4
   RunJoinOptions join_options;
   join_options.kind = options.kind;
   join_options.search = options.start_search;
-  join_options.prefetch_distance = options.merge_prefetch_distance;
-  join_options.skip_private_prefix = options.merge_skip_private_prefix;
   join_options.simd = options.simd;
   if (!stealing) {
     pipeline.AddPhase(
@@ -489,7 +475,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   }
 
   WallTimer timer;
-  pipeline.Run(team, options.phase_barriers);
+  pipeline.Run(team);
 
   if (diagnostics != nullptr) {
     diagnostics->normalizer = shared.normalizer;

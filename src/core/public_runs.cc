@@ -35,9 +35,9 @@ Result<PublicRuns> BuildPublicRuns(WorkerTeam& team, const Relation& s_public,
   AddRunGenerationPhases(
       pipeline, kPhaseSortPublic, s_public,
       [&out](uint32_t w) -> numa::Arena& { return *out.arenas[w]; }, out.runs,
-      state, &out.histograms, num_bounds, options.scheduler, options.sort,
+      state, &out.histograms, num_bounds, options.scheduler,
       options.sort_config, options.morsel_tuples);
-  pipeline.Run(team, options.phase_barriers);
+  pipeline.Run(team);
   return out;
 }
 

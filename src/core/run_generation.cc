@@ -9,7 +9,6 @@ namespace mpsm {
 
 Run SortChunkIntoRun(const Chunk& chunk, numa::Arena& arena,
                      numa::NodeId worker_node, PerfCounters& counters,
-                     sort::SortKind sort_kind,
                      const sort::RadixSortConfig& sort_config) {
   Run run;
   run.size = chunk.size;
@@ -21,10 +20,10 @@ Run SortChunkIntoRun(const Chunk& chunk, numa::Arena& arena,
   // radix pass (§2.3's amortization; SortCopyInto), saving one full
   // read+write sweep over the chunk. The counters keep charging the
   // materializing copy plus the full sort so that the cost model stays
-  // comparable across sort kinds (the fusion is a wall-clock win the
-  // tab_sort bench measures, not a modeled-bytes change).
-  sort::SortCopyInto(chunk.data, chunk.size, run.data, sort_kind,
-                     sort_config, /*src_is_local=*/chunk.node == worker_node);
+  // comparable with the unfused sort (the fusion is a wall-clock win
+  // the tab_sort bench measures, not a modeled-bytes change).
+  sort::SortCopyInto(chunk.data, chunk.size, run.data, sort_config,
+                     /*src_is_local=*/chunk.node == worker_node);
   counters.CountRead(chunk.node == worker_node, /*sequential=*/true,
                      chunk.size * sizeof(Tuple));
   // The run stays homed on the arena's node; a stolen run-generation
@@ -37,16 +36,13 @@ Run SortChunkIntoRun(const Chunk& chunk, numa::Arena& arena,
 
 Run GenerateRunInto(const Chunk& chunk, numa::Arena& arena,
                     numa::NodeId worker_node, PerfCounters& counters,
-                    sort::SortKind sort_kind,
                     const sort::RadixSortConfig& sort_config,
                     uint64_t split_threshold, RunGenState* state,
                     uint32_t task) {
   const bool splittable = split_threshold != 0 && state != nullptr &&
-                          sort_kind != sort::SortKind::kIntroSort &&
                           chunk.size > split_threshold;
   if (!splittable) {
-    return SortChunkIntoRun(chunk, arena, worker_node, counters, sort_kind,
-                            sort_config);
+    return SortChunkIntoRun(chunk, arena, worker_node, counters, sort_config);
   }
 
   Run run;
@@ -97,14 +93,14 @@ std::vector<Morsel> BucketSortMorsels(const RunGenState& state,
 }
 
 void SortRunBuckets(const Run& run, const RunGenState& state,
-                    const Morsel& morsel, sort::SortKind sort_kind,
+                    const Morsel& morsel,
                     const sort::RadixSortConfig& sort_config,
                     PerfCounters& counters) {
   const uint32_t t = morsel.task;
   const auto& bounds = state.bounds[t];
   sort::SortMsdBuckets(run.data, bounds, static_cast<uint32_t>(morsel.begin),
                        static_cast<uint32_t>(morsel.end), state.shift[t],
-                       sort_kind, sort_config);
+                       sort_config);
   for (uint64_t b = morsel.begin; b < morsel.end; ++b) {
     counters.CountSort(bounds[b + 1] - bounds[b]);
   }
@@ -116,10 +112,8 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
                             RunSet& runs, RunGenState& state,
                             std::vector<EquiHeightHistogram>* histograms,
                             uint32_t num_bounds, SchedulerKind scheduler,
-                            sort::SortKind sort_kind,
                             const sort::RadixSortConfig& sort_config,
-                            uint64_t morsel_tuples_knob,
-                            bool optional_barrier) {
+                            uint64_t morsel_tuples_knob) {
   const uint32_t num_chunks = input.num_chunks();
   state.Resize(num_chunks);
   const bool stealing = scheduler == SchedulerKind::kStealing;
@@ -142,13 +136,13 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
   pipeline.AddPhase(
       slot, [num_chunks] { return ChunkMorsels(num_chunks); },
       [&input, &runs, &state, arenas, histograms, num_bounds, slot,
-       sort_kind, sort_config, split_threshold,
+       sort_config, split_threshold,
        stealing](WorkerContext& ctx, const Morsel& morsel) {
         const uint32_t w = morsel.task;
         PerfCounters& counters = ctx.Counters(slot);
         runs[w] = GenerateRunInto(input.chunk(w), arenas(w), ctx.node,
-                                  counters, sort_kind, sort_config,
-                                  split_threshold, &state, w);
+                                  counters, sort_config, split_threshold,
+                                  &state, w);
         // Static mode keeps the paper's fused script: the run is fully
         // sorted here, so the histogram rides along for free (§4.1).
         // Stealing mode defers it until the bucket sorts finished.
@@ -157,10 +151,7 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
           counters.CountRead(runs[w].node == ctx.node, /*sequential=*/false,
                              uint64_t{num_bounds} * sizeof(Tuple));
         }
-      },
-      PhasePipeline::PhaseOptions{.optional_barrier =
-                                      !stealing && optional_barrier,
-                                  .guest_safe = true});
+      });
 
   if (stealing) {
     pipeline.AddPhase(
@@ -168,16 +159,12 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
         [&state, morsel_tuples] {
           return BucketSortMorsels(state, morsel_tuples);
         },
-        [&runs, &state, slot, sort_kind, sort_config](WorkerContext& ctx,
-                                                      const Morsel& morsel) {
-          SortRunBuckets(runs[morsel.task], state, morsel, sort_kind,
-                         sort_config, ctx.Counters(slot));
+        [&runs, &state, slot, sort_config](WorkerContext& ctx,
+                                           const Morsel& morsel) {
+          SortRunBuckets(runs[morsel.task], state, morsel, sort_config,
+                         ctx.Counters(slot));
         },
-        PhasePipeline::PhaseOptions{.eager = false,
-                                    .optional_barrier =
-                                        histograms == nullptr &&
-                                        optional_barrier,
-                                    .guest_safe = true});
+        PhasePipeline::PhaseOptions{.eager = false});
     if (histograms != nullptr) {
       pipeline.AddPhase(
           slot, [num_chunks] { return ChunkMorsels(num_chunks); },
@@ -188,9 +175,7 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
             ctx.Counters(slot).CountRead(runs[w].node == ctx.node,
                                          /*sequential=*/false,
                                          uint64_t{num_bounds} * sizeof(Tuple));
-          },
-          PhasePipeline::PhaseOptions{.optional_barrier = optional_barrier,
-                                      .guest_safe = true});
+          });
     }
   }
 }

@@ -30,14 +30,11 @@
 
 namespace mpsm {
 
-/// Copies `chunk` into `arena` (homed on `worker_node`), sorts it with
-/// the sort selected by `sort_kind`, and returns the resulting run.
-/// Counts the copy traffic and the sort work into `counters`. The sort
-/// kind is deliberately not defaulted: callers must thread the
-/// options' choice through (the default policy lives in MpsmOptions).
+/// Copies `chunk` into `arena` (homed on `worker_node`), sorts it
+/// under `sort_config`, and returns the resulting run. Counts the copy
+/// traffic and the sort work into `counters`.
 Run SortChunkIntoRun(const Chunk& chunk, numa::Arena& arena,
                      numa::NodeId worker_node, PerfCounters& counters,
-                     sort::SortKind sort_kind,
                      const sort::RadixSortConfig& sort_config = {});
 
 /// Per-task state of a split run generation: when task t was split, the
@@ -57,7 +54,7 @@ struct RunGenState {
 };
 
 /// Like SortChunkIntoRun, but when the chunk exceeds `split_threshold`
-/// (and the sort is a radix kind) only the copy + first MSD pass runs;
+/// only the copy + first MSD pass runs;
 /// state->split[task] is set and SortRunBuckets morsels must finish
 /// the run. split_threshold == 0 disables splitting (always sorts
 /// fully). Counter policy matches the phase-3 split: the one pass
@@ -65,7 +62,6 @@ struct RunGenState {
 /// charge the rest.
 Run GenerateRunInto(const Chunk& chunk, numa::Arena& arena,
                     numa::NodeId worker_node, PerfCounters& counters,
-                    sort::SortKind sort_kind,
                     const sort::RadixSortConfig& sort_config,
                     uint64_t split_threshold, RunGenState* state,
                     uint32_t task);
@@ -80,7 +76,7 @@ std::vector<Morsel> BucketSortMorsels(const RunGenState& state,
 /// [morsel.begin, morsel.end) of run `run` (== task morsel.task's run)
 /// and charges the per-bucket sort work.
 void SortRunBuckets(const Run& run, const RunGenState& state,
-                    const Morsel& morsel, sort::SortKind sort_kind,
+                    const Morsel& morsel,
                     const sort::RadixSortConfig& sort_config,
                     PerfCounters& counters);
 
@@ -93,20 +89,13 @@ void SortRunBuckets(const Run& run, const RunGenState& state,
 /// pipeline's Run. The sub-chunk split threshold is derived from the
 /// chunk sizes (2 * ResolveMorselTuples, at least 2 * kRadixBuckets);
 /// static mode keeps the paper's fused one-morsel-per-chunk script.
-/// All steps are guest-safe: their bodies key everything off
-/// morsel.task, so a donated worker from another session may execute
-/// them (docs/service.md). `optional_barrier` marks the *last* added
-/// step's closing barrier as elidable under phase_barriers == false
-/// (static mode only, PhaseOptions::optional_barrier).
 void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
                             const Relation& input,
                             const std::function<numa::Arena&(uint32_t)>& arena_of,
                             RunSet& runs, RunGenState& state,
                             std::vector<EquiHeightHistogram>* histograms,
                             uint32_t num_bounds, SchedulerKind scheduler,
-                            sort::SortKind sort_kind,
                             const sort::RadixSortConfig& sort_config,
-                            uint64_t morsel_tuples_knob,
-                            bool optional_barrier = false);
+                            uint64_t morsel_tuples_knob);
 
 }  // namespace mpsm

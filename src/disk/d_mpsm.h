@@ -91,23 +91,13 @@ struct DMpsmOptions {
   /// write-back instead of growing RAM.
   uint64_t pool_budget_bytes = 0;
 
-  /// When true, run spooling bypasses the pool's write-back cache and
-  /// blocks on the device for every page (the synchronous baseline the
-  /// spool-stall A/B in DMpsmReport measures against).
-  bool synchronous_spool = false;
   /// Spool directory and synthetic I/O delay (see PageStoreOptions).
   std::string directory = "/tmp";
   uint32_t io_delay_us = 0;
 
-  /// Sort used when spooling chunks (docs/tuning.md).
-  sort::SortKind sort = sort::SortKind::kMultiPassRadix;
-
-  /// Bucket threshold / pass cap of the multi-pass radix sort.
+  /// Bucket threshold / pass cap of the radix sort used when spooling
+  /// chunks (docs/tuning.md).
   sort::RadixSortConfig sort_config;
-
-  /// Software-prefetch lookahead (tuples) of the page merge-join
-  /// kernel; 0 selects the scalar kernel.
-  uint32_t merge_prefetch_distance = kDefaultMergePrefetchDistance;
 
   /// Vector ISA of the page merge-join kernel (docs/simd.md); the sort
   /// passes follow sort_config.simd.
@@ -165,8 +155,7 @@ struct DMpsmReport {
   /// append stalls (docs/storage.md).
   bufferpool::BufferPoolStats pool;
   /// Wall nanoseconds workers spent blocked spooling run pages, summed
-  /// over workers: the full device write in synchronous_spool mode, or
-  /// only the wait for a free frame with async write-back.
+  /// over workers: the wait for a free frame under async write-back.
   uint64_t spool_write_stall_ns = 0;
   /// Peak private-window tuples over all workers.
   size_t peak_window_tuples = 0;

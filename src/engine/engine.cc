@@ -9,7 +9,6 @@
 #include "core/b_mpsm.h"
 #include "core/public_runs.h"
 #include "obs/metrics.h"
-#include "parallel/donation.h"
 #include "recovery/recovery_manager.h"
 #include "sim/calibration.h"
 #include "simd/caps.h"
@@ -61,14 +60,8 @@ WorkerTeam& Engine::TeamFor(uint32_t team_size) {
   if (team_ == nullptr || team_->size() != team_size) {
     team_ = std::make_unique<WorkerTeam>(topology_, team_size);
     ++stats_.team_spawns;
-    if (donation_ != nullptr) team_->set_donation(donation_);
   }
   return *team_;
-}
-
-void Engine::set_donation(DonationPool* pool) {
-  donation_ = pool;
-  if (team_ != nullptr) team_->set_donation(pool);
 }
 
 sim::MachineModel Engine::machine() const {
@@ -177,8 +170,8 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
         std::to_string(run_spec.s->num_chunks()));
   }
 
-  // Every thread that runs this query — workers, the pool's flusher,
-  // donated guests — records into the query's sink; cleared on every
+  // Every thread that runs this query — workers and the pool's
+  // flusher — records into the query's sink; cleared on every
   // exit path so the session team never carries a dead sink.
   WorkerTeam* traced_team = nullptr;
   if (sink != nullptr) {

@@ -7,9 +7,7 @@
 // variant, and returns one unified JoinReport. Sessions are meant to
 // be long-lived: repeated Execute() calls amortize the topology probe
 // and the team's node-homed arenas across queries. (WorkerTeam::Run
-// still launches its pinned threads per query; keeping the threads —
-// and donating idle ones between sessions — is the ROADMAP's
-// elastic-teams item.)
+// still launches its pinned threads per query.)
 //
 //   engine::Engine engine;                    // probe + defaults
 //   engine::JoinSpec spec;
@@ -186,13 +184,6 @@ class Engine {
   /// — drifts toward this host's measured coefficients query by query.
   sim::MachineModel machine() const;
 
-  /// Opts this session's worker team into cross-session donation
-  /// (parallel/donation.h): its guest-safe phases are published to
-  /// `pool` and its idle workers help other sessions at barriers. Call
-  /// before the first Execute or any time between queries; nullptr
-  /// opts out. The pool must outlive the engine.
-  void set_donation(DonationPool* pool);
-
   /// Attaches a cross-query run cache (cache/run_cache.h): P-MPSM
   /// public runs are installed after a cold sort and reused —
   /// merge-on-read over any ingested deltas — on repeat joins of the
@@ -234,7 +225,6 @@ class Engine {
   EngineOptions options_;
   std::unique_ptr<WorkerTeam> team_;
   SessionStats stats_;
-  DonationPool* donation_ = nullptr;
   cache::RunCache* run_cache_ = nullptr;
   /// Session cost model under recalibration; unset until the first
   /// recalibrating query resolves EngineOptions::machine.

@@ -115,15 +115,9 @@ MpsmOptions ResolveMpsmOptions(const EngineOptions& options, JoinKind kind) {
   m.equi_height_factor = options.mpsm.equi_height_factor;
   m.start_search = options.mpsm.start_search;
   m.cost_balanced_splitters = options.mpsm.cost_balanced_splitters;
-  m.phase_barriers = options.mpsm.phase_barriers;
-  m.merge_skip_private_prefix = options.mpsm.merge_skip_private_prefix;
-  m.simd_scatter_digits = options.mpsm.simd_scatter_digits;
   m.scheduler = options.scheduler.value_or(m.scheduler);
-  m.sort = options.sort.value_or(m.sort);
   m.sort_config = options.sort_config.value_or(m.sort_config);
   m.scatter = options.scatter.value_or(m.scatter);
-  m.merge_prefetch_distance =
-      options.merge_prefetch_distance.value_or(m.merge_prefetch_distance);
   m.morsel_tuples = options.morsel_tuples.value_or(m.morsel_tuples);
   // The canonical simd knob steers the sort's histogram kernels too
   // (applied after sort_config so it wins over a combined override).
@@ -144,16 +138,12 @@ disk::DMpsmOptions ResolveDMpsmOptions(const EngineOptions& options,
   d.io_queue_depth = options.dmpsm.io_queue_depth;
   d.io_batch_pages = options.dmpsm.io_batch_pages;
   d.io_max_inflight_bytes = options.dmpsm.io_max_inflight_bytes;
-  d.sort = options.sort.value_or(d.sort);
   d.sort_config = options.sort_config.value_or(d.sort_config);
-  d.merge_prefetch_distance =
-      options.merge_prefetch_distance.value_or(d.merge_prefetch_distance);
   d.scheduler = options.scheduler.value_or(d.scheduler);
   if (options.simd.has_value()) {
     d.simd = *options.simd;
     d.sort_config.simd = *options.simd;
   }
-  d.synchronous_spool = options.dmpsm.synchronous_spool;
   if (options.dmpsm.pool_pages != 0) {
     d.pool_pages = options.dmpsm.pool_pages;
   } else if (memory_budget_bytes != 0) {
@@ -328,17 +318,15 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
       auto& p3 = phases[kPhaseSortPrivate].counters;
       CountLocalSort(p3, nr);
       p3.CountWrite(true, true, static_cast<uint64_t>(nr * kTupleBytes));
-      // Spool writes hit the device too. With the buffer pool's async
-      // write-back the flusher overlaps them with the sort compute at
-      // queue depth; the synchronous_spool baseline stalls each worker
-      // for every page at depth 1. Deliberately keyed on the spool
-      // mode only — the read backend does not change spool pricing.
-      const double spool_depth_bw = machine.IoBytesPerSec(
-          dmpsm.synchronous_spool ? 1 : dmpsm.io_queue_depth);
-      phases[kPhaseSortPublic].io_overlapped = !dmpsm.synchronous_spool;
+      // Spool writes hit the device too: the buffer pool's async
+      // write-back overlaps them with the sort compute at queue depth.
+      // The read backend does not change spool pricing.
+      const double spool_depth_bw =
+          machine.IoBytesPerSec(dmpsm.io_queue_depth);
+      phases[kPhaseSortPublic].io_overlapped = true;
       phases[kPhaseSortPublic].io_seconds =
           static_cast<double>(in.s_tuples) * kTupleBytes / spool_depth_bw;
-      phases[kPhaseSortPrivate].io_overlapped = !dmpsm.synchronous_spool;
+      phases[kPhaseSortPrivate].io_overlapped = true;
       phases[kPhaseSortPrivate].io_seconds =
           static_cast<double>(in.r_tuples) * kTupleBytes / spool_depth_bw;
       // Phase 4 re-reads the spooled pages. The device is shared, so

@@ -76,9 +76,6 @@ struct MpsmOverrides {
   uint32_t equi_height_factor = 4;
   StartSearch start_search = StartSearch::kInterpolation;
   bool cost_balanced_splitters = true;
-  bool phase_barriers = true;
-  bool merge_skip_private_prefix = true;
-  bool simd_scatter_digits = true;
 };
 
 /// Per-algorithm overrides for the D-MPSM spill path.
@@ -91,9 +88,6 @@ struct DMpsmOverrides {
   /// 0 derives half the query's memory budget when one is set, else the
   /// legacy unbounded-frames shape.
   uint64_t pool_budget_bytes = 0;
-  /// Bypass the pool's async write-back and spool runs with blocking
-  /// device writes (the A/B baseline; see DMpsmOptions).
-  bool synchronous_spool = false;
   std::string directory = "/tmp";
   uint32_t io_delay_us = 0;
   /// Async page-I/O engine for the spill path (docs/io.md): sync is
@@ -201,10 +195,8 @@ struct EngineOptions {
 
   // ---------------------------------------- canonical kernel knobs
   std::optional<SchedulerKind> scheduler;
-  std::optional<sort::SortKind> sort;
   std::optional<sort::RadixSortConfig> sort_config;
   std::optional<ScatterKind> scatter;
-  std::optional<uint32_t> merge_prefetch_distance;
   std::optional<uint32_t> morsel_tuples;
   /// Vector ISA of the merge / search / histogram kernels
   /// (docs/simd.md). Set, it steers every algorithm's simd knob

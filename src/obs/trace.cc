@@ -21,9 +21,8 @@ std::atomic<uint64_t> g_next_sink_id{1};
 /// Thread-local slot cache: remembers which ring this thread owns in
 /// recently used sinks, keyed by process-unique sink id (a freed and
 /// reallocated sink can never alias a stale entry). Four entries cover
-/// the realistic working set — own query plus a donated one — with
-/// round-robin replacement; a re-registered thread merely takes a
-/// fresh ring.
+/// the realistic working set with round-robin replacement; a
+/// re-registered thread merely takes a fresh ring.
 struct SlotCacheEntry {
   uint64_t sink_id = 0;
   size_t slot = 0;

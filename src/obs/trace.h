@@ -5,12 +5,12 @@
 // collects TraceEvents — phase spans, morsel batches, io submits and
 // stalls, pool pin/evict/write-back, cache lookup/install, admission
 // wait — from every thread that touches the query: the session's
-// caller thread, its worker team, the buffer pool's flusher, and guest
-// workers donated by other sessions. Each thread appends into its own
-// fixed-capacity ring (one atomic store per event, no locks, no
-// allocation on the record path); rings are harvested after the query
-// quiesces and exported as Chrome trace_event JSON loadable in
-// chrome://tracing or Perfetto (JoinReport::trace).
+// caller thread, its worker team and the buffer pool's flusher. Each
+// thread appends into its own fixed-capacity ring (one atomic store per
+// event, no locks, no allocation on the record path); rings are
+// harvested after the query quiesces and exported as Chrome
+// trace_event JSON loadable in chrome://tracing or Perfetto
+// (JoinReport::trace).
 //
 // Tracing is compiled in but off by default. The record path is gated
 // on a thread-local sink pointer: with no sink installed, a TraceSpan
@@ -22,8 +22,7 @@
 //   ...                            // span records itself on scope exit
 //
 // Threads are attached with ScopedTraceThread (WorkerTeam::Run does
-// this for workers; the engine for its caller; DonationPool::TryHelp
-// swaps a guest onto the owner query's sink). Event names and
+// this for workers; the engine for its caller). Event names and
 // categories must be string literals (the sink stores the pointers).
 #pragma once
 
@@ -44,7 +43,6 @@ inline constexpr const char* kCatIo = "io";
 inline constexpr const char* kCatPool = "pool";
 inline constexpr const char* kCatCache = "cache";
 inline constexpr const char* kCatService = "service";
-inline constexpr const char* kCatDonation = "donation";
 inline constexpr const char* kCatRecovery = "recovery";
 
 /// One recorded event. 64 bytes; name/category/arg keys are borrowed
@@ -88,7 +86,7 @@ struct TraceSinkOptions {
   /// spans, so phase/query spans — the wall-time coverage — survive
   /// event storms); drops are counted, never blocked on.
   size_t ring_events = 4096;
-  /// Thread rings (workers + caller + flusher + guest headroom).
+  /// Thread rings (workers + caller + flusher + headroom).
   /// Threads past the last ring drop their events (counted).
   size_t max_threads = 64;
 };
@@ -123,7 +121,7 @@ class TraceSink {
                      const char* key1 = nullptr, uint64_t arg1 = 0,
                      const char* key2 = nullptr, uint64_t arg2 = 0);
 
-  /// Labels the calling thread's ring ("worker 3", "caller", "guest");
+  /// Labels the calling thread's ring ("worker 3", "caller");
   /// becomes the tid name in the Chrome export. `role` must be a
   /// literal.
   void LabelThread(const char* role, uint32_t role_id);

@@ -17,9 +17,4 @@ bool Barrier::Wait() {
   return false;
 }
 
-bool Barrier::OthersArriving() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return arrived_ + 1 < participants_;
-}
-
 }  // namespace mpsm

@@ -29,18 +29,11 @@ class Barrier {
   /// Number of participants this barrier synchronizes.
   uint32_t participants() const { return participants_; }
 
-  /// True while at least one *other* participant has not yet arrived
-  /// at the current round — i.e. this caller would block in Wait().
-  /// Approximate (may lag one arrival); used by workers deciding
-  /// whether to spend their barrier wait executing donated morsels
-  /// from another session (parallel/donation.h).
-  bool OthersArriving() const;
-
  private:
   const uint32_t participants_;
   uint32_t arrived_ = 0;
   uint64_t generation_ = 0;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
 };
 

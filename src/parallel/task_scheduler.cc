@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "obs/trace.h"
-#include "parallel/donation.h"
 
 namespace mpsm {
 
@@ -127,7 +126,7 @@ void PhasePipeline::AddPhase(JoinPhase slot, MorselFactory factory,
   steps_.push_back(std::move(step));
 }
 
-void PhasePipeline::Run(WorkerTeam& team, bool phase_barriers) {
+void PhasePipeline::Run(WorkerTeam& team) {
   // Eager factories see only pre-run inputs: evaluate them up front so
   // their phases need no distribution barrier.
   for (Step& step : steps_) {
@@ -135,22 +134,6 @@ void PhasePipeline::Run(WorkerTeam& team, bool phase_barriers) {
       step.scheduler->Reset(step.factory());
     }
   }
-
-  DonationPool* pool = team.donation();
-  const uint64_t session = team.donation_session();
-  // Barrier waits double as donation slots: instead of idling until the
-  // stragglers arrive, a worker executes morsels published by *other*
-  // sessions (parallel/donation.h). Approximate by design — a worker
-  // mid-donated-morsel delays its own arrival by at most that morsel.
-  const uint32_t donor_lane = team.lane();
-  const auto help_then_wait = [&](WorkerContext& ctx) {
-    if (pool != nullptr) {
-      while (ctx.barrier->OthersArriving() &&
-             pool->TryHelp(session, ctx.node, donor_lane)) {
-      }
-    }
-    ctx.barrier->Wait();
-  };
 
   team.Run([&](WorkerContext& ctx) {
     for (size_t s = 0; s < steps_.size(); ++s) {
@@ -164,7 +147,7 @@ void PhasePipeline::Run(WorkerTeam& team, bool phase_barriers) {
           PhaseScope scope(ctx, step.slot);
           if (ctx.worker_id == 0) step.serial_fn(ctx);
         }
-        help_then_wait(ctx);
+        ctx.barrier->Wait();
         continue;
       }
 
@@ -175,22 +158,6 @@ void PhasePipeline::Run(WorkerTeam& team, bool phase_barriers) {
       const PerfCounters& slot_counters = ctx.Counters(step.slot);
       const uint64_t morsels_before = slot_counters.morsels_executed;
       const uint64_t stolen_before = slot_counters.morsels_stolen;
-
-      // Publish guest-safe stealing phases so other sessions' idle
-      // workers can claim morsels alongside this team. Published only
-      // once this team reaches the step (never up front: an eager
-      // factory's *morsels* are known before Run, but the body may
-      // read earlier phases' products). Worker 0 closes the
-      // publication — draining in-flight guests — before its own
-      // barrier arrival, so the next step starts with every morsel's
-      // products complete.
-      const bool donatable = pool != nullptr && step.options.guest_safe &&
-                             step.scheduler->kind() == SchedulerKind::kStealing;
-      DonationPool::Ticket ticket;
-      if (donatable && ctx.worker_id == 0) {
-        ticket = pool->Publish(session, step.scheduler.get(), &step.body,
-                               topology_, team_size_);
-      }
 
       // Stealing teams yield between morsels: on an oversubscribed
       // machine (dev VMs timeshare the whole team on few cores) a
@@ -218,21 +185,11 @@ void PhasePipeline::Run(WorkerTeam& team, bool phase_barriers) {
         }
       }
 
-      if (donatable && ctx.worker_id == 0) pool->Close(ticket);
-
       phase_span.arg1("morsels",
                       slot_counters.morsels_executed - morsels_before);
       phase_span.arg2("stolen", slot_counters.morsels_stolen - stolen_before);
 
-      const bool last = s + 1 == steps_.size();
-      // An optional closing barrier may only be elided when no other
-      // worker can observe this phase's products early: static
-      // scheduling with the next step's morsels already distributed.
-      const bool skippable =
-          step.options.optional_barrier && !phase_barriers &&
-          kind_ == SchedulerKind::kStatic &&
-          (last || (!steps_[s + 1].serial && steps_[s + 1].options.eager));
-      if (!last && !skippable) help_then_wait(ctx);
+      if (s + 1 < steps_.size()) ctx.barrier->Wait();
     }
   });
 }

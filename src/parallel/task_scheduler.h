@@ -113,21 +113,10 @@ class PhasePipeline {
     /// under a stealing scheduler (first-touch allocations, stateful
     /// per-consumer walks).
     bool pinned = false;
-    /// The closing barrier may be skipped when the driver's
-    /// phase_barriers option is off. Only safe when the next step needs
-    /// nothing from other workers' morsels (and only honored in static
-    /// mode — stolen morsels may read any worker's phase products).
-    bool optional_barrier = false;
     /// Self-timed bodies manage their own PhaseScope sub-timers (e.g.
     /// the radix join's pass-2/join split); the pipeline then only
     /// charges morsel claims to `slot`.
     bool self_timed = false;
-    /// Guest-safe bodies key all state off morsel.task and never index
-    /// per-worker arrays with ctx.worker_id, so workers of *other*
-    /// sessions may execute their morsels via a DonationPool
-    /// (parallel/donation.h). Only honored for stealing-kind phases on
-    /// teams opted into donation; ignored otherwise.
-    bool guest_safe = false;
   };
 
   PhasePipeline(const numa::Topology& topology, uint32_t team_size,
@@ -143,10 +132,9 @@ class PhasePipeline {
     AddPhase(slot, std::move(factory), std::move(body), PhaseOptions{});
   }
 
-  /// Executes all steps on `team`. `phase_barriers` mirrors
-  /// MpsmOptions::phase_barriers: when false, optional closing barriers
-  /// are skipped (static mode only).
-  void Run(WorkerTeam& team, bool phase_barriers = true);
+  /// Executes all steps on `team`; the team synchronizes after every
+  /// step but the last.
+  void Run(WorkerTeam& team);
 
   SchedulerKind kind() const { return kind_; }
 

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "numa/affinity.h"
-#include "parallel/donation.h"
 
 namespace mpsm {
 
@@ -36,11 +35,6 @@ WorkerTeam::WorkerTeam(const numa::Topology& topology, uint32_t team_size)
 }
 
 WorkerTeam::~WorkerTeam() = default;
-
-void WorkerTeam::set_donation(DonationPool* pool) {
-  donation_ = pool;
-  donation_session_ = pool == nullptr ? 0 : pool->RegisterSession();
-}
 
 void WorkerTeam::Run(const std::function<void(WorkerContext&)>& job) {
   for (auto& stats : stats_) stats = WorkerStats{};

@@ -20,7 +20,6 @@
 
 namespace mpsm {
 
-class DonationPool;
 class WorkerTeam;
 
 /// Everything a worker needs: identity, placement, barrier, stats sink,
@@ -89,15 +88,6 @@ class WorkerTeam {
   /// Arena of worker `w` (homed on that worker's node).
   numa::Arena& ArenaOf(uint32_t w) { return *arenas_[w]; }
 
-  /// Opts this team into cross-session worker donation
-  /// (parallel/donation.h): its guest-safe stealing phases are
-  /// published to `pool`, and its workers help other sessions while
-  /// waiting at phase barriers. Registers a fresh session id on first
-  /// call per pool. nullptr opts back out.
-  void set_donation(DonationPool* pool);
-  DonationPool* donation() const { return donation_; }
-  uint64_t donation_session() const { return donation_session_; }
-
   /// Attaches the current query's trace sink (obs/trace.h): Run
   /// installs it as every worker thread's current sink, so spans
   /// recorded anywhere under the job land in this query's trace.
@@ -106,21 +96,13 @@ class WorkerTeam {
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
   obs::TraceSink* trace() const { return trace_; }
 
-  /// Service lane this team serves (trace attribution of donated
-  /// morsels, docs/observability.md); 0 outside a JoinService.
-  void set_lane(uint32_t lane) { lane_ = lane; }
-  uint32_t lane() const { return lane_; }
-
  private:
   const numa::Topology* topology_;
   uint32_t team_size_;
   Barrier barrier_;
   std::vector<WorkerStats> stats_;
   std::vector<std::unique_ptr<numa::Arena>> arenas_;
-  DonationPool* donation_ = nullptr;
-  uint64_t donation_session_ = 0;
   obs::TraceSink* trace_ = nullptr;
-  uint32_t lane_ = 0;
 };
 
 }  // namespace mpsm

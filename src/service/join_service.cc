@@ -89,7 +89,6 @@ JoinService::JoinService(const numa::Topology& topology, ServiceOptions options)
     lane_options.dmpsm.io_max_inflight_bytes = std::max<uint64_t>(
         options_.io_inflight_budget_bytes / options_.lanes, 1);
   }
-  if (options_.donation) donation_ = std::make_unique<DonationPool>();
   if (options_.run_cache_bytes != 0) {
     run_cache_ = std::make_unique<cache::RunCache>(
         cache::RunCacheOptions{.capacity_bytes = options_.run_cache_bytes});
@@ -98,7 +97,6 @@ JoinService::JoinService(const numa::Topology& topology, ServiceOptions options)
   for (uint32_t i = 0; i < options_.lanes; ++i) {
     engines_.push_back(
         std::make_unique<engine::Engine>(topology_, lane_options));
-    if (donation_ != nullptr) engines_.back()->set_donation(donation_.get());
     if (run_cache_ != nullptr) {
       engines_.back()->set_run_cache(run_cache_.get());
     }
@@ -200,7 +198,6 @@ void JoinService::Drain() {
 ServiceStats JoinService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats out = stats_;
-  if (donation_ != nullptr) out.donated_morsels = donation_->morsels_donated();
   if (run_cache_ != nullptr) {
     const cache::CacheStats cs = run_cache_->stats();
     out.cache_hits = cs.hits;
@@ -398,10 +395,6 @@ std::vector<JoinService::StatePtr> JoinService::TryAdmitLocked(
 
 void JoinService::ExecuteGroup(engine::Engine& engine, uint32_t lane,
                                std::vector<StatePtr>& group) {
-  // Tag the lane's team (1-based; 0 = outside a service) so donated
-  // morsels executed by its idle workers attribute to this lane in the
-  // owner query's trace.
-  engine.EnsureTeam(group.front()->team_size).set_lane(lane + 1);
   // Sort the shared public input once for the whole group. On failure
   // fall back to per-query sorting — correctness never depends on the
   // batching fast path. With the run cache attached, the engine itself
@@ -478,8 +471,7 @@ void JoinService::LaneLoop(uint32_t lane) {
     if (stop_) return;
     if (queue_.empty()) {
       // Idle lane + pending deltas: run background compaction as
-      // low-priority work. The morsels are guest-safe, so donated
-      // workers from other lanes help (parallel/donation.h).
+      // low-priority work.
       compact_hint_ = false;
       if (run_cache_ != nullptr) {
         lock.unlock();

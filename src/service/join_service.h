@@ -5,7 +5,7 @@
 // queries behind a mutex leaves throughput on the table three ways.
 // JoinService accepts queued JoinSpecs from any thread and runs them on
 // a small fleet of engine sessions ("lanes"), recovering that
-// throughput with three mechanisms:
+// throughput with two mechanisms:
 //
 //  1. Admission control. A memory governor holds every *running* query's
 //     planner-predicted footprint against a global budget. Queries that
@@ -14,10 +14,7 @@
 //     re-planned against a per-lane share so they spill through D-MPSM
 //     ("down-budgeting"); only joins that cannot spill fail, with a
 //     clean ResourceExhausted.
-//  2. Elastic worker teams. All lanes share one DonationPool
-//     (parallel/donation.h): a lane's workers idling at a phase barrier
-//     execute guest-safe morsels of other lanes' phases instead.
-//  3. Shared-sort batching. Compatible queued queries joining different
+//  2. Shared-sort batching. Compatible queued queries joining different
 //     private inputs against the *same* public relation are coalesced:
 //     the public input is sorted once (core/public_runs.h) and every
 //     member joins against the shared runs, paying P-MPSM phase 1 once
@@ -49,7 +46,6 @@
 #include "engine/engine.h"
 #include "numa/topology.h"
 #include "obs/metrics.h"
-#include "parallel/donation.h"
 #include "util/status.h"
 
 namespace mpsm::service {
@@ -80,9 +76,6 @@ struct ServiceOptions {
 
   /// Most queries per shared-sort batch (>= 1).
   uint32_t max_batch = 8;
-
-  /// Share one DonationPool across the lanes' worker teams.
-  bool donation = true;
 
   /// Capacity of the cross-query run cache shared by every lane
   /// (cache/run_cache.h): repeat joins of one public input reuse its
@@ -120,8 +113,6 @@ struct ServiceStats {
   /// previous incarnation died mid-run picked up where it left off.
   /// Requires ServiceOptions::engine.recovery.enabled.
   uint64_t resumed_queries = 0;
-  /// Morsels executed by guest workers across sessions (DonationPool).
-  uint64_t donated_morsels = 0;
   uint64_t peak_queue_depth = 0;
   uint64_t peak_reserved_bytes = 0;
 
@@ -234,14 +225,13 @@ class JoinService {
   std::vector<StatePtr> TryAdmitLocked(engine::Engine& engine);
   /// Runs one admitted group on the lane's engine (shared public sort
   /// first when the group has >= 2 members) and finishes every member.
-  /// `lane` tags the team for donated-morsel trace attribution.
+  /// `lane` labels the per-lane query counter.
   void ExecuteGroup(engine::Engine& engine, uint32_t lane,
                     std::vector<StatePtr>& group);
   void FinishLocked(QueryState& q, Result<engine::JoinReport> result);
 
   numa::Topology topology_;
   ServiceOptions options_;
-  std::unique_ptr<DonationPool> donation_;
   /// Shared by every lane engine; outlives engines_ (declared first).
   std::unique_ptr<cache::RunCache> run_cache_;
   std::vector<std::unique_ptr<engine::Engine>> engines_;  // one per lane

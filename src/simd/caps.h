@@ -22,7 +22,6 @@ namespace mpsm::simd {
 /// What this build + this CPU can execute (compile-time kernel gates
 /// intersected with the cached CPUID probe).
 struct Caps {
-  bool sse42 = false;
   bool avx2 = false;
   bool avx512f = false;
 };
@@ -38,8 +37,8 @@ const Caps& DetectCaps();
 /// without touching every knob).
 SimdKind Resolve(SimdKind kind);
 
-/// Keys compared per vector register for a *resolved* kind (1, 2, 4,
-/// 8): the planner's keys_per_compare coefficient.
+/// Keys compared per vector register for a *resolved* kind (1, 4, 8):
+/// the planner's keys_per_compare coefficient.
 uint32_t KeysPerCompare(SimdKind resolved);
 
 /// Every concrete kind this host can execute, narrowest first

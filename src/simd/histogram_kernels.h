@@ -9,8 +9,7 @@
 // gathers), extract the digits with packed ALU ops, and spill them to
 // a small stack buffer for the scalar increments — the table update
 // itself stays scalar because neighboring tuples may hit the same
-// bucket. All kinds produce bit-identical histograms; SSE has no
-// 64-bit packed shifts worth the trip and resolves to scalar here.
+// bucket. All kinds produce bit-identical histograms.
 #pragma once
 
 #include <cstddef>

@@ -56,41 +56,16 @@ inline constexpr int kGallopAfterBlocks = 4;
 
 #if MPSM_SIMD_X86
 
-/// Packed x < pivot needs unsigned 64-bit compares; SSE/AVX2 only have
+/// Packed x < pivot needs unsigned 64-bit compares; AVX2 only has
 /// signed ones, so keys and pivot are bias-flipped (a <u b  <=>
 /// (a ^ 2^63) <s (b ^ 2^63)). AVX-512 compares unsigned natively.
 inline constexpr long long kSignBias =
     static_cast<long long>(0x8000000000000000ull);
 
-/// Keys below `key` among block[0..4) (16-byte tuples, keys unpacked
+/// Keys below `key` among block[0..8) (16-byte tuples, keys unpacked
 /// from pairs of loads — lane order inside the registers is a
 /// permutation, which the count does not care about: on sorted data
 /// the count is the advance distance either way).
-MPSM_SIMD_TARGET("sse4.2")
-inline size_t CountLessSse(const Tuple* block, uint64_t key) {
-  const __m128i bias = _mm_set1_epi64x(kSignBias);
-  const __m128i pivot =
-      _mm_xor_si128(_mm_set1_epi64x(static_cast<long long>(key)), bias);
-  const __m128i t0 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block));
-  const __m128i t1 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 1));
-  const __m128i t2 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 2));
-  const __m128i t3 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 3));
-  const __m128i k01 = _mm_xor_si128(_mm_unpacklo_epi64(t0, t1), bias);
-  const __m128i k23 = _mm_xor_si128(_mm_unpacklo_epi64(t2, t3), bias);
-  const unsigned mask =
-      static_cast<unsigned>(
-          _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(pivot, k01)))) |
-      (static_cast<unsigned>(_mm_movemask_pd(
-           _mm_castsi128_pd(_mm_cmpgt_epi64(pivot, k23))))
-       << 2);
-  return static_cast<size_t>(__builtin_popcount(mask));
-}
-
-/// Keys below `key` among block[0..8).
 MPSM_SIMD_TARGET("avx2")
 inline size_t CountLessAvx2(const Tuple* block, uint64_t key) {
   const __m256i bias = _mm256_set1_epi64x(kSignBias);
@@ -137,7 +112,7 @@ inline size_t CountLessAvx512(const Tuple* block, uint64_t key) {
   return static_cast<size_t>(__builtin_popcount(mask));
 }
 
-// The three advance kernels share one shape — a few early-exit vector
+// The two advance kernels share one shape — a few early-exit vector
 // blocks for the common short advance, then galloping + binary
 // narrowing + one final packed count for long skips — stamped per ISA
 // so each carries its target attribute and inlines its block counter.
@@ -178,7 +153,6 @@ inline size_t CountLessAvx512(const Tuple* block, uint64_t key) {
     return AdvanceLowerBoundScalar(data, lo, n, key);                      \
   }
 
-MPSM_SIMD_DEFINE_ADVANCE(AdvanceLowerBoundSse, "sse4.2", 4, CountLessSse)
 MPSM_SIMD_DEFINE_ADVANCE(AdvanceLowerBoundAvx2, "avx2", 8, CountLessAvx2)
 MPSM_SIMD_DEFINE_ADVANCE(AdvanceLowerBoundAvx512, "avx512f", 16,
                          CountLessAvx512)
@@ -192,40 +166,6 @@ MPSM_SIMD_DEFINE_ADVANCE(AdvanceLowerBoundAvx512, "avx512f", 16,
 // handful of tuples, far less than a window). CountLess exploits that
 // the window is sorted: the number of keys below the pivot IS the
 // pivot's lower-bound offset, whatever the unpack's lane permutation.
-
-struct SKeyWindowSse {
-  static constexpr size_t kWidth = 4;
-  __m128i a, b;  // biased keys (see kSignBias)
-
-  MPSM_SIMD_TARGET("sse4.2")
-  inline void Load(const Tuple* block) {
-    const __m128i bias = _mm_set1_epi64x(kSignBias);
-    const __m128i t0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block));
-    const __m128i t1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 1));
-    const __m128i t2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 2));
-    const __m128i t3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 3));
-    a = _mm_xor_si128(_mm_unpacklo_epi64(t0, t1), bias);
-    b = _mm_xor_si128(_mm_unpacklo_epi64(t2, t3), bias);
-  }
-
-  MPSM_SIMD_TARGET("sse4.2")
-  inline size_t CountLess(uint64_t key) const {
-    const __m128i pivot =
-        _mm_xor_si128(_mm_set1_epi64x(static_cast<long long>(key)),
-                      _mm_set1_epi64x(kSignBias));
-    const unsigned mask =
-        static_cast<unsigned>(
-            _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(pivot, a)))) |
-        (static_cast<unsigned>(_mm_movemask_pd(
-             _mm_castsi128_pd(_mm_cmpgt_epi64(pivot, b))))
-         << 2);
-    return static_cast<size_t>(__builtin_popcount(mask));
-  }
-};
 
 struct SKeyWindowAvx2 {
   static constexpr size_t kWidth = 8;

@@ -13,16 +13,16 @@ namespace mpsm::simd {
 /// Which vector ISA the merge / search / histogram kernels run on.
 /// Widths are cumulative: every non-scalar kind keeps the scalar tail
 /// loop, and kAuto resolves to the widest kind this build *and* this
-/// CPU support (simd::Resolve, caps.h).
+/// CPU support (simd::Resolve, caps.h). The values are explicit so a
+/// kind keeps its encoding now that the SSE kind (1) is retired.
 enum class SimdKind : uint8_t {
-  kScalar,  // one key per compare (the correctness oracle / A/B base)
-  kSse,     // SSE4.2: 2 keys per 128-bit register, 4-tuple blocks
-  kAvx2,    // AVX2: 4 keys per 256-bit register, 8-tuple blocks
-  kAvx512,  // AVX-512F: 8 keys per 512-bit register, 16-tuple blocks
-  kAuto,    // widest supported kind (cached runtime CPUID probe)
+  kScalar = 0,  // one key per compare (the correctness oracle / A/B base)
+  kAvx2 = 2,    // AVX2: 4 keys per 256-bit register, 8-tuple blocks
+  kAvx512 = 3,  // AVX-512F: 8 keys per 512-bit register, 16-tuple blocks
+  kAuto = 4,    // widest supported kind (cached runtime CPUID probe)
 };
 
-/// Name of a SimdKind ("scalar", "sse", "avx2", "avx512", "auto").
+/// Name of a SimdKind ("scalar", "avx2", "avx512", "auto").
 const char* SimdKindName(SimdKind kind);
 
 /// Parses a kind name (the strings SimdKindName emits); nullopt on

@@ -223,15 +223,13 @@ std::array<size_t, kRadixBuckets + 1> MsdRadixPartitionCopy(
 void SortMsdBuckets(Tuple* data,
                     const std::array<size_t, kRadixBuckets + 1>& bounds,
                     uint32_t bucket_begin, uint32_t bucket_end,
-                    uint32_t shift, SortKind kind,
-                    const RadixSortConfig& config) {
+                    uint32_t shift, const RadixSortConfig& config) {
   for (uint32_t b = bucket_begin; b < bucket_end; ++b) {
     const size_t size = bounds[b + 1] - bounds[b];
     if (size < 2) continue;
     if (shift == 0) continue;  // one repeated key per bucket
     Tuple* bucket = data + bounds[b];
-    if (kind == SortKind::kMultiPassRadix &&
-        size > config.repartition_threshold && config.max_passes > 1) {
+    if (size > config.repartition_threshold && config.max_passes > 1) {
       MultiPassRecurse(bucket, size, shift >= 8 ? shift - 8 : 0,
                        config.max_passes - 1, config);
     } else {
@@ -240,12 +238,12 @@ void SortMsdBuckets(Tuple* data,
   }
 }
 
-void SortCopyInto(const Tuple* src, size_t n, Tuple* dst, SortKind kind,
+void SortCopyInto(const Tuple* src, size_t n, Tuple* dst,
                   const RadixSortConfig& config, bool src_is_local) {
   if (n == 0) return;
-  if (kind == SortKind::kIntroSort || n <= kRadixBuckets * 4) {
+  if (n <= kRadixBuckets * 4) {
     std::memcpy(dst, src, n * sizeof(Tuple));
-    SortTuples(dst, n, kind, config);
+    IntroSort(dst, n);
     return;
   }
 
@@ -260,7 +258,7 @@ void SortCopyInto(const Tuple* src, size_t n, Tuple* dst, SortKind kind,
     }
     const uint32_t shift = RadixShiftForMaxKey(max_key);
     const auto bounds = MsdRadixPartition(dst, n, shift, config.simd);
-    SortMsdBuckets(dst, bounds, 0, kRadixBuckets, shift, kind, config);
+    SortMsdBuckets(dst, bounds, 0, kRadixBuckets, shift, config);
     return;
   }
 
@@ -269,7 +267,7 @@ void SortCopyInto(const Tuple* src, size_t n, Tuple* dst, SortKind kind,
   simd::KeyMinMax(src, n, &min_key, &max_key, config.simd);
   const uint32_t shift = RadixShiftForMaxKey(max_key);
   const auto bounds = MsdRadixPartitionCopy(src, n, shift, dst, config.simd);
-  SortMsdBuckets(dst, bounds, 0, kRadixBuckets, shift, kind, config);
+  SortMsdBuckets(dst, bounds, 0, kRadixBuckets, shift, config);
 }
 
 void RadixIntroSortMultiPass(Tuple* data, size_t n,
@@ -287,19 +285,8 @@ void RadixIntroSortMultiPass(Tuple* data, size_t n,
                    std::max(config.max_passes, 1u), config);
 }
 
-void SortTuples(Tuple* data, size_t n, SortKind kind,
-                const RadixSortConfig& config) {
-  switch (kind) {
-    case SortKind::kSinglePassRadix:
-      RadixIntroSort(data, n);
-      return;
-    case SortKind::kMultiPassRadix:
-      RadixIntroSortMultiPass(data, n, config);
-      return;
-    case SortKind::kIntroSort:
-      IntroSort(data, n);
-      return;
-  }
+void SortTuples(Tuple* data, size_t n, const RadixSortConfig& config) {
+  RadixIntroSortMultiPass(data, n, config);
 }
 
 Status RadixSortConfig::Validate() const {
@@ -320,18 +307,6 @@ Status RadixSortConfig::Validate() const {
         "64-bit key)");
   }
   return Status::OK();
-}
-
-const char* SortKindName(SortKind kind) {
-  switch (kind) {
-    case SortKind::kSinglePassRadix:
-      return "single-pass-radix";
-    case SortKind::kMultiPassRadix:
-      return "multi-pass-radix";
-    case SortKind::kIntroSort:
-      return "introsort";
-  }
-  return "unknown";
 }
 
 }  // namespace mpsm::sort

@@ -29,16 +29,6 @@ inline constexpr uint32_t kRadixBuckets = 256;
 /// Quicksort-to-insertion-sort cutoff (paper: 16 elements).
 inline constexpr size_t kInsertionThreshold = 16;
 
-/// Which sort turns a chunk into a run.
-enum class SortKind : uint8_t {
-  kSinglePassRadix,  // the paper's single MSD pass + introsort (§2.3)
-  kMultiPassRadix,   // recursive MSD passes above a bucket threshold
-  kIntroSort,        // no radix pass (comparison baseline)
-};
-
-/// Name of a SortKind ("single-pass-radix", ...).
-const char* SortKindName(SortKind kind);
-
 /// Tuning knobs of the multi-pass MSD radix sort.
 struct RadixSortConfig {
   /// Buckets larger than this many tuples are re-partitioned on the
@@ -71,9 +61,10 @@ void RadixIntroSort(Tuple* data, size_t n);
 void RadixIntroSortMultiPass(Tuple* data, size_t n,
                              const RadixSortConfig& config = {});
 
-/// Dispatches to the sort selected by `kind`.
-void SortTuples(Tuple* data, size_t n, SortKind kind,
-                const RadixSortConfig& config = {});
+/// The sort that turns a chunk or partition into a run:
+/// RadixIntroSortMultiPass under `config` (max_passes = 1 is the
+/// paper's single MSD pass).
+void SortTuples(Tuple* data, size_t n, const RadixSortConfig& config = {});
 
 /// Sorts data[0..n) by key with plain introsort (no radix pass); used
 /// for small arrays and as a comparison point.
@@ -104,20 +95,19 @@ std::array<size_t, kRadixBuckets + 1> MsdRadixPartitionCopy(
     simd::SimdKind simd = simd::SimdKind::kAuto);
 
 /// Finishes buckets [bucket_begin, bucket_end) of an MSD pass at
-/// `shift` to a total order with the policy of `kind`/`config`
-/// (further MSD passes for oversized buckets under kMultiPassRadix,
-/// introsort otherwise; shift 0 buckets hold one repeated key and are
-/// skipped). Exposed per bucket *range* so the morsel scheduler can
+/// `shift` to a total order with the policy of `config` (further MSD
+/// passes for buckets above the repartition threshold while the pass
+/// budget lasts, introsort otherwise; shift 0 buckets hold one
+/// repeated key and are skipped). Exposed per bucket *range* so the morsel scheduler can
 /// spread one oversized partition's bucket sorts over idle workers.
 void SortMsdBuckets(Tuple* data,
                     const std::array<size_t, kRadixBuckets + 1>& bounds,
                     uint32_t bucket_begin, uint32_t bucket_end,
-                    uint32_t shift, SortKind kind,
-                    const RadixSortConfig& config = {});
+                    uint32_t shift, const RadixSortConfig& config = {});
 
-/// Copies src[0..n) into dst[0..n) and sorts dst by key. For the radix
-/// sort kinds the copy is fused with the first MSD pass; plain
-/// memcpy + sort for kIntroSort and tiny inputs. No overlap allowed.
+/// Copies src[0..n) into dst[0..n) and sorts dst by key. The copy is
+/// fused with the first MSD pass; plain memcpy + sort for tiny inputs.
+/// No overlap allowed.
 ///
 /// `src_is_local` steers the fusion around commandment C1 (touch
 /// remote data once): a local source is swept three times
@@ -125,7 +115,7 @@ void SortMsdBuckets(Tuple* data,
 /// than copy-then-permute); a remote source is read exactly once by a
 /// fused copy+max-key pass, with the radix pass running in place on
 /// the local destination.
-void SortCopyInto(const Tuple* src, size_t n, Tuple* dst, SortKind kind,
+void SortCopyInto(const Tuple* src, size_t n, Tuple* dst,
                   const RadixSortConfig& config = {},
                   bool src_is_local = true);
 

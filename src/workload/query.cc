@@ -21,10 +21,8 @@ Result<QueryResult> RunBenchmarkQuery(Algorithm algorithm,
                            algorithm == Algorithm::kDMpsm;
   if (mpsm_family) {
     query_options.scheduler = options.scheduler;
-    query_options.sort = options.sort;
     query_options.sort_config = options.sort_config;
     query_options.scatter = options.scatter;
-    query_options.merge_prefetch_distance = options.merge_prefetch_distance;
     query_options.morsel_tuples = options.morsel_tuples;
     query_options.simd = options.simd;
     query_options.mpsm.radix_bits = options.radix_bits;
@@ -32,9 +30,6 @@ Result<QueryResult> RunBenchmarkQuery(Algorithm algorithm,
     query_options.mpsm.start_search = options.start_search;
     query_options.mpsm.cost_balanced_splitters =
         options.cost_balanced_splitters;
-    query_options.mpsm.phase_barriers = options.phase_barriers;
-    query_options.mpsm.merge_skip_private_prefix =
-        options.merge_skip_private_prefix;
   }
 
   engine::JoinSpec spec;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -553,13 +554,18 @@ TEST(RunCacheServiceTest, ConcurrentSweepWithLiveIngester) {
 
   // Ingested keys sit far outside R's key domain, so the inner-join
   // count is invariant no matter when a query observes a delta — every
-  // concurrent result has one deterministic expectation.
-  std::atomic<bool> stop{false};
+  // concurrent result has one deterministic expectation. The ingest
+  // volume is fixed, not paced by the host: the cache is consulted only
+  // when a plan prices merging the delta log below a fresh sort, and a
+  // log that grows with the ingester's CPU share (millions of tuples on
+  // a loaded host) prices every plan onto the fresh sort.
+  constexpr int kIngestBatches = 32;
+  constexpr size_t kBatchTuples = 200;
   std::atomic<int> failures{0};
   std::thread ingester([&] {
     std::mt19937_64 rng(66);
-    while (!stop.load(std::memory_order_acquire)) {
-      std::vector<Tuple> batch(200);
+    for (int b = 0; b < kIngestBatches; ++b) {
+      std::vector<Tuple> batch(kBatchTuples);
       for (auto& t : batch) {
         t = Tuple{(uint64_t{1} << 40) + rng() % 100000, rng()};
       }
@@ -589,7 +595,6 @@ TEST(RunCacheServiceTest, ConcurrentSweepWithLiveIngester) {
     });
   }
   for (auto& t : clients) t.join();
-  stop.store(true, std::memory_order_release);
   ingester.join();
   svc.Drain();
 
@@ -598,6 +603,7 @@ TEST(RunCacheServiceTest, ConcurrentSweepWithLiveIngester) {
   EXPECT_EQ(stats.completed, uint64_t{kClients * kQueriesPerClient});
   EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
   EXPECT_GT(stats.cache_ingested_tuples, 0u);
+  EXPECT_EQ(stats.cache_ingested_tuples, kIngestBatches * kBatchTuples);
 }
 
 TEST(RunCacheServiceTest, TinyCacheCapacityEvictsButNeverBreaks) {

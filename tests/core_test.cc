@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/consumers.h"
@@ -27,10 +29,22 @@ std::vector<Tuple> SortedKeys(std::vector<uint64_t> keys) {
 
 using SearchFn = size_t (*)(const Tuple*, size_t, uint64_t, SearchStats*);
 
-class LowerBoundTest : public testing::TestWithParam<SearchFn> {};
+// A search strategy and its name. gtest prints the parameter into the
+// test's listed name; printing the name rather than the function
+// pointer keeps that stable across builds and runs (ASLR).
+struct SearchStrategy {
+  const char* name;
+  SearchFn fn;
+};
+
+void PrintTo(const SearchStrategy& strategy, std::ostream* os) {
+  *os << strategy.name;
+}
+
+class LowerBoundTest : public testing::TestWithParam<SearchStrategy> {};
 
 TEST_P(LowerBoundTest, MatchesStdLowerBound) {
-  SearchFn search = GetParam();
+  SearchFn search = GetParam().fn;
   Xoshiro256 rng(6);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<uint64_t> keys(rng.NextBounded(500));
@@ -49,7 +63,7 @@ TEST_P(LowerBoundTest, MatchesStdLowerBound) {
 }
 
 TEST_P(LowerBoundTest, EdgeCases) {
-  SearchFn search = GetParam();
+  SearchFn search = GetParam().fn;
   EXPECT_EQ(search(nullptr, 0, 5, nullptr), 0u);
 
   const auto tuples = SortedKeys({10, 20, 20, 20, 30});
@@ -68,12 +82,11 @@ TEST_P(LowerBoundTest, EdgeCases) {
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, LowerBoundTest,
-    testing::Values(&InterpolationLowerBound, &BinaryLowerBound,
-                    &LinearLowerBound),
-    [](const testing::TestParamInfo<SearchFn>& info) {
-      if (info.param == &InterpolationLowerBound) return "interpolation";
-      if (info.param == &BinaryLowerBound) return "binary";
-      return "linear";
+    testing::Values(SearchStrategy{"interpolation", &InterpolationLowerBound},
+                    SearchStrategy{"binary", &BinaryLowerBound},
+                    SearchStrategy{"linear", &LinearLowerBound}),
+    [](const testing::TestParamInfo<SearchStrategy>& info) {
+      return std::string(info.param.name);
     });
 
 TEST(InterpolationSearchTest, FewProbesOnUniformData) {
@@ -213,7 +226,6 @@ TEST(MergeJoinKernelTest, PrefetchVariantIsEquivalent) {
         });
     const auto prefetch_scan = MergeJoinRunPairPrefetch(
         r.data(), r.size(), s.data(), s.size(),
-        kDefaultMergePrefetchDistance,
         [&](size_t, const Tuple& rt, const Tuple* sg, size_t n) {
           for (size_t i = 0; i < n; ++i) {
             prefetch_pairs.push_back(Pair{rt.payload, sg[i].payload});

@@ -254,8 +254,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DMpsmTest, KernelKnobsMatchReference) {
-  // The disk variant's sort/prefetch knobs (docs/tuning.md) must not
-  // change the join result, including the scalar fallbacks.
+  // The disk variant's sort/simd knobs (docs/tuning.md) must not
+  // change the join result: the paper's single MSD pass and the
+  // multi-pass default, each with the scalar and the widest merge.
   const auto topology = numa::Topology::Simulated(2, 8);
   workload::DatasetSpec spec;
   spec.r_tuples = 5000;
@@ -270,15 +271,14 @@ TEST(DMpsmTest, KernelKnobsMatchReference) {
       dataset.r.ToVector(), dataset.s.ToVector(), JoinKind::kInner,
       reference.ConsumerForWorker(0));
 
-  for (sort::SortKind sort_kind :
-       {sort::SortKind::kSinglePassRadix, sort::SortKind::kMultiPassRadix,
-        sort::SortKind::kIntroSort}) {
-    for (uint32_t prefetch : {0u, kDefaultMergePrefetchDistance}) {
+  for (uint32_t max_passes : {1u, 4u}) {
+    for (simd::SimdKind simd : {simd::SimdKind::kScalar,
+                                simd::SimdKind::kAuto}) {
       DMpsmOptions options;
       options.tuples_per_page = 128;
       options.pool_pages = 4;
-      options.sort = sort_kind;
-      options.merge_prefetch_distance = prefetch;
+      options.sort_config.max_passes = max_passes;
+      options.simd = simd;
 
       WorkerTeam team(topology, team_size);
       CountFactory counts(team_size);
@@ -286,7 +286,7 @@ TEST(DMpsmTest, KernelKnobsMatchReference) {
           DMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
       ASSERT_TRUE(info.ok()) << info.status().ToString();
       EXPECT_EQ(counts.Result(), expected)
-          << sort::SortKindName(sort_kind) << "/pf" << prefetch;
+          << "passes" << max_passes << "/" << simd::SimdKindName(simd);
     }
   }
 }
@@ -454,55 +454,6 @@ TEST(DMpsmTest, JoinsRelationManyTimesThePoolBudget) {
   EXPECT_GT(report.pool.evictions, 0u);
   EXPECT_GT(report.pool.writebacks, 0u);
   EXPECT_GT(report.pool.misses, 0u);
-}
-
-TEST(DMpsmTest, AsyncWritebackReducesSpoolStalls) {
-  // Spool-stall A/B: with a synthetic device delay, synchronous
-  // spooling blocks a worker for every page write while the write-back
-  // cache absorbs them in the background flusher.
-  const auto topology = numa::Topology::Simulated(2, 8);
-  constexpr uint32_t kTeam = 4;
-  workload::DatasetSpec spec;
-  spec.r_tuples = 2000;
-  spec.multiplicity = 1.0;
-  spec.seed = 41;
-  const auto dataset = workload::Generate(topology, kTeam, spec);
-
-  CountFactory reference(1);
-  const uint64_t expected = baseline::ReferenceJoin(
-      dataset.r.ToVector(), dataset.s.ToVector(), JoinKind::kInner,
-      reference.ConsumerForWorker(0));
-
-  DMpsmOptions options;
-  options.tuples_per_page = 64;
-  options.io_delay_us = 200;
-
-  options.synchronous_spool = true;
-  WorkerTeam sync_team(topology, kTeam);
-  CountFactory sync_counts(kTeam);
-  DMpsmReport sync_report;
-  auto info = DMpsmJoin(options).Execute(sync_team, dataset.r, dataset.s,
-                                         sync_counts, &sync_report);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(sync_counts.Result(), expected);
-  // ~63 spooled pages at 200us each make for a very solid floor.
-  EXPECT_GT(sync_report.spool_write_stall_ns, 1000000u);
-  EXPECT_EQ(sync_report.pool.writebacks, 0u);
-
-  options.synchronous_spool = false;
-  WorkerTeam async_team(topology, kTeam);
-  CountFactory async_counts(kTeam);
-  DMpsmReport async_report;
-  info = DMpsmJoin(options).Execute(async_team, dataset.r, dataset.s,
-                                    async_counts, &async_report);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(async_counts.Result(), expected);
-  EXPECT_GT(async_report.pool.writebacks, 0u);
-
-  // The default pool has frame headroom beyond the spooled page count,
-  // so appenders should (almost) never wait for a frame.
-  EXPECT_LT(async_report.spool_write_stall_ns * 2,
-            sync_report.spool_write_stall_ns);
 }
 
 TEST(DMpsmTest, RejectsInvalidOptions) {

@@ -226,10 +226,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
   // Every combination of the cache-conscious knobs (scatter kind, sort
-  // kind, prefetch on/off, prefix skip on/off, simd scalar/auto) and
-  // both schedulers (static and stealing) must produce the reference
-  // count through both P-MPSM and B-MPSM; the fast defaults may differ
-  // from the scalar paths only in speed.
+  // pass budget, simd scalar/auto) and both schedulers (static and
+  // stealing) must produce the reference count through both P-MPSM and
+  // B-MPSM; the fast defaults may differ from the scalar paths only in
+  // speed.
   const auto topology = TestTopology();
   DatasetSpec spec;
   spec.r_tuples = 12000;
@@ -251,29 +251,22 @@ TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
     for (ScatterKind scatter :
          {ScatterKind::kScalar, ScatterKind::kWriteCombining,
           ScatterKind::kAuto}) {
-    for (sort::SortKind sort_kind :
-         {sort::SortKind::kSinglePassRadix, sort::SortKind::kMultiPassRadix,
-          sort::SortKind::kIntroSort}) {
-      for (uint32_t prefetch : {0u, kDefaultMergePrefetchDistance}) {
-        for (bool skip_prefix : {false, true}) {
+      // max_passes 1 is the paper's single MSD pass; 4 the default.
+      for (uint32_t max_passes : {1u, 4u}) {
         for (simd::SimdKind simd_kind :
              {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
           MpsmOptions options;
           options.scheduler = scheduler;
           options.scatter = scatter;
-          options.sort = sort_kind;
-          options.merge_prefetch_distance = prefetch;
-          options.merge_skip_private_prefix = skip_prefix;
+          options.sort_config.max_passes = max_passes;
           options.simd = simd_kind;
           options.sort_config.simd = simd_kind;
           options.morsel_tuples = 1024;  // small enough to slice at test size
 
           const auto label = [&] {
             return std::string(SchedulerKindName(scheduler)) + "/" +
-                   ScatterKindName(scatter) + "/" +
-                   sort::SortKindName(sort_kind) + "/pf" +
-                   std::to_string(prefetch) + "/skip" +
-                   std::to_string(skip_prefix) + "/" +
+                   ScatterKindName(scatter) + "/passes" +
+                   std::to_string(max_passes) + "/" +
                    simd::SimdKindName(simd_kind);
           };
           {
@@ -293,9 +286,7 @@ TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
             EXPECT_EQ(counts.Result(), expected) << "b-mpsm " << label();
           }
         }
-        }
       }
-    }
     }
   }
 }

@@ -169,25 +169,6 @@ TEST(PMpsmOptionsTest, EquiHeightFactorSweepAgrees) {
   }
 }
 
-TEST(PMpsmOptionsTest, NoPhaseBarriersStillCorrect) {
-  const auto topology = Topo();
-  workload::DatasetSpec spec;
-  spec.r_tuples = 12000;
-  spec.multiplicity = 2.0;
-  const auto dataset = workload::Generate(topology, 6, spec);
-  WorkerTeam team(topology, 6);
-
-  MpsmOptions options;
-  options.phase_barriers = false;
-  CountFactory counts(6);
-  ASSERT_TRUE(
-      PMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts).ok());
-  CountFactory reference(6);
-  ASSERT_TRUE(PMpsmJoin().Execute(team, dataset.r, dataset.s, reference)
-                  .ok());
-  EXPECT_EQ(counts.Result(), reference.Result());
-}
-
 TEST(PMpsmCountersTest, ScatterWritesExactlyR) {
   const auto topology = Topo();
   workload::DatasetSpec spec;

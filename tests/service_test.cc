@@ -1,5 +1,5 @@
 // JoinService: admission control under budget exhaustion, queued-query
-// cancellation, cross-session worker donation, shared-sort batching,
+// cancellation, shared-sort batching,
 // the planner feedback loop, and a randomized concurrent stress sweep
 // against the reference join.
 #include <gtest/gtest.h>
@@ -18,8 +18,6 @@
 #include "core/public_runs.h"
 #include "engine/engine.h"
 #include "numa/topology.h"
-#include "parallel/donation.h"
-#include "parallel/task_scheduler.h"
 #include "service/join_service.h"
 #include "workload/generator.h"
 
@@ -237,88 +235,6 @@ TEST(ServiceAdmissionTest, FullQueueRejectsAndCancelRemovesQueuedQuery) {
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.completed, 1u);
-}
-
-// -------------------------------------------------------- donation
-
-TEST(DonationPoolTest, GuestExecutesForeignMorselsUntilClose) {
-  const auto topology = Topo();
-  DonationPool pool;
-  const uint64_t host = pool.RegisterSession();
-  const uint64_t guest = pool.RegisterSession();
-
-  constexpr uint32_t kTeam = 4;
-  TaskScheduler scheduler(topology, kTeam, SchedulerKind::kStealing);
-  scheduler.Reset(ChunkMorsels(kTeam));
-
-  std::array<bool, kTeam> seen{};
-  uint32_t executed = 0;
-  std::function<void(WorkerContext&, const Morsel&)> body =
-      [&](WorkerContext& ctx, const Morsel& morsel) {
-        // Guests run under the sentinel worker id == host team size.
-        EXPECT_EQ(ctx.worker_id, kTeam);
-        seen[morsel.task] = true;
-        ++executed;
-      };
-
-  const DonationPool::Ticket ticket =
-      pool.Publish(host, &scheduler, &body, &topology, kTeam);
-  // A session never helps itself.
-  EXPECT_FALSE(pool.TryHelp(host, 0));
-  while (pool.TryHelp(guest, 0)) {
-  }
-  EXPECT_EQ(executed, kTeam);
-  for (const bool s : seen) EXPECT_TRUE(s);
-  EXPECT_EQ(pool.morsels_donated(), kTeam);
-
-  pool.Close(ticket);
-  scheduler.Reset(ChunkMorsels(kTeam));
-  // Closed publications take no more guests.
-  EXPECT_FALSE(pool.TryHelp(guest, 0));
-  EXPECT_EQ(pool.stats().phases_published, 1u);
-}
-
-TEST(DonationPoolTest, GuestUnblocksStragglerPhase) {
-  // A one-worker host team runs a guest-safe stealing phase whose
-  // first morsel blocks until a guest has donated work — progress at
-  // all proves cross-session donation drains a straggler's backlog.
-  const auto topology = Topo();
-  DonationPool pool;
-  WorkerTeam team(topology, 1);
-  team.set_donation(&pool);
-
-  std::atomic<uint32_t> donated{0};
-  PhasePipeline pipeline(topology, 1, SchedulerKind::kStealing);
-  pipeline.AddPhase(
-      kPhaseJoin,
-      [] {
-        std::vector<Morsel> morsels;
-        for (uint32_t t = 0; t < 8; ++t) {
-          morsels.push_back(Morsel{0, t, 0, 1});
-        }
-        return morsels;
-      },
-      [&](WorkerContext& ctx, const Morsel& morsel) {
-        if (ctx.worker_id == 1) {
-          donated.fetch_add(1);  // executed by a guest
-        } else if (morsel.task == 0) {
-          while (donated.load() == 0) std::this_thread::yield();
-        }
-      },
-      PhasePipeline::PhaseOptions{.guest_safe = true});
-
-  const uint64_t guest = pool.RegisterSession();
-  std::thread helper([&] {
-    while (donated.load() == 0) {
-      if (!pool.TryHelp(guest, 0)) std::this_thread::yield();
-    }
-    while (pool.TryHelp(guest, 0)) {
-    }
-  });
-  pipeline.Run(team);
-  helper.join();
-  EXPECT_GT(donated.load(), 0u);
-  EXPECT_EQ(pool.morsels_donated(), donated.load());
 }
 
 // ------------------------------------------------- shared-sort batch

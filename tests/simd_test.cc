@@ -60,8 +60,6 @@ TEST(SimdCapsTest, ScalarIsAFixedPointAndAutoResolvesSupported) {
   const simd::SimdKind resolved = simd::Resolve(simd::SimdKind::kAuto);
   EXPECT_NE(resolved, simd::SimdKind::kAuto);
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), resolved), kinds.end());
-  // kAuto never picks kSse: the merge A/B measured it below scalar.
-  EXPECT_NE(resolved, simd::SimdKind::kSse);
 }
 
 TEST(SimdCapsTest, UnsupportedKindsDegradeInsteadOfFaulting) {
@@ -79,21 +77,20 @@ TEST(SimdCapsTest, UnsupportedKindsDegradeInsteadOfFaulting) {
 
 TEST(SimdCapsTest, KeysPerCompareMatchesRegisterWidth) {
   EXPECT_EQ(simd::KeysPerCompare(simd::SimdKind::kScalar), 1u);
-  EXPECT_EQ(simd::KeysPerCompare(simd::SimdKind::kSse), 2u);
   EXPECT_EQ(simd::KeysPerCompare(simd::SimdKind::kAvx2), 4u);
   EXPECT_EQ(simd::KeysPerCompare(simd::SimdKind::kAvx512), 8u);
 }
 
 TEST(SimdCapsTest, KindNamesRoundTrip) {
   for (const simd::SimdKind kind :
-       {simd::SimdKind::kScalar, simd::SimdKind::kSse,
-        simd::SimdKind::kAvx2, simd::SimdKind::kAvx512,
-        simd::SimdKind::kAuto}) {
+       {simd::SimdKind::kScalar, simd::SimdKind::kAvx2,
+        simd::SimdKind::kAvx512, simd::SimdKind::kAuto}) {
     const auto parsed = simd::ParseSimdKind(simd::SimdKindName(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(simd::ParseSimdKind("mmx").has_value());
+  EXPECT_FALSE(simd::ParseSimdKind("sse").has_value());
 }
 
 // ------------------------------------------------ advance kernels
@@ -165,13 +162,27 @@ struct MatchEvent {
   }
 };
 
-std::vector<MatchEvent> CollectMerge(simd::SimdKind kind, uint32_t prefetch,
+// The join phase's kernel under `kind` (prefetch pipeline + advance).
+std::vector<MatchEvent> CollectMerge(simd::SimdKind kind,
                                      const std::vector<Tuple>& r,
                                      const std::vector<Tuple>& s,
                                      MergeScan* scan) {
   std::vector<MatchEvent> events;
   *scan = MergeJoinRunPairWith(
-      prefetch, kind, r.data(), r.size(), s.data(), s.size(),
+      kind, r.data(), r.size(), s.data(), s.size(),
+      [&](size_t i, const Tuple& rt, const Tuple* sg, size_t count) {
+        events.push_back(MatchEvent{i, rt.key, sg, count});
+      });
+  return events;
+}
+
+// The oracle: the paper's plain scalar loop, no prefetch.
+std::vector<MatchEvent> CollectOracleMerge(const std::vector<Tuple>& r,
+                                           const std::vector<Tuple>& s,
+                                           MergeScan* scan) {
+  std::vector<MatchEvent> events;
+  *scan = MergeJoinRunPair(
+      r.data(), r.size(), s.data(), s.size(),
       [&](size_t i, const Tuple& rt, const Tuple* sg, size_t count) {
         events.push_back(MatchEvent{i, rt.key, sg, count});
       });
@@ -192,18 +203,13 @@ TEST_P(SimdKindSweep, MergeMatchSequenceIsBitIdenticalToScalar) {
         Shape{100, 0, 10}}) {
     const auto r = SortedTuples(shape.nr, shape.domain, 21);
     const auto s = SortedTuples(shape.ns, shape.domain, 42);
-    for (const uint32_t prefetch : {0u, kDefaultMergePrefetchDistance}) {
-      MergeScan scalar_scan, simd_scan;
-      const auto expected = CollectMerge(simd::SimdKind::kScalar, prefetch,
-                                         r, s, &scalar_scan);
-      const auto actual =
-          CollectMerge(GetParam(), prefetch, r, s, &simd_scan);
-      EXPECT_EQ(actual, expected)
-          << "nr=" << shape.nr << " ns=" << shape.ns << " pf=" << prefetch;
-      EXPECT_EQ(simd_scan.r_end, scalar_scan.r_end);
-      EXPECT_EQ(simd_scan.s_end, scalar_scan.s_end);
-      EXPECT_EQ(simd_scan.matches, scalar_scan.matches);
-    }
+    MergeScan scalar_scan, simd_scan;
+    const auto expected = CollectOracleMerge(r, s, &scalar_scan);
+    const auto actual = CollectMerge(GetParam(), r, s, &simd_scan);
+    EXPECT_EQ(actual, expected) << "nr=" << shape.nr << " ns=" << shape.ns;
+    EXPECT_EQ(simd_scan.r_end, scalar_scan.r_end);
+    EXPECT_EQ(simd_scan.s_end, scalar_scan.s_end);
+    EXPECT_EQ(simd_scan.matches, scalar_scan.matches);
   }
 }
 
@@ -214,9 +220,8 @@ TEST_P(SimdKindSweep, MergeHandlesDisjointRunsViaGalloping) {
   for (size_t i = 0; i < 3000; ++i) r.push_back(Tuple{i, i});
   for (size_t i = 0; i < 3000; ++i) s.push_back(Tuple{10000 + i, i});
   MergeScan scalar_scan, simd_scan;
-  const auto expected = CollectMerge(simd::SimdKind::kScalar, 16, r, s,
-                                     &scalar_scan);
-  const auto actual = CollectMerge(GetParam(), 16, r, s, &simd_scan);
+  const auto expected = CollectOracleMerge(r, s, &scalar_scan);
+  const auto actual = CollectMerge(GetParam(), r, s, &simd_scan);
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(expected.size(), 0u);
   EXPECT_EQ(simd_scan.r_end, scalar_scan.r_end);
@@ -427,9 +432,10 @@ TEST(SimdEngineTest, ScalarAndAutoProduceIdenticalJoinsAcrossMatrix) {
 }
 
 TEST(SimdEngineTest, ScatterDigitKnobIsAnIdentityAB) {
-  // simd_scatter_digits only swaps how phase 2.3 computes each tuple's
-  // partition digit (precomputed vector stream vs fused scalar lookup);
-  // the scatter itself is identical, so the join must be too.
+  // The simd knob swaps how phase 2.3 computes each tuple's partition
+  // digit (precomputed vector stream past scalar, fused scalar lookup
+  // at scalar); the scatter itself is identical, so the join must be
+  // too.
   const auto topology = numa::Topology::Simulated(2, 4);
   constexpr uint32_t kWorkers = 4;
   workload::DatasetSpec spec;
@@ -442,11 +448,11 @@ TEST(SimdEngineTest, ScatterDigitKnobIsAnIdentityAB) {
 
   uint64_t counts[2] = {0, 0};
   int slot = 0;
-  for (const bool precompute : {false, true}) {
+  for (const simd::SimdKind kind :
+       {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
     engine::EngineOptions options;
     options.workers = kWorkers;
-    options.simd = simd::SimdKind::kAuto;
-    options.mpsm.simd_scatter_digits = precompute;
+    options.simd = kind;
     engine::Engine engine(topology, options);
     CountFactory consumer(kWorkers);
     engine::JoinSpec join;
@@ -456,7 +462,7 @@ TEST(SimdEngineTest, ScatterDigitKnobIsAnIdentityAB) {
     join.algorithm = engine::Algorithm::kPMpsm;
     auto report = engine.Execute(join);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->plan.mpsm.simd_scatter_digits, precompute);
+    EXPECT_EQ(report->plan.mpsm.simd, kind);
     counts[slot++] = consumer.Result();
   }
   EXPECT_EQ(counts[0], counts[1]);

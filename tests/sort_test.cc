@@ -147,12 +147,15 @@ TEST_P(RadixIntroSortTest, MultiPassSinglePassConfigSortsCorrectly) {
 }
 
 TEST_P(RadixIntroSortTest, SortTuplesDispatchesAllKinds) {
+  // The run sort's two shapes: the paper's single MSD pass
+  // (max_passes = 1) and the multi-pass default.
   const auto [dist, n] = GetParam();
-  for (SortKind kind : {SortKind::kSinglePassRadix, SortKind::kMultiPassRadix,
-                        SortKind::kIntroSort}) {
+  for (uint32_t max_passes : {1u, 4u}) {
     const auto original = MakeData(dist, n, 61 + n);
     auto data = original;
-    SortTuples(data.data(), data.size(), kind);
+    RadixSortConfig config;
+    config.max_passes = max_passes;
+    SortTuples(data.data(), data.size(), config);
     ExpectSortedPermutation(original, data);
   }
 }
@@ -276,7 +279,7 @@ TEST(RadixIntroSortMultiPassTest, AllEqualKeysTerminate) {
 
 TEST(SortCopyIntoTest, MatchesCopyThenSortAcrossKindsAndLocality) {
   // The fused copy+first-pass must equal memcpy + SortTuples for every
-  // sort kind, for both the local (3-sweep fused scatter) and remote
+  // pass budget, for both the local (3-sweep fused scatter) and remote
   // (single-sweep copy, in-place pass) source paths, across sizes that
   // cover the tiny-input fallback and the multi-pass recursion.
   for (Dist dist : {Dist::kUniform, Dist::kAllEqual, Dist::kFewDistinct,
@@ -285,13 +288,14 @@ TEST(SortCopyIntoTest, MatchesCopyThenSortAcrossKindsAndLocality) {
       const auto src = MakeData(dist, n, 77);
       auto expected = src;
       std::sort(expected.begin(), expected.end(), TupleKeyLess{});
-      for (SortKind kind : {SortKind::kSinglePassRadix,
-                            SortKind::kMultiPassRadix, SortKind::kIntroSort}) {
+      for (uint32_t max_passes : {1u, 4u}) {
+        RadixSortConfig config;
+        config.max_passes = max_passes;
         for (bool src_is_local : {true, false}) {
           std::vector<Tuple> dst(n, Tuple{~0ull, ~0ull});
-          SortCopyInto(src.data(), n, dst.data(), kind, {}, src_is_local);
+          SortCopyInto(src.data(), n, dst.data(), config, src_is_local);
           ASSERT_TRUE(IsSortedByKey(dst.data(), n))
-              << DistName(dist) << " n=" << n << " " << SortKindName(kind)
+              << DistName(dist) << " n=" << n << " passes=" << max_passes
               << (src_is_local ? " local" : " remote");
           for (size_t i = 0; i < n; ++i) {
             ASSERT_EQ(dst[i].key, expected[i].key) << i;
@@ -300,13 +304,6 @@ TEST(SortCopyIntoTest, MatchesCopyThenSortAcrossKindsAndLocality) {
       }
     }
   }
-}
-
-TEST(SortKindNameTest, NamesAllKinds) {
-  EXPECT_STREQ(SortKindName(SortKind::kSinglePassRadix),
-               "single-pass-radix");
-  EXPECT_STREQ(SortKindName(SortKind::kMultiPassRadix), "multi-pass-radix");
-  EXPECT_STREQ(SortKindName(SortKind::kIntroSort), "introsort");
 }
 
 TEST(IsSortedByKeyTest, DetectsOrder) {
