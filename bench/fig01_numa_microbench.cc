@@ -47,16 +47,16 @@ void Main() {
   // ------------------------------------------------- (1) sort
   {
     // NUMA-affine: each worker copies its chunk to its local arena and
-    // sorts there (the MPSM run-generation path).
+    // sorts there (the MPSM run-generation path). Both variants run the
+    // run sort pinned to one MSD pass (max_passes = 1, as in §2.3, which
+    // the "paper[ms]" column is calibrated against), so the wall
+    // columns differ by placement and copy only, not by sort kernel.
+    const sort::RadixSortConfig single_pass{.max_passes = 1};
     WallTimer wall;
     team.Run([&](WorkerContext& ctx) {
       PhaseScope scope(ctx, kPhaseSortPublic);
-      // Pin the paper's single-pass sort (max_passes = 1): the
-      // "paper[ms]" column is calibrated against §2.3, not the
-      // multi-pass default.
       SortChunkIntoRun(rel.chunk(ctx.worker_id), *ctx.arena, ctx.node,
-                       ctx.Counters(kPhaseSortPublic),
-                       sort::RadixSortConfig{.max_passes = 1});
+                       ctx.Counters(kPhaseSortPublic), single_pass);
     });
     const double local_wall = wall.ElapsedMillis();
     double local_model = 0;
@@ -76,7 +76,8 @@ void Main() {
       const size_t end = ctx.worker_id + 1 == ctx.team_size
                              ? global_array.size()
                              : begin + per;
-      sort::RadixIntroSort(global_array.data() + begin, end - begin);
+      sort::SortTuples(global_array.data() + begin, end - begin,
+                       single_pass);
     });
     const double global_wall = wall.ElapsedMillis();
     // The interleaved array makes the sort's accesses remote on 3/4 of

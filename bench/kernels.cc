@@ -71,7 +71,7 @@ void BM_RadixSortMultiPass(benchmark::State& state) {
     state.PauseTiming();
     auto data = input;
     state.ResumeTiming();
-    sort::RadixIntroSortMultiPass(data.data(), data.size());
+    sort::SortTuples(data.data(), data.size());
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -90,6 +90,25 @@ void BM_StdSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StdSort)->Arg(1 << 16)->Arg(1 << 20);
+
+// Phase 1's kernel: one worker's foreign-key chunk (each key that of a
+// random R tuple, R keys uniform below 2^32) copied and sorted into a
+// run whose pages are already faulted in.
+void BM_SortCopyInto(benchmark::State& state) {
+  const size_t n = state.range(0);
+  const auto r = RandomTuples(n, 1);
+  Xoshiro256 rng(2);
+  std::vector<Tuple> chunk(n);
+  for (auto& t : chunk) t = Tuple{r[rng.NextBounded(n)].key, rng.Next()};
+  std::vector<Tuple> run(n);
+  for (auto _ : state) {
+    sort::SortCopyInto(chunk.data(), n, run.data());
+    benchmark::DoNotOptimize(run.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SortCopyInto)->Arg(1 << 21);
 
 // Merge kernel rows on one workload: the paper's plain loop
 // (MergeJoinRunPair, no prefetch) vs the join phase's kernel

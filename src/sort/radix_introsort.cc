@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <utility>
 
+#include "partition/prefix_scatter.h"
 #include "simd/histogram_kernels.h"
 #include "util/bits.h"
 
@@ -114,22 +116,31 @@ uint32_t RadixShiftForMaxKey(uint64_t max_key) {
   return width > 8 ? width - 8 : 0;
 }
 
-std::array<size_t, kRadixBuckets + 1> MsdRadixPartition(Tuple* data, size_t n,
-                                                        uint32_t shift,
-                                                        simd::SimdKind simd) {
-  std::array<size_t, kRadixBuckets + 1> bounds{};
+namespace {
 
-  // Histogram of the 8-bit digit (packed digit extraction).
+// Bucket boundaries of the 8-bit digit at `shift`: bucket b occupies
+// [bounds[b], bounds[b+1]).
+std::array<size_t, kRadixBuckets + 1> DigitBounds(const Tuple* data, size_t n,
+                                                  uint32_t shift,
+                                                  simd::SimdKind simd) {
   std::array<uint64_t, kRadixBuckets> histogram{};
   simd::RadixDigitHistogram(data, n, shift, histogram.data(), simd);
-
-  // Exclusive prefix sums: bucket b occupies [bounds[b], bounds[b+1]).
+  std::array<size_t, kRadixBuckets + 1> bounds{};
   size_t offset = 0;
   for (uint32_t b = 0; b < kRadixBuckets; ++b) {
     bounds[b] = offset;
     offset += static_cast<size_t>(histogram[b]);
   }
   bounds[kRadixBuckets] = offset;
+  return bounds;
+}
+
+}  // namespace
+
+std::array<size_t, kRadixBuckets + 1> MsdRadixPartition(Tuple* data, size_t n,
+                                                        uint32_t shift,
+                                                        simd::SimdKind simd) {
+  const auto bounds = DigitBounds(data, n, shift, simd);
 
   // American-flag in-place permutation: heads advance as elements land.
   std::array<size_t, kRadixBuckets> head;
@@ -170,123 +181,159 @@ void RadixIntroSort(Tuple* data, size_t n) {
   }
 }
 
-namespace {
-
-// Invariant: all keys in data[0..n) agree on every bit >= shift + 8
-// (the first call starts at the top of the significant bits, and each
-// level fixes 8 more). Hence once shift reaches 0, a bucket holds one
-// repeated key and needs no further sorting.
-void MultiPassRecurse(Tuple* data, size_t n, uint32_t shift,
-                      uint32_t passes_left, const RadixSortConfig& config) {
-  const auto bounds = MsdRadixPartition(data, n, shift, config.simd);
-  for (uint32_t b = 0; b < kRadixBuckets; ++b) {
-    const size_t size = bounds[b + 1] - bounds[b];
-    if (size < 2) continue;
-    Tuple* bucket = data + bounds[b];
-    if (shift == 0) continue;  // bucket keys are fully equal
-    if (size > config.repartition_threshold && passes_left > 1) {
-      MultiPassRecurse(bucket, size, shift >= 8 ? shift - 8 : 0,
-                       passes_left - 1, config);
-    } else {
-      IntroSort(bucket, size);
-    }
-  }
-}
-
-}  // namespace
-
 std::array<size_t, kRadixBuckets + 1> MsdRadixPartitionCopy(
     const Tuple* src, size_t n, uint32_t shift, Tuple* dst,
     simd::SimdKind simd) {
-  std::array<size_t, kRadixBuckets + 1> bounds{};
-
-  std::array<uint64_t, kRadixBuckets> histogram{};
-  simd::RadixDigitHistogram(src, n, shift, histogram.data(), simd);
-
-  size_t offset = 0;
-  for (uint32_t b = 0; b < kRadixBuckets; ++b) {
-    bounds[b] = offset;
-    offset += static_cast<size_t>(histogram[b]);
-  }
-  bounds[kRadixBuckets] = offset;
+  const auto bounds = DigitBounds(src, n, shift, simd);
 
   // The copy doubles as the scatter: each source tuple lands directly
   // in its bucket's range of dst.
-  std::array<size_t, kRadixBuckets> head;
-  std::copy(bounds.begin(), bounds.begin() + kRadixBuckets, head.begin());
-  for (size_t i = 0; i < n; ++i) {
-    dst[head[(src[i].key >> shift) & 0xFF]++] = src[i];
-  }
+  std::array<Tuple*, kRadixBuckets> dest;
+  dest.fill(dst);
+  std::array<uint64_t, kRadixBuckets> cursor;
+  std::copy(bounds.begin(), bounds.begin() + kRadixBuckets, cursor.begin());
+  ScatterChunkWith(
+      ScatterKind::kAuto, src, n,
+      [shift](uint64_t key) {
+        return static_cast<uint32_t>((key >> shift) & 0xFF);
+      },
+      dest.data(), cursor.data(), kRadixBuckets);
   return bounds;
 }
+
+namespace {
+
+// Buckets of at most this many tuples are insertion-sorted: building
+// and summing 256-entry histograms costs more than the sort.
+constexpr size_t kLsdInsertionMax = 64;
+
+// Sorts data[0..n) on key bits [0, shift); its keys agree on every bit
+// >= shift. One read builds every 8-bit pass's histogram. A pass whose
+// digit is the same for all n keys is skipped; the others scatter
+// stably from one of data and scratch (room for n tuples) to the
+// other, which is what makes the LSD order correct.
+void LsdFinish(Tuple* data, size_t n, uint32_t shift, Tuple* scratch) {
+  if (n <= kLsdInsertionMax) {
+    InsertionSort(data, n);
+    return;
+  }
+  const uint32_t passes = (shift + 7) / 8;
+  std::array<std::array<size_t, kRadixBuckets>, 8> offsets;
+  for (uint32_t p = 0; p < passes; ++p) offsets[p].fill(0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = data[i].key;
+    for (uint32_t p = 0; p < passes; ++p) {
+      ++offsets[p][(key >> (8 * p)) & 0xFF];
+    }
+  }
+
+  Tuple* src = data;
+  Tuple* dst = scratch;
+  for (uint32_t p = 0; p < passes; ++p) {
+    const uint32_t digit_shift = 8 * p;
+    auto& offset = offsets[p];
+    if (offset[(src[0].key >> digit_shift) & 0xFF] == n) continue;
+    size_t sum = 0;
+    for (size_t& slot : offset) {
+      const size_t count = slot;
+      slot = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[offset[(src[i].key >> digit_shift) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != data) std::memcpy(data, src, n * sizeof(Tuple));
+}
+
+// The run sort's policy for one bucket of n tuples whose keys agree on
+// every bit >= shift, with passes_left MSD passes still allowed: LSD
+// finish up to the threshold, else another in-place MSD pass, else
+// introsort. A shift 0 bucket holds one repeated key.
+void FinishBucket(Tuple* data, size_t n, uint32_t shift, uint32_t passes_left,
+                  const RadixSortConfig& config, Tuple* scratch) {
+  if (n < 2 || shift == 0) return;
+  if (n <= config.repartition_threshold) {
+    LsdFinish(data, n, shift, scratch);
+  } else if (passes_left > 0) {
+    const uint32_t next_shift = shift >= 8 ? shift - 8 : 0;
+    const auto bounds = MsdRadixPartition(data, n, next_shift, config.simd);
+    for (uint32_t b = 0; b < kRadixBuckets; ++b) {
+      FinishBucket(data + bounds[b], bounds[b + 1] - bounds[b], next_shift,
+                   passes_left - 1, config, scratch);
+    }
+  } else {
+    IntroSort(data, n);
+  }
+}
+
+// LSD scratch for the buckets FinishBucket sorts under a bucket of up
+// to `largest` tuples: none of them exceeds the bucket or the threshold.
+std::unique_ptr<Tuple[]> AllocateScratch(size_t largest,
+                                         const RadixSortConfig& config) {
+  return std::make_unique_for_overwrite<Tuple[]>(
+      std::min(largest, config.repartition_threshold));
+}
+
+// SortTuples on data whose keys are all <= max_key: the whole input is
+// one bucket whose keys agree on every bit at or above max_key's width.
+void SortBelowMaxKey(Tuple* data, size_t n, uint64_t max_key,
+                     const RadixSortConfig& config) {
+  const auto scratch = AllocateScratch(n, config);
+  FinishBucket(data, n, bits::BitWidth(max_key),
+               std::max(config.max_passes, 1u), config, scratch.get());
+}
+
+}  // namespace
 
 void SortMsdBuckets(Tuple* data,
                     const std::array<size_t, kRadixBuckets + 1>& bounds,
                     uint32_t bucket_begin, uint32_t bucket_end,
                     uint32_t shift, const RadixSortConfig& config) {
+  if (shift == 0) return;  // one repeated key per bucket
+  // The pass that formed these buckets used one of the budget.
+  const uint32_t passes_left = std::max(config.max_passes, 1u) - 1;
+  size_t largest = 0;
   for (uint32_t b = bucket_begin; b < bucket_end; ++b) {
-    const size_t size = bounds[b + 1] - bounds[b];
-    if (size < 2) continue;
-    if (shift == 0) continue;  // one repeated key per bucket
-    Tuple* bucket = data + bounds[b];
-    if (size > config.repartition_threshold && config.max_passes > 1) {
-      MultiPassRecurse(bucket, size, shift >= 8 ? shift - 8 : 0,
-                       config.max_passes - 1, config);
-    } else {
-      IntroSort(bucket, size);
-    }
+    largest = std::max(largest, bounds[b + 1] - bounds[b]);
+  }
+  const auto scratch = AllocateScratch(largest, config);
+  for (uint32_t b = bucket_begin; b < bucket_end; ++b) {
+    FinishBucket(data + bounds[b], bounds[b + 1] - bounds[b], shift,
+                 passes_left, config, scratch.get());
   }
 }
 
 void SortCopyInto(const Tuple* src, size_t n, Tuple* dst,
                   const RadixSortConfig& config, bool src_is_local) {
   if (n == 0) return;
-  if (n <= kRadixBuckets * 4) {
-    std::memcpy(dst, src, n * sizeof(Tuple));
-    IntroSort(dst, n);
-    return;
-  }
-
-  if (!src_is_local) {
-    // C1: cross the interconnect once — copy + max-key in one pass,
-    // then radix-partition in place on the local destination (still
-    // one sweep cheaper than copy + separate max scan + partition).
-    uint64_t max_key = 0;
+  uint64_t max_key = 0;
+  if (!src_is_local || n <= config.repartition_threshold) {
+    // Copy + max-key in one pass, then sort in place on the (local)
+    // destination: a remote source crosses the interconnect once (C1),
+    // and an input the LSD finish takes whole needs no MSD pass.
     for (size_t i = 0; i < n; ++i) {
       dst[i] = src[i];
       max_key = std::max(max_key, dst[i].key);
     }
-    const uint32_t shift = RadixShiftForMaxKey(max_key);
-    const auto bounds = MsdRadixPartition(dst, n, shift, config.simd);
-    SortMsdBuckets(dst, bounds, 0, kRadixBuckets, shift, config);
+    SortBelowMaxKey(dst, n, max_key, config);
     return;
   }
 
   uint64_t min_key = 0;
-  uint64_t max_key = 0;
   simd::KeyMinMax(src, n, &min_key, &max_key, config.simd);
   const uint32_t shift = RadixShiftForMaxKey(max_key);
   const auto bounds = MsdRadixPartitionCopy(src, n, shift, dst, config.simd);
   SortMsdBuckets(dst, bounds, 0, kRadixBuckets, shift, config);
 }
 
-void RadixIntroSortMultiPass(Tuple* data, size_t n,
-                             const RadixSortConfig& config) {
+void SortTuples(Tuple* data, size_t n, const RadixSortConfig& config) {
   if (n < 2) return;
-  if (n <= kRadixBuckets * 4) {
-    IntroSort(data, n);
-    return;
-  }
-
   uint64_t min_key = 0;
   uint64_t max_key = 0;
   simd::KeyMinMax(data, n, &min_key, &max_key, config.simd);
-  MultiPassRecurse(data, n, RadixShiftForMaxKey(max_key),
-                   std::max(config.max_passes, 1u), config);
-}
-
-void SortTuples(Tuple* data, size_t n, const RadixSortConfig& config) {
-  RadixIntroSortMultiPass(data, n, config);
+  SortBelowMaxKey(data, n, max_key, config);
 }
 
 Status RadixSortConfig::Validate() const {

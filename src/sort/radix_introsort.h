@@ -1,4 +1,7 @@
-// The paper's three-phase sorting routine (§2.3):
+// Two sorts over 16-byte tuples, ordered by their 64-bit key.
+//
+// RadixIntroSort is the paper's three-phase routine (§2.3), kept as
+// published for tab_sort_vs_stl and the BM_RadixIntroSort row:
 //
 //   1. One in-place MSD radix partitioning pass producing 2^8 = 256
 //      partitions on the 8 most significant (used) bits of the key
@@ -8,9 +11,15 @@
 //   3. Partitions below 16 elements are left to a final insertion-sort
 //      pass that establishes the total order.
 //
-// The routine sorts 16-byte tuples by their 64-bit key; it is what every
-// MPSM worker uses to turn its local chunk into a run. Individual phases
-// are exposed for unit testing and for the kernel benchmarks.
+// SortTuples, SortCopyInto and SortMsdBuckets are the run sort: what
+// every join turns its chunks and partitions into runs with. It keeps
+// the paper's 256-way MSD first pass (out of place through the
+// write-combining scatter where the sort copies anyway) and finishes
+// each bucket that fits in L2 with 8-bit LSD passes over the key bits
+// below its digit (Polychroniou & Ross, SIGMOD 2014). Larger buckets
+// take further in-place MSD passes while RadixSortConfig::max_passes
+// lasts, then introsort. Individual phases are exposed for unit
+// testing and for the kernel benchmarks.
 #pragma once
 
 #include <array>
@@ -29,16 +38,18 @@ inline constexpr uint32_t kRadixBuckets = 256;
 /// Quicksort-to-insertion-sort cutoff (paper: 16 elements).
 inline constexpr size_t kInsertionThreshold = 16;
 
-/// Tuning knobs of the multi-pass MSD radix sort.
+/// Tuning knobs of the run sort.
 struct RadixSortConfig {
-  /// Buckets larger than this many tuples are re-partitioned on the
-  /// next 8 key bits instead of handed to introsort. The default keeps
-  /// introsort working sets around 256 * 16 = 4096 tuples (64 KiB),
-  /// comfortably inside L2.
-  size_t repartition_threshold = kRadixBuckets * kInsertionThreshold;
+  /// Buckets of at most this many tuples are finished by LSD passes
+  /// through a scratch buffer of the same size; larger buckets take
+  /// another MSD pass. The default, 2^15 tuples (512 KiB), keeps a
+  /// bucket plus its scratch within half of a 2 MiB L2.
+  size_t repartition_threshold = size_t{1} << 15;
 
-  /// Hard cap on the number of 8-bit MSD passes (1 == the paper's
-  /// single pass); bounds the recursion on adversarial distributions.
+  /// Hard cap on the number of 8-bit MSD passes (LSD passes are not
+  /// counted); a bucket still above the threshold when they run out is
+  /// introsorted, which bounds the work on adversarial distributions.
+  /// 1 is the paper's single pass.
   uint32_t max_passes = 4;
 
   /// Vector ISA of the MSD digit-histogram pass (docs/simd.md); every
@@ -50,20 +61,14 @@ struct RadixSortConfig {
   Status Validate() const;
 };
 
-/// Sorts data[0..n) by key using the full Radix/IntroSort pipeline.
+/// The paper's §2.3 sort: sorts data[0..n) by key with one MSD pass
+/// and introsort per bucket.
 void RadixIntroSort(Tuple* data, size_t n);
 
-/// Cache-conscious variant of RadixIntroSort: buckets that come out of
-/// an MSD pass larger than config.repartition_threshold are recursively
-/// re-partitioned on the next 8 key bits (up to config.max_passes
-/// passes) before falling back to introsort, so the
-/// comparison-sorted leaves always fit in cache.
-void RadixIntroSortMultiPass(Tuple* data, size_t n,
-                             const RadixSortConfig& config = {});
-
-/// The sort that turns a chunk or partition into a run:
-/// RadixIntroSortMultiPass under `config` (max_passes = 1 is the
-/// paper's single MSD pass).
+/// The run sort: sorts data[0..n) by key in place under `config`. An
+/// input of at most config.repartition_threshold tuples is LSD-sorted
+/// whole; a larger one takes an in-place MSD pass on its top 8 used
+/// key bits and its buckets are finished like SortMsdBuckets'.
 void SortTuples(Tuple* data, size_t n, const RadixSortConfig& config = {});
 
 /// Sorts data[0..n) by key with plain introsort (no radix pass); used
@@ -88,33 +93,38 @@ std::array<size_t, kRadixBuckets + 1> MsdRadixPartition(
 /// Out-of-place MSD pass that fuses a copy into the partitioning
 /// (the §2.3 amortization): dst[0..n) receives src's tuples grouped by
 /// the 8-bit digit at `shift`, replacing the separate copy-then-permute
-/// passes of copy + MsdRadixPartition. src and dst must not overlap.
+/// passes of copy + MsdRadixPartition. The scatter runs through
+/// ScatterChunkWith(ScatterKind::kAuto) (partition/prefix_scatter.h),
+/// which write-combines at this fan-out. src and dst must not overlap.
 /// Returns the same 257-entry boundary array.
 std::array<size_t, kRadixBuckets + 1> MsdRadixPartitionCopy(
     const Tuple* src, size_t n, uint32_t shift, Tuple* dst,
     simd::SimdKind simd = simd::SimdKind::kAuto);
 
 /// Finishes buckets [bucket_begin, bucket_end) of an MSD pass at
-/// `shift` to a total order with the policy of `config` (further MSD
-/// passes for buckets above the repartition threshold while the pass
-/// budget lasts, introsort otherwise; shift 0 buckets hold one
-/// repeated key and are skipped). Exposed per bucket *range* so the morsel scheduler can
+/// `shift` to a total order with the policy of `config`: a bucket of
+/// at most repartition_threshold tuples is sorted on its key bits
+/// below `shift` by LSD passes (insertion sort up to 64 tuples); a
+/// larger one takes further MSD passes while the pass budget lasts,
+/// then introsort. Shift 0 buckets hold one repeated key and are
+/// skipped. Exposed per bucket *range* so the morsel scheduler can
 /// spread one oversized partition's bucket sorts over idle workers.
 void SortMsdBuckets(Tuple* data,
                     const std::array<size_t, kRadixBuckets + 1>& bounds,
                     uint32_t bucket_begin, uint32_t bucket_end,
                     uint32_t shift, const RadixSortConfig& config = {});
 
-/// Copies src[0..n) into dst[0..n) and sorts dst by key. The copy is
-/// fused with the first MSD pass; plain memcpy + sort for tiny inputs.
-/// No overlap allowed.
+/// Copies src[0..n) into dst[0..n) and sorts dst by key with the run
+/// sort. The copy is fused with the first MSD pass; an input of at
+/// most config.repartition_threshold tuples is copied and LSD-sorted
+/// whole. No overlap allowed.
 ///
 /// `src_is_local` steers the fusion around commandment C1 (touch
 /// remote data once): a local source is swept three times
 /// (max-key, histogram, scatter via MsdRadixPartitionCopy — cheaper
 /// than copy-then-permute); a remote source is read exactly once by a
-/// fused copy+max-key pass, with the radix pass running in place on
-/// the local destination.
+/// fused copy+max-key pass, with the run sort running in place on the
+/// local destination.
 void SortCopyInto(const Tuple* src, size_t n, Tuple* dst,
                   const RadixSortConfig& config = {},
                   bool src_is_local = true);

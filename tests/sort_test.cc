@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +24,7 @@ enum class Dist {
   kOrganPipe,
   kHighBitsOnly,
   kFullRange64,
+  kKey21,
 };
 
 const char* DistName(Dist d) {
@@ -35,9 +38,12 @@ const char* DistName(Dist d) {
     case Dist::kOrganPipe: return "organpipe";
     case Dist::kHighBitsOnly: return "highbits";
     case Dist::kFullRange64: return "full64";
+    case Dist::kKey21: return "key21";
   }
   return "?";
 }
+
+constexpr uint64_t kKey21Max = (uint64_t{1} << 21) + 5;
 
 std::vector<Tuple> MakeData(Dist dist, size_t n, uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -73,6 +79,11 @@ std::vector<Tuple> MakeData(Dist dist, size_t n, uint64_t seed) {
         break;
       case Dist::kFullRange64:
         key = rng.Next();
+        break;
+      case Dist::kKey21:
+        // Max key 2^21 + 5: 22 used bits, so neither the whole key nor
+        // the bits below the first radix digit fill whole bytes.
+        key = i == 0 ? kKey21Max : rng.NextBounded(kKey21Max + 1);
         break;
     }
     data[i] = Tuple{key, i};  // payload records original position
@@ -118,7 +129,7 @@ TEST_P(RadixIntroSortTest, MultiPassSortsCorrectly) {
   const auto [dist, n] = GetParam();
   const auto original = MakeData(dist, n, 47 + n);
   auto data = original;
-  RadixIntroSortMultiPass(data.data(), data.size());
+  SortTuples(data.data(), data.size());
   ExpectSortedPermutation(original, data);
 }
 
@@ -131,7 +142,7 @@ TEST_P(RadixIntroSortTest, MultiPassDeepRecursionSortsCorrectly) {
   RadixSortConfig config;
   config.repartition_threshold = 1;
   config.max_passes = 8;
-  RadixIntroSortMultiPass(data.data(), data.size(), config);
+  SortTuples(data.data(), data.size(), config);
   ExpectSortedPermutation(original, data);
 }
 
@@ -142,7 +153,7 @@ TEST_P(RadixIntroSortTest, MultiPassSinglePassConfigSortsCorrectly) {
   auto data = original;
   RadixSortConfig config;
   config.max_passes = 1;
-  RadixIntroSortMultiPass(data.data(), data.size(), config);
+  SortTuples(data.data(), data.size(), config);
   ExpectSortedPermutation(original, data);
 }
 
@@ -166,9 +177,11 @@ INSTANTIATE_TEST_SUITE_P(
                                      Dist::kReverse, Dist::kAllEqual,
                                      Dist::kFewDistinct, Dist::kSkewLow,
                                      Dist::kOrganPipe, Dist::kHighBitsOnly,
-                                     Dist::kFullRange64),
+                                     Dist::kFullRange64, Dist::kKey21),
+                     // 32768 and 32769: at and one above the default
+                     // repartition threshold (LSD whole vs MSD first).
                      testing::Values<size_t>(0, 1, 2, 15, 16, 17, 100, 1000,
-                                             65536)),
+                                             32768, 32769, 65536)),
     [](const testing::TestParamInfo<std::tuple<Dist, size_t>>& info) {
       return std::string(DistName(std::get<0>(info.param))) + "_n" +
              std::to_string(std::get<1>(info.param));
@@ -244,6 +257,37 @@ TEST(MsdRadixPartitionTest, PartitionOrderMatchesKeyOrder) {
   }
 }
 
+TEST(MsdRadixPartitionTest, CopyMatchesInPlaceIntoUnalignedDestination) {
+  // A destination one tuple past the allocation start puts bucket
+  // starts off cache-line boundaries, so the write-combining scatter
+  // runs its head fix-up. Sentinels on both sides catch stray writes.
+  const size_t n = 50000;
+  const auto src = MakeData(Dist::kUniform, n, 19);
+  const uint32_t shift = RadixShiftForMaxKey(uint64_t{1} << 32);
+  auto in_place = src;
+  const auto expected = MsdRadixPartition(in_place.data(), n, shift);
+
+  const Tuple sentinel{~0ull, ~0ull};
+  std::vector<Tuple> buffer(n + 2, sentinel);
+  const auto bounds = MsdRadixPartitionCopy(src.data(), n, shift,
+                                            buffer.data() + 1);
+  EXPECT_EQ(bounds, expected);
+  EXPECT_EQ(buffer.front(), sentinel);
+  EXPECT_EQ(buffer.back(), sentinel);
+  auto full_less = [](const Tuple& x, const Tuple& y) {
+    return std::tie(x.key, x.payload) < std::tie(y.key, y.payload);
+  };
+  for (uint32_t b = 0; b < kRadixBuckets; ++b) {
+    std::vector<Tuple> copied(buffer.begin() + 1 + bounds[b],
+                              buffer.begin() + 1 + bounds[b + 1]);
+    std::vector<Tuple> permuted(in_place.begin() + expected[b],
+                                in_place.begin() + expected[b + 1]);
+    std::sort(copied.begin(), copied.end(), full_less);
+    std::sort(permuted.begin(), permuted.end(), full_less);
+    ASSERT_EQ(copied, permuted) << "bucket " << b;
+  }
+}
+
 TEST(RadixShiftTest, SelectsTopEightSignificantBits) {
   EXPECT_EQ(RadixShiftForMaxKey(0), 0u);
   EXPECT_EQ(RadixShiftForMaxKey(255), 0u);
@@ -255,14 +299,18 @@ TEST(RadixShiftTest, SelectsTopEightSignificantBits) {
 TEST(RadixIntroSortMultiPassTest, RepartitionsHotBuckets) {
   // 2^17 tuples on a 32-bit domain leave each first-pass bucket with
   // ~512 tuples; a threshold of 64 forces the second pass everywhere.
+  // With max_passes = 1 every bucket stays above the threshold when
+  // the passes run out, so each one is introsorted.
   const size_t n = 1 << 17;
   const auto original = MakeData(Dist::kUniform, n, 71);
-  auto data = original;
-  RadixSortConfig config;
-  config.repartition_threshold = 64;
-  config.max_passes = 4;
-  RadixIntroSortMultiPass(data.data(), data.size(), config);
-  ExpectSortedPermutation(original, data);
+  for (uint32_t max_passes : {4u, 1u}) {
+    auto data = original;
+    RadixSortConfig config;
+    config.repartition_threshold = 64;
+    config.max_passes = max_passes;
+    SortTuples(data.data(), data.size(), config);
+    ExpectSortedPermutation(original, data);
+  }
 }
 
 TEST(RadixIntroSortMultiPassTest, AllEqualKeysTerminate) {
@@ -273,7 +321,7 @@ TEST(RadixIntroSortMultiPassTest, AllEqualKeysTerminate) {
   RadixSortConfig config;
   config.repartition_threshold = 16;
   config.max_passes = 8;
-  RadixIntroSortMultiPass(data.data(), data.size(), config);
+  SortTuples(data.data(), data.size(), config);
   ExpectSortedPermutation(original, data);
 }
 
@@ -283,7 +331,7 @@ TEST(SortCopyIntoTest, MatchesCopyThenSortAcrossKindsAndLocality) {
   // (single-sweep copy, in-place pass) source paths, across sizes that
   // cover the tiny-input fallback and the multi-pass recursion.
   for (Dist dist : {Dist::kUniform, Dist::kAllEqual, Dist::kFewDistinct,
-                    Dist::kFullRange64}) {
+                    Dist::kFullRange64, Dist::kKey21}) {
     for (size_t n : {size_t{0}, size_t{100}, size_t{5000}, size_t{80000}}) {
       const auto src = MakeData(dist, n, 77);
       auto expected = src;
@@ -304,6 +352,38 @@ TEST(SortCopyIntoTest, MatchesCopyThenSortAcrossKindsAndLocality) {
       }
     }
   }
+}
+
+TEST(SortCopyIntoTest, ConcurrentSortsWithDifferentBucketSizes) {
+  // Two threads sort at once, buckets of ~512 against ~4096 tuples:
+  // each call's LSD scratch must be its own and sized for its buckets.
+  const auto small = MakeData(Dist::kUniform, size_t{1} << 17, 83);
+  const auto large = MakeData(Dist::kUniform, size_t{1} << 20, 89);
+  auto check = [](const std::vector<Tuple>& src, std::vector<Tuple>* dst,
+                  bool* ok) {
+    auto expected = src;
+    std::sort(expected.begin(), expected.end(), TupleKeyLess{});
+    *ok = true;
+    for (int round = 0; round < 3; ++round) {
+      SortCopyInto(src.data(), src.size(), dst->data());
+      auto in_place = src;
+      SortTuples(in_place.data(), in_place.size());
+      for (size_t i = 0; i < src.size(); ++i) {
+        *ok = *ok && (*dst)[i].key == expected[i].key &&
+              in_place[i].key == expected[i].key;
+      }
+    }
+  };
+  std::vector<Tuple> small_dst(small.size());
+  std::vector<Tuple> large_dst(large.size());
+  bool small_ok = false;
+  bool large_ok = false;
+  std::thread a(check, std::cref(small), &small_dst, &small_ok);
+  std::thread b(check, std::cref(large), &large_dst, &large_ok);
+  a.join();
+  b.join();
+  EXPECT_TRUE(small_ok);
+  EXPECT_TRUE(large_ok);
 }
 
 TEST(IsSortedByKeyTest, DetectsOrder) {
