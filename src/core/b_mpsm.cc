@@ -1,6 +1,5 @@
 #include "core/b_mpsm.h"
 
-#include <memory>
 #include <vector>
 
 #include "core/merge_join.h"
@@ -23,11 +22,10 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
 
   RunSet s_runs(num_workers);
   RunSet r_runs(num_workers);
-  std::vector<std::unique_ptr<numa::Arena>> arenas(num_workers);
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    arenas[w] = std::make_unique<numa::Arena>(
-        team.topology().NodeForWorker(w, num_workers));
-  }
+  // Both run sets die with the query. They live in the session team's
+  // worker arenas, rewound here so this query reuses the pages the
+  // previous one faulted in (numa/arena.h).
+  for (uint32_t w = 0; w < num_workers; ++w) team.ArenaOf(w).Reset();
 
   const MpsmOptions options = options_;
   RunJoinOptions join_options;
@@ -36,8 +34,8 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   join_options.simd = options.simd;
 
   PhasePipeline pipeline(team.topology(), num_workers, options.scheduler);
-  const auto arena_of = [&arenas](uint32_t w) -> numa::Arena& {
-    return *arenas[w];
+  const auto arena_of = [&team](uint32_t w) -> numa::Arena& {
+    return team.ArenaOf(w);
   };
 
   // Phase 1: sort each public chunk into a local run via the shared

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -62,12 +61,10 @@ struct SharedState {
   // Scatter targets: partition p's array, owned by worker p's node.
   std::vector<Tuple*> partition_data;
 
-  // Write-combining staging buffers, NUMA-homed on the *destination*:
-  // wc_buffers[executor][p] lives on partition p's node (allocated by
-  // worker p in the pinned 2.3b phase), so a flush's streaming stores
-  // cross the interconnect exactly once — the remaining half of the
-  // ROADMAP interleaving item. Empty when the scatter cannot resolve
-  // to write combining.
+  // Write-combining staging buffers, tagged with the *destination*:
+  // wc_buffers[executor][p] comes from partition p's arena (allocated
+  // by worker p in the pinned 2.3b phase). Empty when the scatter
+  // cannot resolve to write combining.
   std::vector<std::vector<internal::WcBuffer*>> wc_buffers;
 
   // Phase-3/4 morsel slice, resolved in the 2.3a serial step once the
@@ -154,11 +151,10 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   shared.r_runs.resize(num_workers);
   shared.r_gen.Resize(num_workers);
 
-  std::vector<std::unique_ptr<numa::Arena>> arenas(num_workers);
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    arenas[w] = std::make_unique<numa::Arena>(
-        team.topology().NodeForWorker(w, num_workers));
-  }
+  // Runs, partitions and WC staging all die with the query. They live
+  // in the session team's worker arenas, rewound here so this query
+  // reuses the pages the previous one faulted in (numa/arena.h).
+  for (uint32_t w = 0; w < num_workers; ++w) team.ArenaOf(w).Reset();
 
   const auto chunk_morsels = [num_workers] { return ChunkMorsels(num_workers); };
   const auto block_morsels = [&shared] {
@@ -187,7 +183,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   } else {
     AddRunGenerationPhases(
         pipeline, kPhaseSortPublic, s_public,
-        [&arenas](uint32_t w) -> numa::Arena& { return *arenas[w]; },
+        [&team](uint32_t w) -> numa::Arena& { return team.ArenaOf(w); },
         shared.s_runs, shared.s_gen, &shared.s_histograms, num_bounds,
         options.scheduler, options.sort_config, options.morsel_tuples);
   }
@@ -282,12 +278,12 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
 #endif
   });
 
-  // Phase 2.3b: allocate the partition arrays. Pinned to the owning
-  // worker even under stealing: the local first touch is what places
-  // the pages on the partition's node. The same pinned slot allocates
-  // partition w's column of WC staging buffers (one per potential
-  // executor) from w's arena, homing every stage-then-flush target for
-  // this partition on its destination node.
+  // Phase 2.3b: allocate the partition arrays from partition w's
+  // arena, pinned to worker w even under stealing. Allocation touches
+  // no page: a page lands on the node of its first write (the scatter
+  // below), and the session arena keeps it there for later queries.
+  // The same pinned slot allocates partition w's column of WC staging
+  // buffers (one per potential executor) from w's arena.
   pipeline.AddPhase(
       kPhasePartition, chunk_morsels,
       [&](WorkerContext&, const Morsel& morsel) {
@@ -296,12 +292,13 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
             shared.plan.partition_sizes.empty()
                 ? 0
                 : shared.plan.partition_sizes[w];
+        numa::Arena& arena = team.ArenaOf(w);
         if (size > 0) {
-          shared.partition_data[w] = arenas[w]->AllocateArray<Tuple>(size);
+          shared.partition_data[w] = arena.AllocateArray<Tuple>(size);
         }
         if (!shared.wc_buffers.empty()) {
           internal::WcBuffer* column =
-              arenas[w]->AllocateArray<internal::WcBuffer>(num_workers);
+              arena.AllocateArray<internal::WcBuffer>(num_workers);
           for (uint32_t e = 0; e < num_workers; ++e) {
             shared.wc_buffers[e][w] = column + e;
           }

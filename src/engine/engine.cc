@@ -287,6 +287,13 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
   }
 
   WorkerTeam& team = TeamFor(team_size);
+  // P-MPSM and B-MPSM rewind the team arenas and reuse the previous
+  // query's run memory. No other plan allocates from them, so free
+  // that memory first: a budgeted spill must not run next to it.
+  if (report.plan.algorithm != Algorithm::kPMpsm &&
+      report.plan.algorithm != Algorithm::kBMpsm) {
+    team.ReleaseArenas();
+  }
   Result<JoinRunInfo> info = Status::Internal("unreachable");
   const int64_t exec_start_ns = sink != nullptr ? sink->NowNs() : 0;
   switch (report.plan.algorithm) {

@@ -5,9 +5,13 @@
 // once, builds a worker team once, plans the algorithm per query with
 // the cost-model planner, validates every knob, runs the chosen
 // variant, and returns one unified JoinReport. Sessions are meant to
-// be long-lived: repeated Execute() calls amortize the topology probe
-// and the team's node-homed arenas across queries. (WorkerTeam::Run
-// still launches its pinned threads per query.)
+// be long-lived: repeated Execute() calls amortize the topology probe,
+// the worker team and its node-homed arenas across queries. The arenas
+// keep the last P-MPSM or B-MPSM query's run memory, so the next such
+// query reuses pages already faulted in. The session frees that memory
+// before any other plan runs, when the team is re-spawned for a new
+// size, and when the engine is destroyed. (WorkerTeam::Run still
+// launches its pinned threads per query.)
 //
 //   engine::Engine engine;                    // probe + defaults
 //   engine::JoinSpec spec;

@@ -3,15 +3,16 @@
 // Every run / partition array in MPSM lives in exactly one NUMA node's
 // memory. The Arena makes that ownership explicit: allocations are
 // tagged with the arena's home node so algorithms (and the machine
-// model) can classify each access as local or remote. On machines with
-// real NUMA support the arena additionally first-touches pages from the
-// owning thread, which is how Linux places pages without libnuma.
+// model) can classify each access as local or remote. Allocation
+// touches no page: Linux places a page on the node of the thread that
+// first writes it. Reset() keeps an arena's blocks across queries, so
+// the session team's arenas (parallel/worker_team.h) keep their pages
+// faulted in, on the nodes of their first writes, for later queries.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "numa/topology.h"
@@ -20,10 +21,10 @@ namespace mpsm::numa {
 
 /// A bump-pointer arena whose memory logically belongs to one NUMA node.
 ///
-/// Allocation is O(1); all memory is released when the arena dies.
-/// Thread-compatible: concurrent Allocate calls must be externally
-/// synchronized (in MPSM each worker owns its arenas, so there is no
-/// sharing in the hot path — commandment C3).
+/// Allocation is O(1); Reset() rewinds for reuse, Release() (or the
+/// destructor) returns the memory. Thread-compatible: concurrent calls
+/// must be externally synchronized (in MPSM each worker owns its
+/// arenas, so there is no sharing in the hot path — commandment C3).
 class Arena {
  public:
   /// Creates an arena homed on `node`. `block_bytes` is the granularity
@@ -32,8 +33,6 @@ class Arena {
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
-  Arena(Arena&&) = default;
-  Arena& operator=(Arena&&) = default;
   ~Arena();
 
   /// Allocates `count` default-constructible objects of type T, aligned
@@ -45,16 +44,30 @@ class Arena {
     return static_cast<T*>(AllocateBytes(count * sizeof(T), 64));
   }
 
-  /// Raw aligned allocation of `bytes` bytes.
+  /// Raw aligned allocation of `bytes` bytes. When the current block is
+  /// full it moves on to the next kept block if that one fits, else
+  /// frees the kept blocks not yet reached and adds a new block.
   void* AllocateBytes(size_t bytes, size_t alignment = 64);
+
+  /// Rewinds to the first block for reuse. Keeps the blocks the
+  /// allocations since the last Reset reached (their pages stay faulted
+  /// in) and frees the rest, so an arena holds at most what its last
+  /// use needed. Every pointer handed out before is dead; under ASan
+  /// reading one reports use-after-poison. Call only while nothing
+  /// allocates from the arena (for team arenas: between
+  /// WorkerTeam::Run calls).
+  void Reset();
+
+  /// Frees every block.
+  void Release();
 
   /// Home node of this arena's memory.
   NodeId node() const { return node_; }
 
-  /// Total bytes handed out so far.
+  /// Bytes handed out since the last Reset.
   size_t bytes_allocated() const { return bytes_allocated_; }
 
-  /// Total bytes reserved from the OS.
+  /// Bytes of the blocks held, kept ones included.
   size_t bytes_reserved() const { return bytes_reserved_; }
 
  private:
@@ -63,38 +76,20 @@ class Arena {
     size_t size = 0;
   };
 
-  void AddBlock(size_t min_bytes);
+  /// Points the cursor at the next block of at least `min_bytes`.
+  void NextBlock(size_t min_bytes);
+  /// Frees blocks_[first..].
+  void FreeBlocksFrom(size_t first);
 
   NodeId node_;
   size_t block_bytes_;
   std::vector<Block> blocks_;
+  /// Blocks reached since the last Reset; the cursor is in the last.
+  size_t blocks_used_ = 0;
   char* cursor_ = nullptr;
   char* end_ = nullptr;
   size_t bytes_allocated_ = 0;
   size_t bytes_reserved_ = 0;
-};
-
-/// One arena per NUMA node plus a per-worker view; the standard memory
-/// layout for a worker team (worker w allocates from the arena of its
-/// home node).
-class NodeArenas {
- public:
-  explicit NodeArenas(const Topology& topology,
-                      size_t block_bytes = size_t{8} << 20);
-
-  /// Arena owned by `node`.
-  Arena& OfNode(NodeId node) { return *arenas_[node]; }
-
-  /// Arena local to worker `w` in a team of `team_size`.
-  Arena& ForWorker(uint32_t w, uint32_t team_size) {
-    return OfNode(topology_->NodeForWorker(w, team_size));
-  }
-
-  const Topology& topology() const { return *topology_; }
-
- private:
-  const Topology* topology_;
-  std::vector<std::unique_ptr<Arena>> arenas_;
 };
 
 }  // namespace mpsm::numa

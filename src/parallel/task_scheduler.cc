@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <thread>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -32,14 +33,15 @@ TaskScheduler::TaskScheduler(const numa::Topology& topology,
     const uint32_t nodes = topology.num_nodes();
     steal_order_.resize(nodes);
     for (uint32_t n = 0; n < nodes; ++n) {
+      // Nearest first; equal distances keep node-id order.
+      std::vector<std::pair<uint32_t, uint32_t>> by_distance;
       for (uint32_t m = 0; m < nodes; ++m) {
-        if (m != n) steal_order_[n].push_back(m);
+        if (m != n) by_distance.emplace_back(topology.Distance(n, m), m);
       }
-      std::stable_sort(steal_order_[n].begin(), steal_order_[n].end(),
-                       [&](uint32_t a, uint32_t b) {
-                         return topology.Distance(n, a) <
-                                topology.Distance(n, b);
-                       });
+      std::sort(by_distance.begin(), by_distance.end());
+      for (const auto& [distance, m] : by_distance) {
+        steal_order_[n].push_back(m);
+      }
     }
   }
 }

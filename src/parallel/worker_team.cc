@@ -62,6 +62,16 @@ void WorkerTeam::Run(const std::function<void(WorkerContext&)>& job) {
   for (auto& thread : threads) thread.join();
 }
 
+void WorkerTeam::ReleaseArenas() {
+  for (auto& arena : arenas_) arena->Release();
+}
+
+uint64_t WorkerTeam::arena_bytes() const {
+  uint64_t total = 0;
+  for (const auto& arena : arenas_) total += arena->bytes_reserved();
+  return total;
+}
+
 WorkerStats WorkerTeam::AggregateStats() const {
   WorkerStats total;
   for (const auto& stats : stats_) total += stats;

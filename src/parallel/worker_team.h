@@ -85,8 +85,18 @@ class WorkerTeam {
   /// duration of each phase), summed over phases.
   double CriticalPathSeconds() const;
 
-  /// Arena of worker `w` (homed on that worker's node).
+  /// Arena of worker `w` (homed on that worker's node). P-MPSM and
+  /// B-MPSM keep their runs and partitions here, Reset at the start of
+  /// each query, so a session reuses the pages its last query faulted
+  /// in. A team runs one query at a time (Run's shared barrier already
+  /// requires it); arenas are reset or released only between Runs.
   numa::Arena& ArenaOf(uint32_t w) { return *arenas_[w]; }
+
+  /// Frees the blocks of every worker arena (between Runs only).
+  void ReleaseArenas();
+
+  /// Bytes the worker arenas hold (sum of Arena::bytes_reserved).
+  uint64_t arena_bytes() const;
 
   /// Attaches the current query's trace sink (obs/trace.h): Run
   /// installs it as every worker thread's current sink, so spans

@@ -93,6 +93,7 @@ JoinService::JoinService(const numa::Topology& topology, ServiceOptions options)
     run_cache_ = std::make_unique<cache::RunCache>(
         cache::RunCacheOptions{.capacity_bytes = options_.run_cache_bytes});
   }
+  lane_arena_bytes_.assign(options_.lanes, 0);
   engines_.reserve(options_.lanes);
   for (uint32_t i = 0; i < options_.lanes; ++i) {
     engines_.push_back(
@@ -198,6 +199,7 @@ void JoinService::Drain() {
 ServiceStats JoinService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats out = stats_;
+  for (const uint64_t bytes : lane_arena_bytes_) out.arena_bytes += bytes;
   if (run_cache_ != nullptr) {
     const cache::CacheStats cs = run_cache_->stats();
     out.cache_hits = cs.hits;
@@ -421,6 +423,12 @@ void JoinService::ExecuteGroup(engine::Engine& engine, uint32_t lane,
     }
     if (q->down_budgeted) spec.memory_budget_bytes = q->budget_override;
     Result<engine::JoinReport> result = engine.Execute(spec);
+    // The query's reservation covered its run memory; free that memory
+    // before the reservation returns, so no lane holds run memory that
+    // admission does not count.
+    WorkerTeam* team = engine.team();
+    if (team != nullptr) team->ReleaseArenas();
+    const uint64_t arena_bytes = team != nullptr ? team->arena_bytes() : 0;
     if (result.ok() && result->dmpsm.has_value() && result->dmpsm->resumed) {
       // A resubmitted spilling query re-attached durable state from a
       // previous incarnation's manifest (docs/recovery.md).
@@ -441,6 +449,7 @@ void JoinService::ExecuteGroup(engine::Engine& engine, uint32_t lane,
                  {{"lane", std::to_string(lane)}})
         .Add(1);
     std::lock_guard<std::mutex> lock(mu_);
+    lane_arena_bytes_[lane] = arena_bytes;
     FinishLocked(*q, std::move(result));
   }
 }

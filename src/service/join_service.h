@@ -115,6 +115,10 @@ struct ServiceStats {
   uint64_t resumed_queries = 0;
   uint64_t peak_queue_depth = 0;
   uint64_t peak_reserved_bytes = 0;
+  /// Bytes the lanes' team arenas held after each lane's last query,
+  /// summed. Lanes free their run memory before a query's reservation
+  /// returns, so this stays 0.
+  uint64_t arena_bytes = 0;
 
   /// Run-cache aggregate (all zero when run_cache_bytes == 0).
   uint64_t cache_hits = 0;
@@ -248,6 +252,8 @@ class JoinService {
   std::unordered_map<QueryId, StatePtr> states_;
   uint64_t reserved_bytes_ = 0;
   uint32_t running_groups_ = 0;
+  /// Per lane: its team's arena bytes after its last query.
+  std::vector<uint64_t> lane_arena_bytes_;
   ServiceStats stats_;
 
   std::vector<std::thread> lanes_;  // last member: joined by ~JoinService

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "baseline/reference_join.h"
 #include "core/consumers.h"
@@ -328,6 +329,8 @@ TEST(EngineSessionTest, ConsecutiveQueriesReuseTeamAndTopology) {
   // Injected topology: the engine never probes.
   EXPECT_EQ(engine.stats().topology_probes, 0u);
 
+  std::vector<size_t> first_reserved(8);
+  uint64_t matches = 0;
   for (int query = 0; query < 3; ++query) {
     CountFactory counts(8);
     JoinSpec spec;
@@ -336,10 +339,41 @@ TEST(EngineSessionTest, ConsecutiveQueriesReuseTeamAndTopology) {
     spec.consumers = &counts;
     auto report = engine.Execute(spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_GT(counts.Result(), 0u);
+    ASSERT_EQ(report->plan.algorithm, Algorithm::kPMpsm);
+    matches = counts.Result();
+    EXPECT_GT(matches, 0u);
+    // The team arenas keep the first query's run memory; later queries
+    // rewind into it and add no block.
+    for (uint32_t w = 0; w < 8; ++w) {
+      const size_t reserved = engine.team()->ArenaOf(w).bytes_reserved();
+      if (query == 0) {
+        EXPECT_GT(reserved, 0u);
+        first_reserved[w] = reserved;
+      } else {
+        EXPECT_EQ(reserved, first_reserved[w])
+            << "query " << query << ", worker " << w;
+      }
+    }
   }
   EXPECT_EQ(engine.stats().queries_executed, 3u);
   EXPECT_EQ(engine.stats().plans_created, 3u);
+  EXPECT_EQ(engine.stats().team_spawns, 1u);
+
+  // A budgeted spill does not allocate from the team arenas and must
+  // not run next to the previous join's runs: the session frees them.
+  CountFactory spilled(8);
+  JoinSpec spec;
+  spec.r = &dataset.r;
+  spec.s = &dataset.s;
+  spec.consumers = &spilled;
+  spec.memory_budget_bytes = 1u << 20;
+  auto report = engine.Execute(spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->plan.algorithm, Algorithm::kDMpsm);
+  EXPECT_EQ(spilled.Result(), matches);
+  for (uint32_t w = 0; w < 8; ++w) {
+    EXPECT_EQ(engine.team()->ArenaOf(w).bytes_reserved(), 0u) << w;
+  }
   EXPECT_EQ(engine.stats().team_spawns, 1u);
 }
 
@@ -401,39 +435,49 @@ TEST_P(EngineMatrixTest, MatchesReferenceJoin) {
   spec.s_mode = workload::SKeyMode::kIndependent;
   spec.seed = 321;
   const auto dataset = workload::Generate(topology, kWorkers, spec);
+  workload::DatasetSpec small_spec = spec;
+  small_spec.r_tuples = 1500;
+  small_spec.key_domain = 4000;
+  small_spec.seed = 322;
+  const auto small = workload::Generate(topology, kWorkers, small_spec);
 
   EngineOptions options;
   options.workers = kWorkers;
   options.dmpsm.io_backend = io_backend;
   Engine engine(topology, options);
 
-  CountFactory counts(kWorkers);
-  JoinSpec join;
-  join.r = &dataset.r;
-  join.s = &dataset.s;
-  join.kind = kind;
-  join.consumers = &counts;
-  join.algorithm = algorithm;
+  // Three joins on one session: the cell's join, a smaller one, then
+  // the cell's join again. P-MPSM and B-MPSM rewind the team arenas
+  // between queries, so stale tuples in reused memory would show here.
+  for (const workload::Dataset* data : {&dataset, &small, &dataset}) {
+    CountFactory counts(kWorkers);
+    JoinSpec join;
+    join.r = &data->r;
+    join.s = &data->s;
+    join.kind = kind;
+    join.consumers = &counts;
+    join.algorithm = algorithm;
 
-  auto report = engine.Execute(join);
-  if (!SupportsKind(algorithm, kind)) {
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.status().code(), StatusCode::kNotSupported);
-    return;
+    auto report = engine.Execute(join);
+    if (!SupportsKind(algorithm, kind)) {
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(report.status().code(), StatusCode::kNotSupported);
+      return;
+    }
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->plan.algorithm, algorithm);
+
+    CountFactory reference(1);
+    const uint64_t expected =
+        baseline::ReferenceJoin(data->r.ToVector(), data->s.ToVector(), kind,
+                                reference.ConsumerForWorker(0));
+    EXPECT_EQ(counts.Result(), expected) << data->r.size() << " R tuples";
+    EXPECT_EQ(report->info.output_tuples, expected);
+
+    // Variant-specific diagnostics land in the unified report.
+    EXPECT_EQ(report->pmpsm.has_value(), algorithm == Algorithm::kPMpsm);
+    EXPECT_EQ(report->dmpsm.has_value(), algorithm == Algorithm::kDMpsm);
   }
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->plan.algorithm, algorithm);
-
-  CountFactory reference(1);
-  const uint64_t expected =
-      baseline::ReferenceJoin(dataset.r.ToVector(), dataset.s.ToVector(),
-                              kind, reference.ConsumerForWorker(0));
-  EXPECT_EQ(counts.Result(), expected);
-  EXPECT_EQ(report->info.output_tuples, expected);
-
-  // Variant-specific diagnostics land in the unified report.
-  EXPECT_EQ(report->pmpsm.has_value(), algorithm == Algorithm::kPMpsm);
-  EXPECT_EQ(report->dmpsm.has_value(), algorithm == Algorithm::kDMpsm);
 }
 
 std::vector<MatrixCase> AllMatrixCases() {

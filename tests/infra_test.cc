@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "numa/arena.h"
 #include "numa/topology.h"
@@ -111,14 +113,111 @@ TEST(ArenaTest, ManySmallAllocations) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(*pointers[i], uint64_t(i));
 }
 
-TEST(NodeArenasTest, OneArenaPerNode) {
-  const auto topo = numa::Topology::Simulated(4, 2);
-  numa::NodeArenas arenas(topo);
-  for (uint32_t node = 0; node < 4; ++node) {
-    EXPECT_EQ(arenas.OfNode(node).node(), node);
+// Runs one fixed allocation sequence (a query's run and partition
+// arrays, in miniature): sizes cross the 4 KiB block several times.
+std::vector<void*> AllocateSequence(numa::Arena& arena) {
+  std::vector<void*> out;
+  for (const size_t tuples : {100, 300, 10, 1000, 40, 250}) {
+    Tuple* p = arena.AllocateArray<Tuple>(tuples);
+    p[tuples - 1] = Tuple{tuples, 0};  // the whole range is writable
+    out.push_back(p);
   }
-  EXPECT_EQ(arenas.ForWorker(1, 8).node(), topo.NodeForWorker(1, 8));
+  return out;
 }
+
+TEST(ArenaTest, ResetReplaysTheSameAddressesWithoutNewBlocks) {
+  numa::Arena arena(0, /*block_bytes=*/4096);
+  const std::vector<void*> first = AllocateSequence(arena);
+  const size_t reserved = arena.bytes_reserved();
+  const size_t allocated = arena.bytes_allocated();
+  for (int query = 0; query < 3; ++query) {
+    arena.Reset();
+    EXPECT_EQ(arena.bytes_allocated(), 0u);
+    EXPECT_EQ(arena.bytes_reserved(), reserved);
+    EXPECT_EQ(AllocateSequence(arena), first);
+    EXPECT_EQ(arena.bytes_reserved(), reserved);
+    EXPECT_EQ(arena.bytes_allocated(), allocated);
+  }
+}
+
+TEST(ArenaTest, AlignmentHoldsAfterReset) {
+  numa::Arena arena(0, /*block_bytes=*/4096);
+  for (int query = 0; query < 2; ++query) {
+    arena.Reset();
+    for (const size_t alignment : {8, 64, 256, 4096, 64, 8192}) {
+      auto* p = static_cast<char*>(arena.AllocateBytes(13, alignment));
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % alignment, 0u);
+      std::memset(p, 0x5A, 13);
+    }
+  }
+}
+
+TEST(ArenaTest, ResetFreesBlocksTheLastUseDidNotReach) {
+  numa::Arena arena(0, /*block_bytes=*/4096);
+  // 4000 + 64 bytes fit one block but two do not: three blocks.
+  for (int i = 0; i < 3; ++i) arena.AllocateBytes(4000);
+  EXPECT_EQ(arena.bytes_reserved(), 3u * 4096);
+  arena.Reset();
+  EXPECT_EQ(arena.bytes_reserved(), 3u * 4096);  // kept for reuse
+  arena.AllocateBytes(4000);  // reaches the first block only
+  arena.Reset();
+  EXPECT_EQ(arena.bytes_reserved(), 4096u);
+  arena.Reset();  // nothing reached: nothing kept
+  EXPECT_EQ(arena.bytes_reserved(), 0u);
+}
+
+TEST(ArenaTest, AllocationFittingNoKeptBlockFreesTheRestFirst) {
+  numa::Arena arena(0, /*block_bytes=*/4096);
+  for (int i = 0; i < 3; ++i) arena.AllocateBytes(4000);
+  arena.Reset();
+  // Larger than the next kept block: every kept block not yet reached
+  // is freed before the one new block is added.
+  void* big = arena.AllocateBytes(10000);
+  EXPECT_EQ(arena.bytes_reserved(), 10000u + 64);
+  arena.Reset();
+  EXPECT_EQ(arena.AllocateBytes(10000), big);
+  EXPECT_EQ(arena.bytes_reserved(), 10000u + 64);
+}
+
+TEST(ArenaTest, ReleaseFreesEverything) {
+  numa::Arena arena(1, /*block_bytes=*/4096);
+  AllocateSequence(arena);
+  ASSERT_GT(arena.bytes_reserved(), 0u);
+  arena.Release();
+  EXPECT_EQ(arena.bytes_reserved(), 0u);
+  EXPECT_EQ(arena.bytes_allocated(), 0u);
+  // A released arena allocates again from scratch.
+  AllocateSequence(arena);
+  EXPECT_GT(arena.bytes_reserved(), 0u);
+}
+
+TEST(ArenaTest, ResetOnAnEmptyArenaIsANoOp) {
+  numa::Arena arena(0, /*block_bytes=*/4096);
+  arena.Reset();
+  EXPECT_EQ(arena.bytes_reserved(), 0u);
+  EXPECT_EQ(arena.bytes_allocated(), 0u);
+  auto* p = arena.AllocateArray<uint64_t>(7);
+  *p = 42;
+  EXPECT_EQ(*p, 42u);
+  EXPECT_EQ(arena.bytes_reserved(), 4096u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Rewound memory is poisoned: a run pointer kept across queries (a
+// Reset) is caught on its first read, even though the block is reused.
+TEST(ArenaDeathTest, PointerKeptAcrossResetDiesOnRead) {
+  numa::Arena arena(0, /*block_bytes=*/4096);
+  uint64_t* stale = arena.AllocateArray<uint64_t>(8);
+  stale[3] = 7;
+  arena.Reset();
+  EXPECT_DEATH(
+      {
+        const volatile uint64_t* p = stale + 3;
+        std::printf("%llu\n", static_cast<unsigned long long>(*p));
+      },
+      "use-after-poison");
+}
+#endif
 
 // ----------------------------------------------------------- barrier
 
