@@ -206,36 +206,6 @@ void BM_HistogramSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramSimd)->Arg(11)->Arg(14);
 
-// SIMD A/B for the phase-2.3 digit precompute (runs whenever
-// MpsmOptions::simd resolves past scalar): the per-tuple cluster digit
-// stream the scatter consumes instead of recomputing each key's
-// cluster in its fused scalar lambda. arg = log2 tuples.
-void ScatterDigitsBench(benchmark::State& state, simd::SimdKind simd_kind) {
-  if (simd::Resolve(simd_kind) != simd_kind) {
-    state.SkipWithError("simd kind unsupported on this host");
-    return;
-  }
-  const size_t n = size_t{1} << state.range(0);
-  const auto data = RandomTuples(n);
-  std::vector<uint32_t> digits(n);
-  for (auto _ : state) {
-    simd::ClusterDigits(data.data(), n, 0, 22, 1024, digits.data(),
-                        simd_kind);
-    benchmark::DoNotOptimize(digits.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-void BM_ScatterDigitsScalar(benchmark::State& state) {
-  ScatterDigitsBench(state, simd::SimdKind::kScalar);
-}
-BENCHMARK(BM_ScatterDigitsScalar)->Arg(20)->Arg(22);
-
-void BM_ScatterDigitsSimd(benchmark::State& state) {
-  ScatterDigitsBench(state, simd::Resolve(simd::SimdKind::kAuto));
-}
-BENCHMARK(BM_ScatterDigitsSimd)->Arg(20)->Arg(22);
-
 void BM_ScatterPrefixSum(benchmark::State& state) {
   const auto data = RandomTuples(1 << 20);
   const uint32_t partitions = 32;
@@ -506,6 +476,33 @@ void BM_PMpsmJoinEngine(benchmark::State& state) {
   PMpsmEnginePathBench(state, /*through_engine=*/true);
 }
 BENCHMARK(BM_PMpsmJoinEngine)->Unit(benchmark::kMillisecond);
+
+// The direct P-MPSM join sized to the host: 4 workers on the probed
+// topology, |R| = 2^20 and |S| = 2^22, one team reused across
+// iterations. The 32-worker rows above keep the paper's team for the
+// model output; on a small host they mostly measure oversubscription.
+void BM_PMpsmJoinHost(benchmark::State& state) {
+  const auto topology = numa::Topology::Probe();
+  const uint32_t team_size = 4;
+  workload::DatasetSpec spec;
+  spec.r_tuples = size_t{1} << 20;
+  spec.multiplicity = 4;
+  spec.seed = 42;
+  const auto dataset = workload::Generate(topology, team_size, spec);
+  WorkerTeam team(topology, team_size);
+  for (auto _ : state) {
+    CountFactory counts(team_size);
+    auto info = PMpsmJoin().Execute(team, dataset.r, dataset.s, counts);
+    if (!info.ok()) {
+      state.SkipWithError("join failed");
+      return;
+    }
+    benchmark::DoNotOptimize(counts.Result());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (dataset.r.size() + dataset.s.size()));
+}
+BENCHMARK(BM_PMpsmJoinHost)->Unit(benchmark::kMillisecond);
 
 // Tracing overhead A/B (docs/observability.md): the identical
 // engine-path P-MPSM join with tracing off (the default — every

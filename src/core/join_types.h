@@ -90,16 +90,16 @@ struct MpsmOptions {
   /// Scatter implementation for phase 2.3 range partitioning. kAuto
   /// picks per execution from the fan-out/input size (write combining
   /// above the ~100-partition crossover, the scalar loop below —
-  /// docs/tuning.md). P-MPSM's fan-out equals the team size, so small
-  /// teams resolve to scalar and only 100+-worker teams flip to write
-  /// combining; explicit kScalar/kWriteCombining still force a kernel
-  /// for A/B runs.
+  /// docs/tuning.md). P-MPSM's fan-out is its sort-segment count, at
+  /// most min(|R| / 2^11, 2^10) + T (core/p_mpsm.h), so small inputs
+  /// resolve to scalar and large ones to write combining; explicit
+  /// kScalar/kWriteCombining still force a kernel for A/B runs.
   ScatterKind scatter = ScatterKind::kAuto;
 
-  /// Vector ISA of the merge-advance, start-search, key-range,
-  /// radix-histogram and scatter-digit kernels (docs/simd.md). kAuto
-  /// resolves to the widest ISA this build and CPU support; kScalar
-  /// keeps the paper's one-key-per-compare loops as the A/B baseline.
+  /// Vector ISA of the merge-advance, start-search, key-range and
+  /// radix-histogram kernels (docs/simd.md). kAuto resolves to the
+  /// widest ISA this build and CPU support; kScalar keeps the paper's
+  /// one-key-per-compare loops as the A/B baseline.
   /// The sort's digit histograms follow sort_config.simd (the engine
   /// front door sets both from its one canonical knob).
   simd::SimdKind simd = simd::SimdKind::kAuto;

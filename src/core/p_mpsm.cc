@@ -13,8 +13,6 @@
 #include "partition/equi_height.h"
 #include "partition/prefix_scatter.h"
 #include "partition/radix_histogram.h"
-#include "simd/caps.h"
-#include "simd/histogram_kernels.h"
 #include "sort/radix_introsort.h"
 #include "util/bits.h"
 #include "util/timer.h"
@@ -43,7 +41,8 @@ struct SharedState {
 
   // The private input sliced into scatter blocks; one plan row each.
   // Static scheduling keeps one block per chunk (the paper's layout:
-  // row w == worker w); stealing slices to ~morsel_tuples.
+  // row w == worker w); stealing slices to ~morsel_tuples, at least
+  // kFlushesPerSegment staging flushes per segment.
   std::vector<ScatterBlock> blocks;
 
   // Phase 2.2 products, per block.
@@ -51,20 +50,26 @@ struct SharedState {
   std::vector<uint8_t> block_has_data;
   std::vector<RadixHistogram> block_histograms;
 
-  // Phase 2.1 / 2.3 products (built in serial steps).
+  // Phase 2.1 / 2.3a products (built in serial steps).
   Cdf cdf;
   KeyNormalizer normalizer;
   Splitters splitters;
-  std::vector<std::vector<uint64_t>> block_partition_hist;
-  ScatterPlan plan;  // rows = blocks, columns = partitions
+  // The sort segments in key order: segment s starts at radix cluster
+  // segment_first_cluster[s]; partition p holds segments
+  // [first_segment[p], first_segment[p + 1]), back to back.
+  std::vector<uint32_t> segment_of_cluster;
+  std::vector<uint32_t> segment_first_cluster;
+  std::vector<uint32_t> first_segment;
+  ScatterPlan plan;  // rows = blocks, columns = segments
 
-  // Scatter targets: partition p's array, owned by worker p's node.
-  std::vector<Tuple*> partition_data;
+  // Scatter targets: segment s's first slot in its partition's run,
+  // which worker p's arena holds for partition p.
+  std::vector<Tuple*> segment_data;
 
   // Write-combining staging buffers, tagged with the *destination*:
-  // wc_buffers[executor][p] comes from partition p's arena (allocated
-  // by worker p in the pinned 2.3b phase). Empty when the scatter
-  // cannot resolve to write combining.
+  // wc_buffers[executor][s] comes from the arena of s's partition
+  // (allocated by its worker in the pinned 2.3b phase). Empty when the
+  // scatter cannot resolve to write combining.
   std::vector<std::vector<internal::WcBuffer*>> wc_buffers;
 
   // Phase-3/4 morsel slice, resolved in the 2.3a serial step once the
@@ -72,13 +77,99 @@ struct SharedState {
   // variance, docs/scheduler.md).
   uint64_t partition_morsel_tuples = kDefaultMorselTuples;
 
-  // Phase 3 products.
+  // Phase 3 products: run p is partition p, sorted in place.
   RunSet r_runs;
-  // Stealing mode splits an oversized partition sort into one MSD pass
-  // plus stealable bucket-sort morsels; the pass's bucket bounds and
-  // shift live here between the two sub-phases (core/run_generation.h).
-  RunGenState r_gen;
 };
+
+// A sort segment closes once it holds max(kSegmentMinTuples,
+// |R| / kSegmentsBySize) tuples: few enough segments that every
+// (block, segment) pair of the scatter fills several staging buffers,
+// small enough that one segment and its LSD scratch sit in L2.
+constexpr uint64_t kSegmentMinTuples = uint64_t{1} << 11;
+constexpr uint64_t kSegmentsBySize = uint64_t{1} << 10;
+// Staging flushes per (block, segment) pair a stealing-mode scatter
+// block is sized for.
+constexpr uint64_t kFlushesPerSegment = 8;
+
+// Upper bound on the segment count for |R| = r_tuples and T = team
+// size, whatever the radix bits: each segment closed by size holds at
+// least the floor, and the others end a partition.
+uint64_t MaxSortSegments(uint64_t r_tuples, uint32_t team_size) {
+  return std::min(r_tuples / kSegmentMinTuples, kSegmentsBySize) + team_size;
+}
+
+// Phase 2.3a: walks the clusters in key order and cuts them into sort
+// segments — at every partition change, and wherever the open segment
+// already holds the floor. Fills the segment layout of `shared` and
+// returns each segment's size.
+std::vector<uint64_t> CutSortSegments(const RadixHistogram& global_r,
+                                      uint64_t r_tuples, uint32_t team_size,
+                                      SharedState& shared) {
+  const uint64_t size_floor =
+      std::max(kSegmentMinTuples, r_tuples / kSegmentsBySize);
+  std::vector<uint64_t> sizes;
+  shared.segment_of_cluster.resize(global_r.size());
+  shared.segment_first_cluster.clear();
+  // Segments per partition first, prefix-summed into the index of
+  // each partition's first segment below.
+  shared.first_segment.assign(team_size + 1, 0);
+  uint32_t open_partition = 0;
+  for (uint32_t c = 0; c < global_r.size(); ++c) {
+    const uint32_t p = shared.splitters.PartitionOfCluster(c);
+    if (sizes.empty() || p != open_partition || sizes.back() >= size_floor) {
+      shared.segment_first_cluster.push_back(c);
+      sizes.push_back(0);
+      ++shared.first_segment[p + 1];
+      open_partition = p;
+    }
+    shared.segment_of_cluster[c] = static_cast<uint32_t>(sizes.size() - 1);
+    sizes.back() += global_r[c];
+  }
+  for (uint32_t p = 0; p < team_size; ++p) {
+    shared.first_segment[p + 1] += shared.first_segment[p];
+  }
+  assert(sizes.size() <= MaxSortSegments(r_tuples, team_size));
+  return sizes;
+}
+
+// Inclusive key range [low, last] of segment s, as low and the bit
+// width of last - low: from its first cluster's low key to one below
+// the next segment's, or to max_key when the segment reaches the
+// cluster of max_key (later clusters hold no key of R).
+std::pair<uint64_t, uint32_t> SegmentKeyRange(const SharedState& shared,
+                                              uint32_t s) {
+  const KeyNormalizer& normalizer = shared.normalizer;
+  const std::vector<uint32_t>& first_cluster = shared.segment_first_cluster;
+  const uint64_t low = normalizer.ClusterLowKey(first_cluster[s]);
+  uint64_t last = normalizer.max_key();
+  if (s + 1 < first_cluster.size() &&
+      first_cluster[s + 1] <= normalizer.Cluster(last)) {
+    last = normalizer.ClusterLowKey(first_cluster[s + 1]) - 1;
+  }
+  return {low, bits::BitWidth(last - low)};
+}
+
+// Phase-3 morsels: runs of consecutive segments of one partition
+// holding about `morsel_tuples` tuples, homed on the partition's
+// worker (task = partition, [begin, end) = segments).
+std::vector<Morsel> SegmentSortMorsels(const SharedState& shared,
+                                       uint64_t morsel_tuples) {
+  std::vector<Morsel> morsels;
+  const std::vector<uint32_t>& first = shared.first_segment;
+  for (uint32_t p = 0; p + 1 < first.size(); ++p) {
+    uint32_t begin = first[p];
+    uint64_t acc = 0;
+    for (uint32_t s = first[p]; s < first[p + 1]; ++s) {
+      acc += shared.plan.partition_sizes[s];
+      if (acc >= morsel_tuples || s + 1 == first[p + 1]) {
+        if (acc > 0) morsels.push_back(Morsel{p, p, begin, s + 1});
+        begin = s + 1;
+        acc = 0;
+      }
+    }
+  }
+  return morsels;
+}
 
 }  // namespace
 
@@ -124,11 +215,16 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   }
   // Phase-2 slicing sees only the chunk sizes (partitions do not exist
   // yet); the phase-3/4 slice is re-resolved from the partition sizes.
-  const uint64_t chunk_morsel_tuples = ResolveMorselTuples(
-      options.morsel_tuples, chunk_sizes.data(), chunk_sizes.size());
+  // A stealing-mode block is large enough that each of its (block,
+  // segment) pairs fills several write-combining buffers.
+  const uint64_t block_tuples = std::max(
+      ResolveMorselTuples(options.morsel_tuples, chunk_sizes.data(),
+                          chunk_sizes.size()),
+      MaxSortSegments(r_private.size(), num_workers) * kFlushesPerSegment *
+          kWcBufferTuples);
   for (uint32_t w = 0; w < num_workers; ++w) {
     const uint64_t chunk_size = chunk_sizes[w];
-    const uint64_t slice = stealing ? chunk_morsel_tuples : chunk_size;
+    const uint64_t slice = stealing ? block_tuples : chunk_size;
     for (const auto& [begin, end] : SliceRanges(chunk_size, slice)) {
       shared.blocks.push_back(ScatterBlock{w, begin, end});
     }
@@ -137,19 +233,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   shared.block_ranges.resize(num_blocks);
   shared.block_has_data.assign(num_blocks, 0);
   shared.block_histograms.resize(num_blocks);
-  shared.partition_data.resize(num_workers, nullptr);
-  // Destination-homed WC staging only when a block can actually
-  // resolve to write combining (explicit, or auto at crossover
-  // fan-out); T x T buffers of 256 B.
-  if (options.scatter == ScatterKind::kWriteCombining ||
-      (options.scatter == ScatterKind::kAuto &&
-       num_workers >= kScatterAutoFanoutCrossover)) {
-    shared.wc_buffers.assign(
-        num_workers,
-        std::vector<internal::WcBuffer*>(num_workers, nullptr));
-  }
   shared.r_runs.resize(num_workers);
-  shared.r_gen.Resize(num_workers);
 
   // Runs, partitions and WC staging all die with the query. They live
   // in the session team's worker arenas, rewound here so this query
@@ -235,7 +319,8 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
                        size * sizeof(Tuple));
       });
 
-  // Phase 2.3a: splitters + prefix-sum scatter plan over blocks.
+  // Phase 2.3a: splitters, sort segments, and the prefix-sum scatter
+  // plan over blocks x segments.
   pipeline.AddSerial(kPhasePartition, [&](WorkerContext& ctx) {
     const RadixHistogram global_r =
         CombineHistograms(shared.block_histograms);
@@ -249,66 +334,90 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
     }
     shared.splitters =
         ComputeSplitters(global_r, cluster_s, ctx.team_size, cost);
+    const std::vector<uint64_t> segment_sizes =
+        CutSortSegments(global_r, r_private.size(), ctx.team_size, shared);
+    const uint32_t num_segments =
+        static_cast<uint32_t>(segment_sizes.size());
 
-    // Per-block histograms over target partitions: one plan row per
-    // block, so every scatter morsel owns disjoint target ranges.
-    shared.block_partition_hist.assign(
-        num_blocks, std::vector<uint64_t>(ctx.team_size, 0));
+    // Per-block histograms over the segments: one plan row per block,
+    // so every scatter morsel owns disjoint target ranges.
+    std::vector<std::vector<uint64_t>> block_segment_hist(
+        num_blocks, std::vector<uint64_t>(num_segments, 0));
     for (uint32_t b = 0; b < num_blocks; ++b) {
       for (size_t c = 0; c < shared.block_histograms[b].size(); ++c) {
-        shared.block_partition_hist
-            [b][shared.splitters.PartitionOfCluster(
-                static_cast<uint32_t>(c))] += shared.block_histograms[b][c];
+        block_segment_hist[b][shared.segment_of_cluster[c]] +=
+            shared.block_histograms[b][c];
       }
     }
-    shared.plan = ComputeScatterPlan(shared.block_partition_hist);
+    shared.plan = ComputeScatterPlan(block_segment_hist);
+    shared.segment_data.assign(num_segments, nullptr);
+    // Destination-homed WC staging only when a block can actually
+    // resolve to write combining (explicit, or auto at crossover
+    // fan-out); T buffers of 256 B per segment.
+    if (options.scatter == ScatterKind::kWriteCombining ||
+        (options.scatter == ScatterKind::kAuto &&
+         num_segments >= kScatterAutoFanoutCrossover)) {
+      shared.wc_buffers.assign(
+          ctx.team_size,
+          std::vector<internal::WcBuffer*>(num_segments, nullptr));
+    }
     // Phases 3/4 slice range partitions, whose sizes are now known:
     // re-resolve the adaptive morsel slice against their variance.
     shared.partition_morsel_tuples = ResolveMorselTuples(
-        options.morsel_tuples, shared.plan.partition_sizes.data(),
-        shared.plan.partition_sizes.size());
+        options.morsel_tuples, shared.splitters.partition_r_sizes.data(),
+        shared.splitters.partition_r_sizes.size());
 
 #ifndef NDEBUG
     // The morsel slicing must cover each chunk exactly once (no tuple
     // scattered twice, none dropped) and the plan rows must match it —
     // the invariants the synchronization-free scatter rests on.
     assert(ScatterBlocksTileChunks(shared.blocks, chunk_sizes));
-    assert(ScatterPlanIsConsistent(shared.plan,
-                                   shared.block_partition_hist));
+    assert(ScatterPlanIsConsistent(shared.plan, block_segment_hist));
+    assert(shared.plan.partition_sizes == segment_sizes);
 #endif
   });
 
-  // Phase 2.3b: allocate the partition arrays from partition w's
-  // arena, pinned to worker w even under stealing. Allocation touches
-  // no page: a page lands on the node of its first write (the scatter
-  // below), and the session arena keeps it there for later queries.
-  // The same pinned slot allocates partition w's column of WC staging
-  // buffers (one per potential executor) from w's arena.
+  // Phase 2.3b: allocate partition w's run from w's arena, pinned to
+  // worker w even under stealing, and point each of w's segments at
+  // its slot in it. Allocation touches no page: a page lands on the
+  // node of its first write (the scatter below), and the session arena
+  // keeps it there for later queries. The same pinned slot allocates
+  // the WC staging buffers of w's segments (one per potential
+  // executor) from w's arena.
   pipeline.AddPhase(
       kPhasePartition, chunk_morsels,
       [&](WorkerContext&, const Morsel& morsel) {
         const uint32_t w = morsel.task;
-        const uint64_t size =
-            shared.plan.partition_sizes.empty()
-                ? 0
-                : shared.plan.partition_sizes[w];
         numa::Arena& arena = team.ArenaOf(w);
-        if (size > 0) {
-          shared.partition_data[w] = arena.AllocateArray<Tuple>(size);
+        Run& run = shared.r_runs[w];
+        run.size = shared.splitters.partition_r_sizes[w];
+        run.node = team.topology().NodeForWorker(w, num_workers);
+        if (run.size > 0) run.data = arena.AllocateArray<Tuple>(run.size);
+        const uint32_t first = shared.first_segment[w];
+        const uint32_t count = shared.first_segment[w + 1] - first;
+        uint64_t offset = 0;
+        for (uint32_t s = first; s < first + count; ++s) {
+          shared.segment_data[s] = run.data + offset;
+          offset += shared.plan.partition_sizes[s];
         }
-        if (!shared.wc_buffers.empty()) {
-          internal::WcBuffer* column =
-              arena.AllocateArray<internal::WcBuffer>(num_workers);
+        if (!shared.wc_buffers.empty() && count > 0) {
+          internal::WcBuffer* buffers =
+              arena.AllocateArray<internal::WcBuffer>(uint64_t{num_workers} *
+                                                      count);
           for (uint32_t e = 0; e < num_workers; ++e) {
-            shared.wc_buffers[e][w] = column + e;
+            for (uint32_t i = 0; i < count; ++i) {
+              shared.wc_buffers[e][first + i] = buffers + e * count + i;
+            }
           }
         }
       },
       PhasePipeline::PhaseOptions{.pinned = true});
 
   // Phase 2.3c: scatter. Every block writes sequentially into its
-  // precomputed sub-partitions — synchronization-free (Figure 6) even
-  // across stolen morsels, because each plan row is block-private.
+  // precomputed sub-ranges of each segment — synchronization-free
+  // (Figure 6) even across stolen morsels, because each plan row is
+  // block-private. A tuple's segment is its cluster's (one
+  // subtract-shift-clamp and one table lookup).
   pipeline.AddPhase(
       kPhasePartition, block_morsels,
       [&](WorkerContext& ctx, const Morsel& morsel) {
@@ -318,59 +427,39 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         const uint64_t size = block.end - block.begin;
         if (size == 0) return;
         PerfCounters& counters = ctx.Counters(kPhasePartition);
-        std::vector<uint64_t> cursor = shared.plan.start_offset[b];
-        const KeyNormalizer& normalizer = shared.normalizer;
-        const Splitters& splitters = shared.splitters;
+        const std::vector<uint64_t>& start = shared.plan.start_offset[b];
+        std::vector<uint64_t> cursor = start;
+        const uint32_t num_segments = shared.plan.num_partitions();
         const ScatterKind scatter =
-            ResolveScatterKind(options.scatter, size, ctx.team_size);
+            ResolveScatterKind(options.scatter, size, num_segments);
         internal::WcBuffer* const* staged =
             shared.wc_buffers.empty()
                 ? nullptr
                 : shared.wc_buffers[ctx.worker_id].data();
-        // The per-tuple partition digit is a subtract-shift-clamp plus
-        // a splitter-vector lookup. Under a vector ISA the arithmetic
-        // part runs vectorized over the whole block first
-        // (simd::ClusterDigits) and the scatter consumes the digit
-        // stream in step — both scatter kernels visit tuples strictly
-        // in source order, exactly once. A scalar-resolved ISA keeps
-        // the fused loop: a scalar precompute pass would only add a
-        // second trip over the block.
-        if (simd::Resolve(options.simd) != simd::SimdKind::kScalar) {
-          std::vector<uint32_t> digits(size);
-          simd::ClusterDigits(chunk.data + block.begin, size,
-                              normalizer.min_key(), normalizer.shift(),
-                              normalizer.num_clusters(), digits.data(),
-                              options.simd);
-          const uint32_t* next_digit = digits.data();
-          ScatterChunkWith(
-              scatter, chunk.data + block.begin, size,
-              [&](uint64_t) {
-                return splitters.PartitionOfCluster(*next_digit++);
-              },
-              shared.partition_data.data(), cursor.data(), ctx.team_size,
-              staged);
-        } else {
-          ScatterChunkWith(
-              scatter, chunk.data + block.begin, size,
-              [&](uint64_t key) {
-                return splitters.PartitionOfCluster(normalizer.Cluster(key));
-              },
-              shared.partition_data.data(), cursor.data(), ctx.team_size,
-              staged);
-        }
+        const KeyNormalizer normalizer = shared.normalizer;
+        const uint32_t* segment_of = shared.segment_of_cluster.data();
+        ScatterChunkWith(
+            scatter, chunk.data + block.begin, size,
+            [normalizer, segment_of](uint64_t key) {
+              return segment_of[normalizer.Cluster(key)];
+            },
+            shared.segment_data.data(), cursor.data(), num_segments, staged);
         counters.CountRead(chunk.node == ctx.node, /*sequential=*/true,
                            size * sizeof(Tuple));
         // Classify written bytes per target partition's node. The
-        // scalar scatter maintains T open write streams — the pattern
-        // Figure 1 exp. 2 measured, charged at the calibrated
+        // scalar scatter keeps one open write stream per segment — the
+        // pattern Figure 1 exp. 2 measured, charged at the calibrated
         // random-write rate. Write combining flushes line-sized bursts
         // instead, so it is charged at the sequential rate to keep the
         // model in step with the measured behavior (docs/tuning.md).
         const bool combined_writes =
             scatter == ScatterKind::kWriteCombining;
         for (uint32_t p = 0; p < ctx.team_size; ++p) {
-          const uint64_t written =
-              cursor[p] - shared.plan.start_offset[b][p];
+          uint64_t written = 0;
+          for (uint32_t s = shared.first_segment[p];
+               s < shared.first_segment[p + 1]; ++s) {
+            written += cursor[s] - start[s];
+          }
           const numa::NodeId target_node =
               ctx.topology->NodeForWorker(p, ctx.team_size);
           counters.CountWrite(target_node == ctx.node,
@@ -380,62 +469,39 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
       });
 
   // ---------------------------------------------------- phase 3
-  // Sort each range partition into the private run. Static mode sorts
-  // partition w whole on worker w (the paper's script). Stealing mode
-  // splits oversized partitions: one MSD radix pass per partition
-  // (morsel below), then stealable bucket-sort morsels (next phase) so
-  // idle workers absorb a hot partition's sort.
+  // Sort each segment in place: its keys lie in a known range, so LSD
+  // passes over key - low finish it in cache (SortKeyRange), and the
+  // partition, segments concatenated in key order, is a sorted run.
+  // Static mode sorts partition w whole on worker w (the paper's
+  // script, an eager morsel); stealing mode slices it into
+  // ~morsel_tuples runs of segments so idle workers absorb a hot
+  // partition's sort. Each segment charges n log2 |partition|:
+  // together what sorting the partition whole charges.
   pipeline.AddPhase(
-      kPhaseSortPrivate, chunk_morsels,
+      kPhaseSortPrivate,
+      [&] {
+        return stealing
+                   ? SegmentSortMorsels(shared, shared.partition_morsel_tuples)
+                   : ChunkMorsels(num_workers);
+      },
       [&](WorkerContext& ctx, const Morsel& morsel) {
-        const uint32_t w = morsel.task;
         PerfCounters& counters = ctx.Counters(kPhaseSortPrivate);
-        Run& run = shared.r_runs[w];
-        run.data = shared.partition_data[w];
-        run.size = shared.plan.partition_sizes.empty()
-                       ? 0
-                       : shared.plan.partition_sizes[w];
-        run.node = team.topology().NodeForWorker(w, num_workers);
-        if (run.size == 0) return;
-        const uint64_t split_threshold =
-            std::max<uint64_t>(2 * shared.partition_morsel_tuples,
-                               2 * sort::kRadixBuckets);
-        const bool split = stealing && run.size > split_threshold;
-        if (!split) {
-          sort::SortTuples(run.data, run.size, options.sort_config);
-          counters.CountSort(run.size);
-          return;
+        const uint32_t p = morsel.task;
+        const uint64_t partition_size = shared.r_runs[p].size;
+        const uint64_t begin =
+            stealing ? morsel.begin : shared.first_segment[p];
+        const uint64_t end =
+            stealing ? morsel.end : shared.first_segment[p + 1];
+        for (uint64_t s = begin; s < end; ++s) {
+          const uint64_t n = shared.plan.partition_sizes[s];
+          const auto [low, bits] =
+              SegmentKeyRange(shared, static_cast<uint32_t>(s));
+          sort::SortKeyRange(shared.segment_data[s], n, low, bits,
+                             options.sort_config);
+          counters.CountSortSlice(n, partition_size);
         }
-        uint64_t min_key = 0;
-        uint64_t max_key = 0;
-        simd::KeyMinMax(run.data, run.size, &min_key, &max_key,
-                        options.sort_config.simd);
-        shared.r_gen.shift[w] = sort::RadixShiftForMaxKey(max_key);
-        shared.r_gen.bounds[w] = sort::MsdRadixPartition(
-            run.data, run.size, shared.r_gen.shift[w],
-            options.sort_config.simd);
-        shared.r_gen.split[w] = 1;
-        // One 256-way pass fixes 8 key bits: charge 8 n*log units; the
-        // bucket morsels charge the rest (CountSort per bucket).
-        counters.sort_tuple_logs += uint64_t{8} * run.size;
-      });
-
-  if (stealing) {
-    // Phase 3 (continued): bucket-sort morsels of the split partitions
-    // (shared helpers, core/run_generation.h).
-    pipeline.AddPhase(
-        kPhaseSortPrivate,
-        [&] {
-          return BucketSortMorsels(shared.r_gen,
-                                   shared.partition_morsel_tuples);
-        },
-        [&](WorkerContext& ctx, const Morsel& morsel) {
-          SortRunBuckets(shared.r_runs[morsel.task], shared.r_gen, morsel,
-                         options.sort_config,
-                         ctx.Counters(kPhaseSortPrivate));
-        },
-        PhasePipeline::PhaseOptions{.eager = false});
-  }
+      },
+      PhasePipeline::PhaseOptions{.eager = !stealing});
 
   // ---------------------------------------------------- phase 4
   RunJoinOptions join_options;
@@ -478,7 +544,10 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
     diagnostics->normalizer = shared.normalizer;
     diagnostics->cdf = shared.cdf;
     diagnostics->splitters = shared.splitters;
-    diagnostics->partition_sizes = shared.plan.partition_sizes;
+    diagnostics->partition_sizes = shared.splitters.partition_r_sizes;
+    diagnostics->segment_first_cluster = shared.segment_first_cluster;
+    diagnostics->segment_sizes = shared.plan.partition_sizes;
+    diagnostics->first_segment = shared.first_segment;
   }
   return CollectRunInfo(team, timer.ElapsedSeconds());
 }

@@ -6,10 +6,17 @@
 //       histograms en passant (f*T bounds per run, §4.1).
 //   2.1 Merge local histograms into the global CDF of S.
 //   2.2 Scan private chunks: key range + B-bit radix histograms (§4.2).
-//   2.3 Compute cost-balanced splitters; combine local histograms into
-//       prefix sums; scatter private chunks into range partitions with
-//       synchronization-free sequential writes (§4.3, Figure 10).
-//   3   Sort each private partition locally.
+//   2.3 Compute cost-balanced splitters (§4.3, Figure 10). Cut the
+//       clusters, in key order, into sort segments: runs of
+//       consecutive clusters that never cross a splitter, each closed
+//       once it holds max(2^11, |R| / 2^10) tuples, so there are at
+//       most min(|R| / 2^11, 2^10) + T of them. Combine the local
+//       histograms into prefix sums over segments and scatter the
+//       private chunks into them with synchronization-free sequential
+//       writes; partition p is its segments, back to back in key order.
+//   3   Sort each segment in place by LSD passes over (key - its low
+//       key): it fits in cache and its key range is known, so no MSD
+//       pass runs. The sorted partition is the private run.
 //   4   Merge join: each worker joins its partition against all public
 //       runs, locating the start position via interpolation search.
 #pragma once
@@ -35,6 +42,12 @@ struct PMpsmDiagnostics {
   Splitters splitters;
   /// Actual tuples scattered into each partition.
   std::vector<uint64_t> partition_sizes;
+  /// The sort segments in key order: segment s starts at radix cluster
+  /// segment_first_cluster[s] and holds segment_sizes[s] tuples;
+  /// partition p holds segments [first_segment[p], first_segment[p+1]).
+  std::vector<uint32_t> segment_first_cluster;
+  std::vector<uint64_t> segment_sizes;
+  std::vector<uint32_t> first_segment;
 };
 
 /// The range-partitioned MPSM join.

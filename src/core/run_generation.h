@@ -1,10 +1,10 @@
 // Run generation: copy a chunk into node-local memory and sort it.
 //
-// Shared by all MPSM variants (phases 1 and 3). Copying remote chunks
-// to local memory before sorting is commandment C1; the copy is fused
-// into the sort's first MSD radix pass (the §2.3 amortization the
-// paper notes), so the chunk is materialized locally already grouped
-// by its top radix digit.
+// Shared by the MPSM variants' phase 1 and B-MPSM's phase 3. Copying
+// remote chunks to local memory before sorting is commandment C1; the
+// copy is fused into the sort's first MSD radix pass (the §2.3
+// amortization the paper notes), so the chunk is materialized locally
+// already grouped by its top radix digit.
 //
 // Under the stealing scheduler, run generation is additionally sliced
 // *below* chunk granularity: a large chunk's generating morsel performs
@@ -40,7 +40,7 @@ Run SortChunkIntoRun(const Chunk& chunk, numa::Arena& arena,
 /// Per-task state of a split run generation: when task t was split, the
 /// generating morsel ran only the copy fused with one MSD radix pass
 /// and left bounds/shift here for the bucket-sort morsels. One slot per
-/// task (chunk or partition); each morsel writes only its own slot.
+/// chunk; each morsel writes only its own slot.
 struct RunGenState {
   std::vector<std::array<size_t, sort::kRadixBuckets + 1>> bounds;
   std::vector<uint32_t> shift;
@@ -57,9 +57,8 @@ struct RunGenState {
 /// only the copy + first MSD pass runs;
 /// state->split[task] is set and SortRunBuckets morsels must finish
 /// the run. split_threshold == 0 disables splitting (always sorts
-/// fully). Counter policy matches the phase-3 split: the one pass
-/// charges 8 n*log units (it fixes 8 key bits); the bucket morsels
-/// charge the rest.
+/// fully). The one pass charges 8 n*log units (it fixes 8 key bits);
+/// the bucket morsels charge the rest.
 Run GenerateRunInto(const Chunk& chunk, numa::Arena& arena,
                     numa::NodeId worker_node, PerfCounters& counters,
                     const sort::RadixSortConfig& sort_config,

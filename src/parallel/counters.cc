@@ -19,10 +19,10 @@ const char* JoinPhaseName(JoinPhase phase) {
   }
 }
 
-void PerfCounters::CountSort(uint64_t n) {
+void PerfCounters::CountSortSlice(uint64_t n, uint64_t whole) {
   if (n == 0) return;
   sort_tuples += n;
-  sort_tuple_logs += n * (n > 1 ? bits::Log2Ceil(n) : 1);
+  sort_tuple_logs += n * (whole > 1 ? bits::Log2Ceil(whole) : 1);
 }
 
 PerfCounters& PerfCounters::operator+=(const PerfCounters& other) {

@@ -92,7 +92,12 @@ struct PerfCounters {
   }
 
   /// Records sorting an array of n tuples (n log n work).
-  void CountSort(uint64_t n);
+  void CountSort(uint64_t n) { CountSortSlice(n, n); }
+
+  /// Records sorting n tuples of an array of `whole` tuples that is
+  /// sorted piecewise (n log whole work): the slices of one array
+  /// together charge what CountSort(whole) does.
+  void CountSortSlice(uint64_t n, uint64_t whole);
 
   PerfCounters& operator+=(const PerfCounters& other);
 

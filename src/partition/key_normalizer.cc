@@ -16,11 +16,13 @@ KeyNormalizer::KeyNormalizer(uint64_t min_key, uint64_t max_key,
 }
 
 uint64_t KeyNormalizer::ClusterHighKey(uint32_t cluster) const {
-  const uint64_t span = uint64_t{1} << shift_;
-  const uint64_t low = ClusterLowKey(cluster);
-  // Saturate: the top cluster absorbs everything up to max_key.
-  if (cluster == num_clusters_ - 1) return max_key_ + 1;
-  return low + span;
+  // The top cluster absorbs everything up to max_key. Its largest key
+  // may be UINT64_MAX itself, whose successor does not exist.
+  const uint64_t last = cluster == num_clusters_ - 1
+                            ? max_key_
+                            : ClusterLowKey(cluster) +
+                                  ((uint64_t{1} << shift_) - 1);
+  return last == UINT64_MAX ? last : last + 1;
 }
 
 }  // namespace mpsm

@@ -29,8 +29,9 @@ struct Splitters {
   std::vector<uint32_t> cluster_to_partition;
   uint32_t num_partitions = 0;
 
-  /// Estimated cost / R-cardinality / S-estimate per partition
-  /// (diagnostics and tests).
+  /// Estimated cost / R-cardinality / S-estimate per partition. The R
+  /// cardinalities are exact counts of the histogram's tuples; P-MPSM
+  /// sizes its partitions by them.
   std::vector<double> partition_costs;
   std::vector<uint64_t> partition_r_sizes;
   std::vector<double> partition_s_estimates;

@@ -40,14 +40,6 @@ void ClusterHistogramScalar(const Tuple* data, size_t n, uint64_t min_key,
   }
 }
 
-void ClusterDigitsScalar(const Tuple* data, size_t n, uint64_t min_key,
-                         uint32_t shift, uint32_t num_clusters,
-                         uint32_t* digits) {
-  for (size_t i = 0; i < n; ++i) {
-    digits[i] = ClusterOf(data[i].key, min_key, shift, num_clusters);
-  }
-}
-
 void HashDigitHistogramScalar(const Tuple* data, size_t n,
                               uint64_t multiplier, uint32_t bit_offset,
                               uint32_t bit_count, uint64_t* histogram) {
@@ -159,49 +151,6 @@ void ClusterHistogramAvx2(const Tuple* data, size_t n, uint64_t min_key,
   }
   ClusterHistogramScalar(data + i, n - i, min_key, shift, num_clusters,
                          histogram);
-}
-
-MPSM_SIMD_TARGET("avx2")
-void ClusterDigitsAvx2(const Tuple* data, size_t n, uint64_t min_key,
-                       uint32_t shift, uint32_t num_clusters,
-                       uint32_t* digits) {
-  const __m128i count = _mm_cvtsi32_si128(static_cast<int>(shift));
-  const __m256i bias = _mm256_set1_epi64x(kSignBias);
-  const __m256i min_vec =
-      _mm256_set1_epi64x(static_cast<long long>(min_key));
-  const __m256i min_biased = _mm256_xor_si256(min_vec, bias);
-  const __m256i limit =
-      _mm256_set1_epi64x(static_cast<long long>(num_clusters - 1));
-  const __m256i limit_biased = _mm256_xor_si256(limit, bias);
-  // LoadKeys8Avx2 permutes lane order within each half: the spill
-  // below restores source order (clusters[d] belongs to tuple
-  // i + kLane[d]), which the histogram kernels may ignore but a digit
-  // stream must not.
-  static constexpr int kLane[8] = {0, 2, 1, 3, 4, 6, 5, 7};
-  alignas(32) uint64_t clusters[8];
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i keys[2];
-    LoadKeys8Avx2(data + i, &keys[0], &keys[1]);
-    for (int half = 0; half < 2; ++half) {
-      const __m256i k = keys[half];
-      const __m256i above =
-          _mm256_cmpgt_epi64(_mm256_xor_si256(k, bias), min_biased);
-      const __m256i diff =
-          _mm256_and_si256(_mm256_sub_epi64(k, min_vec), above);
-      __m256i cluster = _mm256_srl_epi64(diff, count);
-      const __m256i over = _mm256_cmpgt_epi64(
-          _mm256_xor_si256(cluster, bias), limit_biased);
-      cluster = _mm256_blendv_epi8(cluster, limit, over);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(clusters + 4 * half),
-                         cluster);
-    }
-    for (int d = 0; d < 8; ++d) {
-      digits[i + kLane[d]] = static_cast<uint32_t>(clusters[d]);
-    }
-  }
-  ClusterDigitsScalar(data + i, n - i, min_key, shift, num_clusters,
-                      digits + i);
 }
 
 MPSM_SIMD_TARGET("avx2")
@@ -354,40 +303,6 @@ void ClusterHistogramAvx512(const Tuple* data, size_t n, uint64_t min_key,
 }
 
 MPSM_SIMD_TARGET("avx512f")
-void ClusterDigitsAvx512(const Tuple* data, size_t n, uint64_t min_key,
-                         uint32_t shift, uint32_t num_clusters,
-                         uint32_t* digits) {
-  const __m128i count = _mm_cvtsi32_si128(static_cast<int>(shift));
-  const __m512i min_vec =
-      _mm512_set1_epi64(static_cast<long long>(min_key));
-  const __m512i limit =
-      _mm512_set1_epi64(static_cast<long long>(num_clusters - 1));
-  // Source index of clusters[d] under LoadKeys16Avx512's per-128-bit
-  // unpack order (see ClusterDigitsAvx2).
-  static constexpr int kLane[16] = {0, 4, 1, 5, 2,  6,  3,  7,
-                                    8, 12, 9, 13, 10, 14, 11, 15};
-  alignas(64) uint64_t clusters[16];
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512i keys[2];
-    LoadKeys16Avx512(data + i, &keys[0], &keys[1]);
-    for (int half = 0; half < 2; ++half) {
-      const __m512i k = keys[half];
-      const __mmask8 above = _mm512_cmpgt_epu64_mask(k, min_vec);
-      const __m512i diff = _mm512_maskz_sub_epi64(above, k, min_vec);
-      const __m512i cluster =
-          _mm512_min_epu64(_mm512_srl_epi64(diff, count), limit);
-      _mm512_store_si512(clusters + 8 * half, cluster);
-    }
-    for (int d = 0; d < 16; ++d) {
-      digits[i + kLane[d]] = static_cast<uint32_t>(clusters[d]);
-    }
-  }
-  ClusterDigitsScalar(data + i, n - i, min_key, shift, num_clusters,
-                      digits + i);
-}
-
-MPSM_SIMD_TARGET("avx512f")
 void HashDigitHistogramAvx512(const Tuple* data, size_t n,
                               uint64_t multiplier, uint32_t bit_offset,
                               uint32_t bit_count, uint64_t* histogram) {
@@ -476,23 +391,6 @@ void ClusterHistogram(const Tuple* data, size_t n, uint64_t min_key,
     default:
       ClusterHistogramScalar(data, n, min_key, shift, num_clusters,
                              histogram);
-  }
-}
-
-void ClusterDigits(const Tuple* data, size_t n, uint64_t min_key,
-                   uint32_t shift, uint32_t num_clusters, uint32_t* digits,
-                   SimdKind kind) {
-  switch (Resolve(kind)) {
-#if MPSM_SIMD_X86
-    case SimdKind::kAvx512:
-      ClusterDigitsAvx512(data, n, min_key, shift, num_clusters, digits);
-      return;
-    case SimdKind::kAvx2:
-      ClusterDigitsAvx2(data, n, min_key, shift, num_clusters, digits);
-      return;
-#endif
-    default:
-      ClusterDigitsScalar(data, n, min_key, shift, num_clusters, digits);
   }
 }
 

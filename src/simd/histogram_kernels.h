@@ -33,16 +33,6 @@ void ClusterHistogram(const Tuple* data, size_t n, uint64_t min_key,
                       uint32_t shift, uint32_t num_clusters,
                       uint64_t* histogram, SimdKind kind);
 
-/// digits[i] = cluster(data[i].key) for every tuple, same mapping as
-/// ClusterHistogram but spilled *in source order* for the scatter of
-/// phase 2.3 (partition/prefix_scatter.h): the subtract-shift-clamp
-/// per tuple vectorizes here, the scatter then maps each digit through
-/// the splitter vector with a scalar table lookup. All kinds produce
-/// identical digits.
-void ClusterDigits(const Tuple* data, size_t n, uint64_t min_key,
-                   uint32_t shift, uint32_t num_clusters, uint32_t* digits,
-                   SimdKind kind);
-
 /// histogram[digit(key)] += 1 per tuple for the radix hash join's
 /// partitioning digit: digit = ((key * multiplier) << bit_offset) >>
 /// (64 - bit_count) — the caller supplies its multiplicative hash

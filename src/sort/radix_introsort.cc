@@ -207,21 +207,25 @@ namespace {
 // and summing 256-entry histograms costs more than the sort.
 constexpr size_t kLsdInsertionMax = 64;
 
-// Sorts data[0..n) on key bits [0, shift); its keys agree on every bit
-// >= shift. One read builds every 8-bit pass's histogram. A pass whose
-// digit is the same for all n keys is skipped; the others scatter
-// stably from one of data and scratch (room for n tuples) to the
-// other, which is what makes the LSD order correct.
-void LsdFinish(Tuple* data, size_t n, uint32_t shift, Tuple* scratch) {
+// Sorts data[0..n) on bits [0, bits) of rank(key), which orders the
+// keys as key does and fits in those bits: key itself for a bucket
+// whose keys agree on every bit >= bits, or key - low for keys in
+// [low, low + 2^bits). One read builds every 8-bit pass's histogram. A
+// pass whose digit is the same for all n keys is skipped; the others
+// scatter stably from one of data and scratch (room for n tuples) to
+// the other, which is what makes the LSD order correct.
+template <typename Rank>
+void LsdFinish(Tuple* data, size_t n, uint32_t bits, const Rank& rank,
+               Tuple* scratch) {
   if (n <= kLsdInsertionMax) {
     InsertionSort(data, n);
     return;
   }
-  const uint32_t passes = (shift + 7) / 8;
+  const uint32_t passes = (bits + 7) / 8;
   std::array<std::array<size_t, kRadixBuckets>, 8> offsets;
   for (uint32_t p = 0; p < passes; ++p) offsets[p].fill(0);
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t key = data[i].key;
+    const uint64_t key = rank(data[i].key);
     for (uint32_t p = 0; p < passes; ++p) {
       ++offsets[p][(key >> (8 * p)) & 0xFF];
     }
@@ -232,7 +236,7 @@ void LsdFinish(Tuple* data, size_t n, uint32_t shift, Tuple* scratch) {
   for (uint32_t p = 0; p < passes; ++p) {
     const uint32_t digit_shift = 8 * p;
     auto& offset = offsets[p];
-    if (offset[(src[0].key >> digit_shift) & 0xFF] == n) continue;
+    if (offset[(rank(src[0].key) >> digit_shift) & 0xFF] == n) continue;
     size_t sum = 0;
     for (size_t& slot : offset) {
       const size_t count = slot;
@@ -240,7 +244,7 @@ void LsdFinish(Tuple* data, size_t n, uint32_t shift, Tuple* scratch) {
       sum += count;
     }
     for (size_t i = 0; i < n; ++i) {
-      dst[offset[(src[i].key >> digit_shift) & 0xFF]++] = src[i];
+      dst[offset[(rank(src[i].key) >> digit_shift) & 0xFF]++] = src[i];
     }
     std::swap(src, dst);
   }
@@ -255,7 +259,7 @@ void FinishBucket(Tuple* data, size_t n, uint32_t shift, uint32_t passes_left,
                   const RadixSortConfig& config, Tuple* scratch) {
   if (n < 2 || shift == 0) return;
   if (n <= config.repartition_threshold) {
-    LsdFinish(data, n, shift, scratch);
+    LsdFinish(data, n, shift, [](uint64_t key) { return key; }, scratch);
   } else if (passes_left > 0) {
     const uint32_t next_shift = shift >= 8 ? shift - 8 : 0;
     const auto bounds = MsdRadixPartition(data, n, next_shift, config.simd);
@@ -334,6 +338,19 @@ void SortTuples(Tuple* data, size_t n, const RadixSortConfig& config) {
   uint64_t max_key = 0;
   simd::KeyMinMax(data, n, &min_key, &max_key, config.simd);
   SortBelowMaxKey(data, n, max_key, config);
+}
+
+void SortKeyRange(Tuple* data, size_t n, uint64_t low, uint32_t bits,
+                  const RadixSortConfig& config) {
+  if (n < 2 || bits == 0) return;
+  if (n > config.repartition_threshold) {
+    SortTuples(data, n, config);
+    return;
+  }
+  const auto scratch = AllocateScratch(n, config);
+  LsdFinish(
+      data, n, bits, [low](uint64_t key) { return key - low; },
+      scratch.get());
 }
 
 Status RadixSortConfig::Validate() const {

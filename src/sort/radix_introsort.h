@@ -11,15 +11,20 @@
 //   3. Partitions below 16 elements are left to a final insertion-sort
 //      pass that establishes the total order.
 //
-// SortTuples, SortCopyInto and SortMsdBuckets are the run sort: what
-// every join turns its chunks and partitions into runs with. It keeps
-// the paper's 256-way MSD first pass (out of place through the
-// write-combining scatter where the sort copies anyway) and finishes
-// each bucket that fits in L2 with 8-bit LSD passes over the key bits
-// below its digit (Polychroniou & Ross, SIGMOD 2014). Larger buckets
-// take further in-place MSD passes while RadixSortConfig::max_passes
-// lasts, then introsort. Individual phases are exposed for unit
-// testing and for the kernel benchmarks.
+// SortTuples, SortCopyInto, SortMsdBuckets and SortKeyRange are the
+// run sort: what every join turns its chunks and partitions into runs
+// with. It keeps the paper's 256-way MSD first pass, out of place
+// through the write-combining scatter where the sort copies anyway,
+// and finishes each bucket that fits in L2 with 8-bit LSD passes over
+// the key bits below its digit (Polychroniou & Ross, SIGMOD 2014).
+// P-MPSM's phase 2 scatter already does that first pass for phase 3,
+// which only finishes its segments (SortKeyRange). The in-place
+// American-flag MSD pass (MsdRadixPartition) serves the paper's
+// RadixIntroSort and buckets above the repartition threshold
+// (SortTuples treats its whole input as one bucket); those take
+// further in-place passes while max_passes lasts, then introsort.
+// Individual phases are exposed for unit testing and for the kernel
+// benchmarks.
 #pragma once
 
 #include <array>
@@ -71,6 +76,14 @@ void RadixIntroSort(Tuple* data, size_t n);
 /// key bits and its buckets are finished like SortMsdBuckets'.
 void SortTuples(Tuple* data, size_t n, const RadixSortConfig& config = {});
 
+/// Sorts data[0..n) by key when every key lies in [low, low + 2^bits)
+/// (bits <= 64), e.g. a range-partitioned segment with known bounds:
+/// up to config.repartition_threshold tuples take ceil(bits/8) LSD
+/// passes over key - low, with no min/max sweep and no MSD pass; a
+/// larger input is sorted by SortTuples. bits == 0 means one key.
+void SortKeyRange(Tuple* data, size_t n, uint64_t low, uint32_t bits,
+                  const RadixSortConfig& config = {});
+
 /// Sorts data[0..n) by key with plain introsort (no radix pass); used
 /// for small arrays and as a comparison point.
 void IntroSort(Tuple* data, size_t n);
@@ -108,7 +121,7 @@ std::array<size_t, kRadixBuckets + 1> MsdRadixPartitionCopy(
 /// larger one takes further MSD passes while the pass budget lasts,
 /// then introsort. Shift 0 buckets hold one repeated key and are
 /// skipped. Exposed per bucket *range* so the morsel scheduler can
-/// spread one oversized partition's bucket sorts over idle workers.
+/// spread one oversized chunk's bucket sorts over idle workers.
 void SortMsdBuckets(Tuple* data,
                     const std::array<size_t, kRadixBuckets + 1>& bounds,
                     uint32_t bucket_begin, uint32_t bucket_end,

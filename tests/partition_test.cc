@@ -64,6 +64,26 @@ TEST(KeyNormalizerTest, ClusterBoundsRoundTrip) {
   }
 }
 
+TEST(KeyNormalizerTest, HighKeySaturatesAtTopOfDomain) {
+  // The top cluster ends at UINT64_MAX itself, which has no successor:
+  // its exclusive high key saturates there instead of wrapping to 0.
+  KeyNormalizer norm(0, UINT64_MAX, 10);
+  for (uint32_t c = 0; c < norm.num_clusters(); ++c) {
+    EXPECT_LT(norm.ClusterLowKey(c), norm.ClusterHighKey(c)) << c;
+  }
+  EXPECT_EQ(norm.ClusterHighKey(norm.num_clusters() - 1), UINT64_MAX);
+
+  // S spread evenly over the whole domain, so the top cluster holds
+  // 1/1024 of it: the splitters must see those tuples.
+  std::vector<Tuple> s(1 << 14);
+  for (size_t i = 0; i < s.size(); ++i) {
+    s[i] = Tuple{(UINT64_MAX / s.size()) * i, 0};
+  }
+  ::mpsm::Run run{s.data(), s.size(), 0};
+  const Cdf cdf = Cdf::FromHistograms({BuildEquiHeightHistogram(run, 256)});
+  EXPECT_GT(EstimateClusterS(norm, cdf).back(), 0.0);
+}
+
 TEST(KeyNormalizerTest, ClusterIsMonotoneInKey) {
   KeyNormalizer norm(500, 100000, 7);
   Xoshiro256 rng(3);

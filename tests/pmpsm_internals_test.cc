@@ -5,15 +5,102 @@
 #include <algorithm>
 #include <numeric>
 
+#include "baseline/reference_join.h"
 #include "core/consumers.h"
 #include "core/p_mpsm.h"
 #include "numa/topology.h"
+#include "util/bits.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace mpsm {
 namespace {
 
 numa::Topology Topo() { return numa::Topology::Simulated(4, 8); }
+
+// Phase 2.3's sort segments: in key order from cluster 0, each a
+// non-empty run of clusters inside one partition, tiling its
+// partition, and at most min(|R| / 2^11, 2^10) + T of them.
+void ExpectSegmentsTilePartitions(const PMpsmDiagnostics& diagnostics,
+                                  uint64_t r_tuples, uint32_t team_size) {
+  const auto& first_cluster = diagnostics.segment_first_cluster;
+  const auto& sizes = diagnostics.segment_sizes;
+  const auto& first = diagnostics.first_segment;
+  const size_t num_segments = sizes.size();
+  ASSERT_EQ(first_cluster.size(), num_segments);
+  ASSERT_EQ(first.size(), team_size + 1);
+  EXPECT_EQ(first.front(), 0u);
+  EXPECT_EQ(first.back(), num_segments);
+  EXPECT_LE(num_segments,
+            std::min<uint64_t>(r_tuples >> 11, 1024) + team_size);
+  ASSERT_GT(num_segments, 0u);
+  EXPECT_EQ(first_cluster.front(), 0u);
+  for (uint32_t p = 0; p < team_size; ++p) {
+    uint64_t tuples = 0;
+    for (uint32_t s = first[p]; s < first[p + 1]; ++s) {
+      tuples += sizes[s];
+      const uint32_t end = s + 1 < num_segments
+                               ? first_cluster[s + 1]
+                               : diagnostics.normalizer.num_clusters();
+      ASSERT_LT(first_cluster[s], end) << "segment " << s;
+      for (uint32_t c = first_cluster[s]; c < end; ++c) {
+        if (diagnostics.splitters.PartitionOfCluster(c) != p) {
+          FAIL() << "segment " << s << " of partition " << p
+                 << " holds cluster " << c << " of another partition";
+        }
+      }
+    }
+    EXPECT_EQ(tuples, diagnostics.partition_sizes[p]) << "partition " << p;
+  }
+}
+
+// A relation holding `tuples` in order, over `num_chunks` chunks.
+Relation FromTuples(const numa::Topology& topology,
+                    const std::vector<Tuple>& tuples, uint32_t num_chunks) {
+  Relation relation = Relation::Allocate(topology, tuples.size(), num_chunks);
+  size_t next = 0;
+  for (uint32_t c = 0; c < num_chunks; ++c) {
+    Chunk& chunk = relation.chunk(c);
+    std::copy_n(tuples.begin() + next, chunk.size, chunk.data);
+    next += chunk.size;
+  }
+  return relation;
+}
+
+void Shuffle(std::vector<Tuple>& tuples, Xoshiro256& rng) {
+  for (size_t i = tuples.size() - 1; i > 0; --i) {
+    std::swap(tuples[i], tuples[rng.NextBounded(i + 1)]);
+  }
+}
+
+// Joins r with s through P-MPSM under both schedulers and checks each
+// answer against ReferenceJoin; returns the stealing run's diagnostics.
+PMpsmDiagnostics ExpectJoinMatchesReference(const std::vector<Tuple>& r,
+                                            const std::vector<Tuple>& s,
+                                            JoinKind kind) {
+  const auto topology = Topo();
+  const uint32_t team_size = 4;
+  const Relation r_rel = FromTuples(topology, r, team_size);
+  const Relation s_rel = FromTuples(topology, s, team_size);
+  WorkerTeam team(topology, team_size);
+  CountFactory reference(1);
+  const uint64_t expected =
+      baseline::ReferenceJoin(r, s, kind, reference.ConsumerForWorker(0));
+  PMpsmDiagnostics diagnostics;
+  for (SchedulerKind scheduler :
+       {SchedulerKind::kStatic, SchedulerKind::kStealing}) {
+    MpsmOptions options;
+    options.kind = kind;
+    options.scheduler = scheduler;
+    CountFactory counts(team_size);
+    auto info = PMpsmJoin(options).Execute(team, r_rel, s_rel, counts,
+                                           &diagnostics);
+    EXPECT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(counts.Result(), expected)
+        << JoinKindName(kind) << " " << SchedulerKindName(scheduler);
+  }
+  return diagnostics;
+}
 
 TEST(EffectiveRadixBitsTest, DefaultScalesWithTeam) {
   PMpsmJoin join;
@@ -101,6 +188,108 @@ TEST(PMpsmDiagnosticsTest, SkewedDataStillCostBalanced) {
   }
 }
 
+TEST(PMpsmDiagnosticsTest, SegmentsTilePartitionsInKeyOrder) {
+  const auto topology = Topo();
+  for (const auto distribution : {workload::KeyDistribution::kUniform,
+                                  workload::KeyDistribution::kSkewLowEnd}) {
+    workload::DatasetSpec spec;
+    spec.r_tuples = 1 << 18;  // ~128 segments: a write-combined scatter
+    spec.multiplicity = 1.0;
+    spec.r_distribution = distribution;
+    const auto dataset = workload::Generate(topology, 4, spec);
+    WorkerTeam team(topology, 4);
+    for (SchedulerKind scheduler :
+         {SchedulerKind::kStatic, SchedulerKind::kStealing}) {
+      MpsmOptions options;
+      options.scheduler = scheduler;
+      CountFactory counts(4);
+      PMpsmDiagnostics diagnostics;
+      ASSERT_TRUE(PMpsmJoin(options)
+                      .Execute(team, dataset.r, dataset.s, counts,
+                               &diagnostics)
+                      .ok());
+      SCOPED_TRACE(SchedulerKindName(scheduler));
+      ExpectSegmentsTilePartitions(diagnostics, dataset.r.size(), 4);
+      EXPECT_GE(diagnostics.segment_sizes.size(), 100u);
+    }
+  }
+}
+
+// One key holds more R tuples than the LSD threshold (2^15), so its
+// segment takes SortTuples' MSD path.
+TEST(PMpsmSegmentSortTest, OversizedSegmentMatchesReference) {
+  Xoshiro256 rng(61);
+  std::vector<Tuple> r;
+  for (uint64_t i = 0; i < 40000; ++i) r.push_back(Tuple{777, i});
+  for (uint64_t i = 0; i < 30000; ++i) {
+    r.push_back(Tuple{rng.NextBounded(1 << 20), i});
+  }
+  Shuffle(r, rng);
+  std::vector<Tuple> s;
+  for (uint64_t i = 0; i < 20000; ++i) {
+    s.push_back(Tuple{rng.NextBounded(1 << 20), i});
+  }
+  s.push_back(Tuple{777, 1});
+  s.push_back(Tuple{777, 2});
+  const PMpsmDiagnostics diagnostics =
+      ExpectJoinMatchesReference(r, s, JoinKind::kInner);
+  EXPECT_GT(*std::max_element(diagnostics.segment_sizes.begin(),
+                              diagnostics.segment_sizes.end()),
+            uint64_t{1} << 15);
+}
+
+// R spans the whole key domain, 0 and UINT64_MAX included, with most
+// keys in the top cluster: its segment sorts on 54 bits.
+TEST(PMpsmSegmentSortTest, FullKeyDomainMatchesReference) {
+  Xoshiro256 rng(67);
+  std::vector<Tuple> r;
+  std::vector<Tuple> s;
+  for (uint64_t i = 0; i < 30000; ++i) {
+    const uint64_t key = i % 3 == 0 ? rng.Next() : rng.Next() | (~0ull << 54);
+    r.push_back(Tuple{key, i});
+    if (i % 2 == 0) s.push_back(Tuple{key, i});
+  }
+  for (const uint64_t key :
+       {uint64_t{0}, uint64_t{1}, UINT64_MAX - 1, UINT64_MAX}) {
+    r.push_back(Tuple{key, 1});
+    r.push_back(Tuple{key, 2});
+    s.push_back(Tuple{key, 3});
+  }
+  Shuffle(r, rng);
+  for (JoinKind kind : {JoinKind::kInner, JoinKind::kLeftAnti}) {
+    ExpectJoinMatchesReference(r, s, kind);
+  }
+}
+
+// R keys fill [UINT64_MAX - 2^17, UINT64_MAX]: 2^10 clusters of 256
+// keys, the last non-empty one (cluster 512) holding UINT64_MAX alone.
+// Cluster 510 is full enough to close its segment, so the top segment
+// starts at cluster 511 and spans 256 + 1 keys: it needs 9 bits, which
+// an exclusive high key saturated at UINT64_MAX would cut to 8.
+TEST(PMpsmSegmentSortTest, TopSegmentEndingAtMaxKeyMatchesReference) {
+  Xoshiro256 rng(71);
+  const uint64_t min_key = UINT64_MAX - (uint64_t{1} << 17);
+  std::vector<Tuple> r;
+  std::vector<Tuple> s;
+  auto add = [&](uint64_t key, uint64_t payload) {
+    r.push_back(Tuple{key, payload});
+    if (payload % 4 == 0) s.push_back(Tuple{key, payload});
+  };
+  add(min_key, 0);
+  for (uint64_t i = 0; i < 5000; ++i) {
+    add(min_key + rng.NextBounded(uint64_t{1} << 17), i);
+  }
+  for (uint64_t i = 0; i < 3000; ++i) {
+    add(min_key + 510 * 256 + rng.NextBounded(256), i);
+  }
+  for (uint64_t i = 0; i < 100; ++i) {
+    add(min_key + 511 * 256 + (i == 0 ? 0 : rng.NextBounded(256)), i);
+  }
+  for (uint64_t i = 0; i < 4; ++i) add(UINT64_MAX, i);
+  Shuffle(r, rng);
+  ExpectJoinMatchesReference(r, s, JoinKind::kInner);
+}
+
 TEST(PMpsmOptionsTest, AllSearchStrategiesAgree) {
   const auto topology = Topo();
   workload::DatasetSpec spec;
@@ -139,13 +328,19 @@ TEST(PMpsmOptionsTest, RadixBitSweepAgrees) {
 
   CountFactory base(4);
   ASSERT_TRUE(PMpsmJoin().Execute(team, dataset.r, dataset.s, base).ok());
-  for (uint32_t bits : {2u, 5u, 8u, 12u, 16u}) {
+  // The segment count, the scatter's fan-out, stays bounded by |R| and
+  // T however many clusters the bits make.
+  for (uint32_t bits : {2u, 5u, 8u, 12u, 16u, 20u}) {
     MpsmOptions options;
     options.radix_bits = bits;
     CountFactory counts(4);
-    ASSERT_TRUE(
-        PMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts).ok());
+    PMpsmDiagnostics diagnostics;
+    ASSERT_TRUE(PMpsmJoin(options)
+                    .Execute(team, dataset.r, dataset.s, counts, &diagnostics)
+                    .ok());
     EXPECT_EQ(counts.Result(), base.Result()) << "bits=" << bits;
+    SCOPED_TRACE(testing::Message() << "bits=" << bits);
+    ExpectSegmentsTilePartitions(diagnostics, dataset.r.size(), 4);
   }
 }
 
@@ -214,11 +409,28 @@ TEST(PMpsmCountersTest, SortWorkCoversBothInputs) {
   const auto dataset = workload::Generate(topology, 4, spec);
   WorkerTeam team(topology, 4);
 
-  CountFactory counts(4);
-  auto info = PMpsmJoin().Execute(team, dataset.r, dataset.s, counts);
-  ASSERT_TRUE(info.ok());
-  const auto total = info->aggregate.TotalCounters();
-  EXPECT_EQ(total.sort_tuples, dataset.r.size() + dataset.s.size());
+  // Phase 3 sorts partition by segment, but charges what sorting each
+  // partition whole does: n * ceil(log2 n) per partition.
+  for (SchedulerKind scheduler :
+       {SchedulerKind::kStatic, SchedulerKind::kStealing}) {
+    MpsmOptions options;
+    options.scheduler = scheduler;
+    CountFactory counts(4);
+    PMpsmDiagnostics diagnostics;
+    auto info = PMpsmJoin(options).Execute(team, dataset.r, dataset.s,
+                                           counts, &diagnostics);
+    ASSERT_TRUE(info.ok());
+    const auto total = info->aggregate.TotalCounters();
+    EXPECT_EQ(total.sort_tuples, dataset.r.size() + dataset.s.size());
+    uint64_t partition_logs = 0;
+    for (uint64_t n : diagnostics.partition_sizes) {
+      partition_logs += n * (n > 1 ? bits::Log2Ceil(n) : 1);
+    }
+    const auto& phase3 = info->aggregate.phase_counters[kPhaseSortPrivate];
+    EXPECT_EQ(phase3.sort_tuples, dataset.r.size());
+    EXPECT_EQ(phase3.sort_tuple_logs, partition_logs)
+        << SchedulerKindName(scheduler);
+  }
 }
 
 // ------------------------------------- scheduler A/B (location skew)

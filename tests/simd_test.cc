@@ -300,33 +300,6 @@ TEST_P(SimdKindSweep, ClusterHistogramMatchesScalar) {
   }
 }
 
-TEST_P(SimdKindSweep, ClusterDigitsMatchesScalar) {
-  // The scatter-digit kernel must spill every tuple's cluster in
-  // *source order* (the vectorized lanes are permuted internally);
-  // equality against the scalar loop at odd sizes proves both the
-  // mapping and the lane restoration.
-  for (const size_t n : {size_t{0}, size_t{1}, size_t{9}, size_t{100},
-                         size_t{4097}}) {
-    const auto data = SortedTuples(n, uint64_t{1} << 40, n + 13);
-    struct Mapping {
-      uint64_t min_key;
-      uint32_t shift;
-      uint32_t clusters;
-    };
-    for (const Mapping& m :
-         {Mapping{0, 32, 256}, Mapping{uint64_t{1} << 39, 20, 1024},
-          Mapping{123, 0, 2}, Mapping{uint64_t{1} << 41, 8, 64}}) {
-      std::vector<uint32_t> expected(n), actual(n);
-      simd::ClusterDigits(data.data(), n, m.min_key, m.shift, m.clusters,
-                          expected.data(), simd::SimdKind::kScalar);
-      simd::ClusterDigits(data.data(), n, m.min_key, m.shift, m.clusters,
-                          actual.data(), GetParam());
-      EXPECT_EQ(actual, expected)
-          << "n=" << n << " min=" << m.min_key << " shift=" << m.shift;
-    }
-  }
-}
-
 TEST_P(SimdKindSweep, HashDigitHistogramMatchesScalar) {
   for (const size_t n : {size_t{0}, size_t{15}, size_t{1000}}) {
     const auto data = SortedTuples(n, UINT64_MAX, n + 17);

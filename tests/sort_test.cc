@@ -386,6 +386,58 @@ TEST(SortCopyIntoTest, ConcurrentSortsWithDifferentBucketSizes) {
   EXPECT_TRUE(large_ok);
 }
 
+// SortKeyRange on n keys drawn from [low, low + 2^bits), both ends
+// included once n >= 2: the range comes out sorted, as a permutation of
+// its input, and the sentinel tuples on either side stay untouched.
+void ExpectKeyRangeSorts(uint64_t low, uint32_t bits, size_t n,
+                         bool all_equal) {
+  const uint64_t mask = bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+  const Tuple sentinel{0x5E5E5E5E, 0xA5A5};
+  std::vector<Tuple> buffer(n + 2, sentinel);
+  Xoshiro256 rng(n * 131 + bits);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t offset = all_equal ? mask / 3 : rng.Next() & mask;
+    buffer[i + 1] = Tuple{low + offset, i};
+  }
+  if (n >= 2 && !all_equal) {
+    buffer[1].key = low + mask;
+    buffer[n].key = low;
+  }
+  const std::vector<Tuple> original(buffer.begin() + 1, buffer.end() - 1);
+  SortKeyRange(buffer.data() + 1, n, low, bits);
+  EXPECT_EQ(buffer.front(), sentinel);
+  EXPECT_EQ(buffer.back(), sentinel);
+  SCOPED_TRACE(testing::Message() << "low=" << low << " bits=" << bits
+                                  << " n=" << n);
+  ExpectSortedPermutation(
+      original, std::vector<Tuple>(buffer.begin() + 1, buffer.end() - 1));
+}
+
+// Sizes on both sides of the insertion cutoff (64) and of the LSD
+// threshold (2^15); widths from one key to the full 64 bits; ranges at
+// 0, at an unaligned low key and ending at UINT64_MAX.
+TEST(SortKeyRangeTest, SortsEveryWidthSizeAndOffset) {
+  for (const uint32_t bits : {0u, 1u, 8u, 9u, 21u, 64u}) {
+    const uint64_t mask =
+        bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+    for (const uint64_t low :
+         {uint64_t{0}, (uint64_t{1} << 20) - 5, UINT64_MAX - mask}) {
+      if (low > UINT64_MAX - mask) continue;  // range would wrap
+      for (const size_t n : {size_t{0}, size_t{1}, size_t{64}, size_t{65},
+                             size_t{1} << 15, (size_t{1} << 15) + 1}) {
+        ExpectKeyRangeSorts(low, bits, n, /*all_equal=*/false);
+      }
+    }
+  }
+}
+
+TEST(SortKeyRangeTest, AllEqualKeys) {
+  for (const size_t n : {size_t{65}, size_t{1} << 15, (size_t{1} << 15) + 1}) {
+    ExpectKeyRangeSorts((uint64_t{1} << 20) - 5, 21, n, /*all_equal=*/true);
+    ExpectKeyRangeSorts(UINT64_MAX, 0, n, /*all_equal=*/true);
+  }
+}
+
 TEST(IsSortedByKeyTest, DetectsOrder) {
   std::vector<Tuple> sorted = {{1, 0}, {1, 9}, {2, 0}, {5, 0}};
   std::vector<Tuple> unsorted = {{1, 0}, {3, 0}, {2, 0}};
