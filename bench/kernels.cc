@@ -322,38 +322,6 @@ void BM_LowerBound(benchmark::State& state) {
 }
 BENCHMARK(BM_LowerBound)->Arg(0)->Arg(1);
 
-// SIMD A/B pair for the merge-start search: scalar interpolation
-// descent to hi-lo == 1 vs the windowed descent with a packed finish.
-void SearchSimdBench(benchmark::State& state, simd::SimdKind simd_kind) {
-  if (simd::Resolve(simd_kind) != simd_kind) {
-    state.SkipWithError("simd kind unsupported on this host");
-    return;
-  }
-  auto data = RandomTuples(1 << 22);
-  sort::RadixIntroSort(data.data(), data.size());
-  const simd::AdvanceFn advance = simd::AdvanceForKind(simd_kind);
-  Xoshiro256 rng(3);
-  for (auto _ : state) {
-    const uint64_t key = rng.NextBounded(uint64_t{1} << 32);
-    const size_t pos =
-        advance == nullptr
-            ? InterpolationLowerBound(data.data(), data.size(), key)
-            : InterpolationLowerBoundWindowed(data.data(), data.size(), key,
-                                              advance);
-    benchmark::DoNotOptimize(pos);
-  }
-}
-
-void BM_SearchScalar(benchmark::State& state) {
-  SearchSimdBench(state, simd::SimdKind::kScalar);
-}
-BENCHMARK(BM_SearchScalar);
-
-void BM_SearchSimd(benchmark::State& state) {
-  SearchSimdBench(state, simd::Resolve(simd::SimdKind::kAuto));
-}
-BENCHMARK(BM_SearchSimd);
-
 // Scheduler A/B on the Figure 16 workload: negatively correlated 80:20
 // skew with the equi-height strawman splitters, so the static scripts
 // leave the low-key workers with most of the phase-4 merge work. The
@@ -719,15 +687,14 @@ void BM_RunCacheIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_RunCacheIngest)->Arg(12)->Arg(16);
 
-// Spill-path I/O backend A/B on the lowmem join: D-MPSM with a
+// Spill-path I/O backend rows on the lowmem join: D-MPSM with a
 // synthetic 100 us/page device (PageStoreOptions::io_delay_us burns
-// inside the software backends' reads). The sync backend eats the
-// delay in every submitter — io_stall_ms tracks exactly that wait —
-// while the threadpool overlaps it with merge compute (poll-or-steal,
-// docs/io.md). The uring backend rides the real page cache (no
-// synthetic delay is injectable into the kernel), so its row tracks
-// raw subsystem overhead instead. MPSM_IO_BENCH_LOG2 scales |R|
-// (default 2^15; CI smoke uses less).
+// inside the threadpool backend's reads), which the threadpool
+// overlaps with merge compute (poll-or-steal, docs/io.md) —
+// io_stall_ms is the wait it could not hide. The uring backend rides
+// the real page cache (no synthetic delay is injectable into the
+// kernel), so its row tracks raw subsystem overhead instead.
+// MPSM_IO_BENCH_LOG2 scales |R| (default 2^15; CI smoke uses less).
 void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
   if (backend == io::IoBackendKind::kUring && !io::UringSupported()) {
     state.SkipWithError("io_uring unavailable on this host");
@@ -775,11 +742,6 @@ void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
   state.SetItemsProcessed(state.iterations() *
                           (dataset.r.size() + dataset.s.size()));
 }
-
-void BM_DMpsmIoSync(benchmark::State& state) {
-  DMpsmIoBench(state, io::IoBackendKind::kSync);
-}
-BENCHMARK(BM_DMpsmIoSync)->Unit(benchmark::kMillisecond);
 
 void BM_DMpsmIoThreadpool(benchmark::State& state) {
   DMpsmIoBench(state, io::IoBackendKind::kThreadpool);

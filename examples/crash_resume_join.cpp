@@ -19,7 +19,7 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/example_crash_resume_join [sync|threadpool|uring|auto]
+//   ./build/example_crash_resume_join [threadpool|uring|auto]
 //
 // tools/crash_harness/run.sh sweeps this binary over the I/O backends.
 #include <sys/wait.h>
@@ -28,7 +28,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "baseline/reference_join.h"
@@ -158,19 +157,12 @@ int Fork(Body body) {
 int main(int argc, char** argv) {
   io::IoBackendKind backend = io::IoBackendKind::kThreadpool;
   if (argc > 1) {
-    if (std::strcmp(argv[1], "sync") == 0) {
-      backend = io::IoBackendKind::kSync;
-    } else if (std::strcmp(argv[1], "threadpool") == 0) {
-      backend = io::IoBackendKind::kThreadpool;
-    } else if (std::strcmp(argv[1], "uring") == 0) {
-      backend = io::IoBackendKind::kUring;
-    } else if (std::strcmp(argv[1], "auto") == 0) {
-      backend = io::IoBackendKind::kAuto;
-    } else {
-      std::fprintf(stderr, "usage: %s [sync|threadpool|uring|auto]\n",
-                   argv[0]);
+    const auto parsed = io::ParseIoBackendKind(argv[1]);
+    if (!parsed.has_value()) {
+      std::fprintf(stderr, "usage: %s [threadpool|uring|auto]\n", argv[0]);
       return 2;
     }
+    backend = *parsed;
   }
   if (backend == io::IoBackendKind::kUring && !io::UringSupported()) {
     std::printf("io_uring not supported on this host; skipping\n");

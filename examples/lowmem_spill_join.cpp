@@ -5,7 +5,7 @@
 // resident (Figure 4). The staging pool is sized from the budget and
 // fed by the async batched page-I/O subsystem (docs/io.md).
 //
-// MPSM_IO_BACKEND={sync,threadpool,uring,auto} selects the I/O engine
+// MPSM_IO_BACKEND={threadpool,uring,auto} selects the I/O engine
 // (CI runs this example under several); an explicitly requested uring
 // on a host without kernel support falls back to auto with a note.
 // MPSM_POOL_BUDGET_KB pins the spill path's buffer pool to a fixed
@@ -107,9 +107,10 @@ int main() {
           d.peak_pool_pages * options.tuples_per_page * sizeof(Tuple);
       const size_t window_bytes = d.peak_window_tuples * sizeof(Tuple);
       std::printf(
-          "               pool %zu pages; io %llu written / %llu read; "
-          "peak resident %.2f MB pool + %.2f MB window (inputs %.1f MB)\n",
-          options.pool_pages,
+          "               pool budget %.2f MB; io %llu written / %llu "
+          "read; peak resident %.2f MB pool + %.2f MB window (inputs "
+          "%.1f MB)\n",
+          options.pool_budget_bytes / 1e6,
           static_cast<unsigned long long>(d.io.pages_written),
           static_cast<unsigned long long>(d.io.pages_read),
           pool_bytes / 1e6, window_bytes / 1e6, input_bytes / 1e6);

@@ -1,9 +1,6 @@
 #include "core/interpolation_search.h"
 
 #include <algorithm>
-#include <bit>
-
-#include "simd/search_kernels.h"
 
 namespace mpsm {
 
@@ -80,88 +77,6 @@ size_t LinearLowerBound(const Tuple* data, size_t n, uint64_t key,
     ++i;
   }
   return i;
-}
-
-namespace {
-
-/// Block-granular probe accounting for a packed scan over `width`
-/// tuples (the window finishes below).
-void CountWindowProbes(SearchStats* stats, size_t width) {
-  if (stats != nullptr) stats->probes += width / 8 + 1;
-}
-
-}  // namespace
-
-size_t InterpolationLowerBoundWindowed(const Tuple* data, size_t n,
-                                       uint64_t key, simd::AdvanceFn advance,
-                                       SearchStats* stats) {
-  if (n == 0) return 0;
-  size_t lo = 0;
-  size_t hi = n - 1;  // inclusive
-
-  CountProbe(stats);
-  if (data[lo].key >= key) return 0;
-  CountProbe(stats);
-  if (data[hi].key < key) return n;
-
-  // Same descent as InterpolationLowerBound, stopped early: once the
-  // bracket fits a few vector blocks, the packed forward scan beats
-  // further (mispredicting) proportion steps.
-  int interpolation_steps = 0;
-  while (hi - lo > simd::kSearchWindowTuples) {
-    size_t mid;
-    if (interpolation_steps < 32) {
-      ++interpolation_steps;
-      const uint64_t key_lo = data[lo].key;
-      const uint64_t key_hi = data[hi].key;
-      const unsigned __int128 numerator =
-          static_cast<unsigned __int128>(key - key_lo) * (hi - lo);
-      mid = lo + static_cast<size_t>(numerator / (key_hi - key_lo));
-      mid = std::clamp(mid, lo + 1, hi - 1);
-    } else {
-      mid = lo + (hi - lo) / 2;
-    }
-    CountProbe(stats);
-    if (data[mid].key < key) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  // Invariant: data[lo].key < key <= data[hi].key — the answer lies in
-  // (lo, hi], which the packed scan covers from lo + 1.
-  CountWindowProbes(stats, hi - lo);
-  return advance(data, lo + 1, hi + 1, key);
-}
-
-size_t BinaryLowerBoundWindowed(const Tuple* data, size_t n, uint64_t key,
-                                simd::AdvanceFn advance,
-                                SearchStats* stats) {
-  uint64_t probes = 0;
-  const size_t pos = simd::LowerBoundWindowed(data, n, key, advance,
-                                              stats != nullptr ? &probes
-                                                               : nullptr);
-  if (stats != nullptr) stats->probes += probes;
-  return pos;
-}
-
-size_t LinearLowerBoundWindowed(const Tuple* data, size_t n, uint64_t key,
-                                simd::AdvanceFn advance,
-                                SearchStats* stats) {
-  const size_t pos = advance(data, 0, n, key);
-  if (stats != nullptr) {
-    // The advance kernel scans a few early-exit blocks and then
-    // gallops (doubling probes + binary narrowing + one final block):
-    // charge the blocks it actually touches, not a linear sweep.
-    const size_t early = std::min<size_t>(
-        pos / 8 + 1, static_cast<size_t>(simd::kGallopAfterBlocks));
-    size_t probes = early;
-    if (pos > size_t{8} * simd::kGallopAfterBlocks) {
-      probes += 2 * static_cast<size_t>(std::bit_width(pos));
-    }
-    stats->probes += probes;
-  }
-  return pos;
 }
 
 }  // namespace mpsm

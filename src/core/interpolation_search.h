@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "simd/merge_kernels.h"
 #include "storage/tuple.h"
 
 namespace mpsm {
@@ -34,30 +33,5 @@ size_t BinaryLowerBound(const Tuple* data, size_t n, uint64_t key,
 /// expensive comparisons" the paper avoids).
 size_t LinearLowerBound(const Tuple* data, size_t n, uint64_t key,
                         SearchStats* stats = nullptr);
-
-// ------------------------------------------------ vectorized finishes
-// SIMD variants of the three strategies (docs/simd.md): the scalar
-// descent stops once the range fits a few vector blocks and a packed
-// forward scan (`advance`, a resolved kernel from simd::AdvanceForKind
-// — must not be nullptr) finishes, replacing the final branchy probe
-// levels with one or two register compares. Same position contract as
-// the scalar functions; `stats` counts the vector finish at block
-// granularity, so probe totals are not comparable across kinds.
-
-/// Interpolation descent to a vector-window range, packed finish.
-size_t InterpolationLowerBoundWindowed(const Tuple* data, size_t n,
-                                       uint64_t key, simd::AdvanceFn advance,
-                                       SearchStats* stats = nullptr);
-
-/// Binary descent to a vector-window range, packed finish.
-size_t BinaryLowerBoundWindowed(const Tuple* data, size_t n, uint64_t key,
-                                simd::AdvanceFn advance,
-                                SearchStats* stats = nullptr);
-
-/// Packed forward scan from index 0 (the vectorized linear baseline;
-/// `advance` gallops, so this is O(log n) despite the name's lineage).
-size_t LinearLowerBoundWindowed(const Tuple* data, size_t n, uint64_t key,
-                                simd::AdvanceFn advance,
-                                SearchStats* stats = nullptr);
 
 }  // namespace mpsm

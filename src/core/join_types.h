@@ -96,10 +96,11 @@ struct MpsmOptions {
   /// kScalar/kWriteCombining still force a kernel for A/B runs.
   ScatterKind scatter = ScatterKind::kAuto;
 
-  /// Vector ISA of the merge-advance, start-search, key-range and
-  /// radix-histogram kernels (docs/simd.md). kAuto resolves to the
-  /// widest ISA this build and CPU support; kScalar keeps the paper's
-  /// one-key-per-compare loops as the A/B baseline.
+  /// Vector ISA of the merge-advance, key-range and radix-histogram
+  /// kernels (docs/simd.md). kAuto resolves to the widest ISA this
+  /// build and CPU support; kScalar keeps the paper's
+  /// one-key-per-compare loops as the A/B baseline. The merge-start
+  /// search is scalar under every kind.
   /// The sort's digit histograms follow sort_config.simd (the engine
   /// front door sets both from its one canonical knob).
   simd::SimdKind simd = simd::SimdKind::kAuto;

@@ -22,19 +22,7 @@ const char* JoinKindName(JoinKind kind) {
 namespace {
 
 size_t FindStart(const Tuple* data, size_t n, uint64_t key,
-                 StartSearch search, simd::AdvanceFn advance,
-                 SearchStats* stats) {
-  if (advance != nullptr) {
-    switch (search) {
-      case StartSearch::kInterpolation:
-        return InterpolationLowerBoundWindowed(data, n, key, advance, stats);
-      case StartSearch::kBinary:
-        return BinaryLowerBoundWindowed(data, n, key, advance, stats);
-      case StartSearch::kLinear:
-        return LinearLowerBoundWindowed(data, n, key, advance, stats);
-    }
-    return 0;
-  }
+                 StartSearch search, SearchStats* stats) {
   switch (search) {
     case StartSearch::kInterpolation:
       return InterpolationLowerBound(data, n, key, stats);
@@ -65,9 +53,8 @@ uint64_t JoinPrivateAgainstRuns(const Run& ri, const RunSet& s_runs,
   if (needs_bitmap) matched = MatchBitmap(ri.size);
 
   // One kind resolution per driver call: the resolved kind selects the
-  // merge loops, its pointer form serves the start searches.
+  // merge loops.
   const simd::SimdKind simd_kind = simd::Resolve(options.simd);
-  const simd::AdvanceFn advance = simd::AdvanceForKind(simd_kind);
 
   uint64_t output = 0;
   const uint32_t num_runs = static_cast<uint32_t>(s_runs.size());
@@ -81,7 +68,7 @@ uint64_t JoinPrivateAgainstRuns(const Run& ri, const RunSet& s_runs,
     // run (§3.2.2). The search probes are random accesses.
     SearchStats search_stats;
     const size_t start =
-        FindStart(sj.data, sj.size, ri.MinKey(), options.search, advance,
+        FindStart(sj.data, sj.size, ri.MinKey(), options.search,
                   &search_stats);
     if (counters != nullptr) {
       counters->CountRead(s_local, /*sequential=*/false,
@@ -98,7 +85,7 @@ uint64_t JoinPrivateAgainstRuns(const Run& ri, const RunSet& s_runs,
     // the same search instead of advancing the merge one-by-one.
     SearchStats r_search;
     const size_t r_start = FindStart(ri.data, ri.size, sj.data[start].key,
-                                     options.search, advance, &r_search);
+                                     options.search, &r_search);
     if (counters != nullptr) {
       counters->CountRead(r_local, /*sequential=*/false,
                           r_search.probes * sizeof(Tuple));

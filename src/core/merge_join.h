@@ -248,8 +248,9 @@ struct RunJoinOptions {
   JoinKind kind = JoinKind::kInner;
   StartSearch search = StartSearch::kInterpolation;
 
-  /// Vector ISA of the merge-advance and start-search kernels
-  /// (docs/simd.md); kScalar selects the one-key-per-compare loops.
+  /// Vector ISA of the merge-advance kernels (docs/simd.md); kScalar
+  /// selects the one-key-per-compare loop. The start search is scalar
+  /// under every kind.
   simd::SimdKind simd = simd::SimdKind::kAuto;
 };
 

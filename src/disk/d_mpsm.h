@@ -110,9 +110,8 @@ struct DMpsmOptions {
   SchedulerKind scheduler = SchedulerKind::kStatic;
 
   /// Async page-I/O engine for staging-pool and private-window fetches
-  /// (docs/io.md). kSync is the blocking baseline (every fetch stalls
-  /// its submitter for the device round-trip); kAuto picks io_uring
-  /// when the kernel supports it, else the threadpool.
+  /// (docs/io.md). kAuto picks io_uring when the kernel supports it,
+  /// else the threadpool.
   io::IoBackendKind io_backend = io::IoBackendKind::kThreadpool;
 
   /// Most vectored reads in flight at the backend at once (>= 1).

@@ -29,12 +29,10 @@ struct PhaseEstimate {
   /// Slowest-worker multiplier over the balanced estimate (skewed
   /// fragments / partitions under barrier semantics).
   double imbalance = 1.0;
-  /// Spill-device seconds this phase spends reading pages. With an
-  /// async backend the device runs concurrently with the counters'
-  /// compute (phase time = max of the two); the sync baseline
-  /// serializes them (sum).
+  /// Spill-device seconds this phase spends on pages. The async
+  /// backends run the device concurrently with the counters' compute,
+  /// so the phase costs the max of the two.
   double io_seconds = 0;
-  bool io_overlapped = false;
   /// Extra per-worker CPU nanoseconds beyond the counter-priced work
   /// (the merge-compare term, scaled by the SIMD width).
   double cpu_extra_ns = 0;
@@ -144,19 +142,7 @@ disk::DMpsmOptions ResolveDMpsmOptions(const EngineOptions& options,
     d.simd = *options.simd;
     d.sort_config.simd = *options.simd;
   }
-  if (options.dmpsm.pool_pages != 0) {
-    d.pool_pages = options.dmpsm.pool_pages;
-  } else if (memory_budget_bytes != 0) {
-    // Budget-driven pool sizing: spend half the budget on the shared S
-    // staging pool (the other half covers the per-worker private
-    // windows and transient sort buffers), at least one page.
-    const uint64_t page_bytes =
-        std::max<uint64_t>(d.tuples_per_page * kTupleBytes, 1);
-    d.pool_pages = static_cast<size_t>(
-        std::max<uint64_t>(memory_budget_bytes / 2 / page_bytes, 1));
-  } else {
-    d.pool_pages = 64;  // the DMpsmOptions default
-  }
+  if (options.dmpsm.pool_pages != 0) d.pool_pages = options.dmpsm.pool_pages;
   if (options.dmpsm.pool_budget_bytes != 0) {
     d.pool_budget_bytes = options.dmpsm.pool_budget_bytes;
   } else if (memory_budget_bytes != 0) {
@@ -320,20 +306,14 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
       p3.CountWrite(true, true, static_cast<uint64_t>(nr * kTupleBytes));
       // Spool writes hit the device too: the buffer pool's async
       // write-back overlaps them with the sort compute at queue depth.
-      // The read backend does not change spool pricing.
-      const double spool_depth_bw =
-          machine.IoBytesPerSec(dmpsm.io_queue_depth);
-      phases[kPhaseSortPublic].io_overlapped = true;
+      const double depth_bw = machine.IoBytesPerSec(dmpsm.io_queue_depth);
       phases[kPhaseSortPublic].io_seconds =
-          static_cast<double>(in.s_tuples) * kTupleBytes / spool_depth_bw;
-      phases[kPhaseSortPrivate].io_overlapped = true;
+          static_cast<double>(in.s_tuples) * kTupleBytes / depth_bw;
       phases[kPhaseSortPrivate].io_seconds =
-          static_cast<double>(in.r_tuples) * kTupleBytes / spool_depth_bw;
+          static_cast<double>(in.r_tuples) * kTupleBytes / depth_bw;
       // Phase 4 re-reads the spooled pages. The device is shared, so
-      // each worker sees the full |R|+|S| read stream; an async
-      // backend overlaps it with the merge compute at depth-scaled
-      // bandwidth (src/io/), the sync baseline stalls serially at
-      // depth 1.
+      // each worker sees the full |R|+|S| read stream, overlapped with
+      // the merge compute at depth-scaled bandwidth (src/io/).
       auto& p4 = phases[kPhaseJoin];
       p4.counters.CountRead(true, true,
                             static_cast<uint64_t>(2 * (nr + ns) *
@@ -352,10 +332,7 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
               : static_cast<double>(dmpsm.pool_pages) * page_bytes;
       const double hit_rate =
           std::min(0.95, pool_bytes / std::max(io_bytes, 1.0));
-      p4.io_overlapped = dmpsm.io_backend != io::IoBackendKind::kSync;
-      const size_t depth = p4.io_overlapped ? dmpsm.io_queue_depth : 1;
-      p4.io_seconds =
-          io_bytes * (1.0 - hit_rate) / machine.IoBytesPerSec(depth);
+      p4.io_seconds = io_bytes * (1.0 - hit_rate) / depth_bw;
       // Submission CPU: one vectored read per io_batch_pages pages of
       // this worker's share.
       const double worker_pages = (nr + ns) * kTupleBytes / page_bytes;
@@ -419,10 +396,8 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
         (machine.PhaseSeconds(phases[p].counters) +
          phases[p].cpu_extra_ns * 1e-9) *
         slowdown * phases[p].imbalance;
-    // Device reads overlap async compute (max) or serialize (sum).
-    cost.phase_seconds[p] = phases[p].io_overlapped
-                                ? std::max(compute, phases[p].io_seconds)
-                                : compute + phases[p].io_seconds;
+    // Device I/O overlaps the compute.
+    cost.phase_seconds[p] = std::max(compute, phases[p].io_seconds);
     cost.total_seconds += cost.phase_seconds[p];
   }
   return cost;
@@ -557,8 +532,8 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
     plan.rationale =
         "working set (" + std::to_string(in.working_set_bytes / 1000000) +
         " MB) exceeds the memory budget (" + std::to_string(budget / 1000000) +
-        " MB): spill via d-mpsm, staging pool " +
-        std::to_string(plan.dmpsm.pool_pages) + " pages";
+        " MB): spill via d-mpsm, buffer pool budget " +
+        std::to_string(plan.dmpsm.pool_budget_bytes) + " bytes";
   } else if (spec.kind != JoinKind::kInner) {
     plan.algorithm =
         pmpsm_seconds() <= candidate(Algorithm::kBMpsm).total_seconds

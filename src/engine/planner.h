@@ -10,8 +10,8 @@
 //   1. A forced algorithm (JoinSpec / EngineOptions) wins, if it
 //      supports the requested JoinKind.
 //   2. If the memory budget cannot hold both inputs plus their runs,
-//      the join spills: D-MPSM, with the staging pool sized from the
-//      budget.
+//      the join spills: D-MPSM, with its buffer pool capped at half
+//      the budget.
 //   3. Non-inner joins (semi / anti / outer) are MPSM-family only.
 //   4. Tiny inputs skip partitioned algorithms entirely: the
 //      no-partition hash join's simplicity wins when everything fits
@@ -81,8 +81,9 @@ struct MpsmOverrides {
 /// Per-algorithm overrides for the D-MPSM spill path.
 struct DMpsmOverrides {
   size_t tuples_per_page = 4096;
-  /// Staging ring capacity in pages; 0 derives it from the query's
-  /// memory budget (half the budget, at least one page).
+  /// Staging ring capacity in pages (DMpsmOptions::pool_pages); 0
+  /// keeps that default. Only unbudgeted pools read it: with a pool
+  /// budget, D-MPSM sizes the ring from the budget.
   size_t pool_pages = 0;
   /// Buffer-pool frame budget in bytes (DMpsmOptions::pool_budget_bytes);
   /// 0 derives half the query's memory budget when one is set, else the
@@ -90,8 +91,8 @@ struct DMpsmOverrides {
   uint64_t pool_budget_bytes = 0;
   std::string directory = "/tmp";
   uint32_t io_delay_us = 0;
-  /// Async page-I/O engine for the spill path (docs/io.md): sync is
-  /// the blocking baseline, auto probes for io_uring at runtime.
+  /// Async page-I/O engine for the spill path (docs/io.md): auto
+  /// probes for io_uring at runtime.
   io::IoBackendKind io_backend = io::IoBackendKind::kThreadpool;
   /// Backend queue depth; the planner prices D-MPSM reads at the
   /// machine model's effective bandwidth for this depth.
@@ -387,10 +388,9 @@ class Planner {
 
   /// Modeled cost of `algorithm` under `inputs` on `machine`;
   /// exposed for tests and the decision-table doc generator. `dmpsm`
-  /// supplies the spill path's I/O shape (backend, queue depth, page
-  /// size): an async backend overlaps device reads with merge compute
-  /// (max instead of sum), a sync backend serializes them at depth-1
-  /// bandwidth.
+  /// supplies the spill path's I/O shape (queue depth, page size, pool):
+  /// device I/O runs at depth-scaled bandwidth, overlapped with each
+  /// phase's compute (max, not sum).
   static CandidateCost EstimateCost(Algorithm algorithm,
                                     const PlannerInputs& inputs,
                                     const sim::MachineModel& machine,

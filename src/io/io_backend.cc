@@ -5,8 +5,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <thread>
 
@@ -22,8 +20,6 @@ namespace mpsm::io {
 
 const char* IoBackendKindName(IoBackendKind kind) {
   switch (kind) {
-    case IoBackendKind::kSync:
-      return "sync";
     case IoBackendKind::kThreadpool:
       return "threadpool";
     case IoBackendKind::kUring:
@@ -35,7 +31,6 @@ const char* IoBackendKindName(IoBackendKind kind) {
 }
 
 std::optional<IoBackendKind> ParseIoBackendKind(std::string_view name) {
-  if (name == "sync") return IoBackendKind::kSync;
   if (name == "threadpool") return IoBackendKind::kThreadpool;
   if (name == "uring") return IoBackendKind::kUring;
   if (name == "auto") return IoBackendKind::kAuto;
@@ -135,74 +130,6 @@ Status PerformBlockingFlush(const IoFlush& flush) {
   return Status::OK();
 }
 
-namespace {
-
-/// The blocking baseline: SubmitRead/SubmitWrite perform the
-/// preadv/pwritev inline, so a submitter eats the full device round
-/// trip — exactly the pre-async behavior every A/B run compares
-/// against.
-class SyncBackend final : public AsyncIoBackend {
- public:
-  explicit SyncBackend(size_t queue_depth) : queue_depth_(queue_depth) {}
-
-  Status SubmitRead(const IoRead& read) override {
-    IoCompletion done;
-    done.user_data = read.user_data;
-    done.status = PerformBlockingRead(read);
-    std::lock_guard<std::mutex> lock(mu_);
-    completed_.push_back(std::move(done));
-    return Status::OK();
-  }
-
-  Status SubmitWrite(const IoWrite& write) override {
-    IoCompletion done;
-    done.user_data = write.user_data;
-    done.status = PerformBlockingWrite(write);
-    std::lock_guard<std::mutex> lock(mu_);
-    completed_.push_back(std::move(done));
-    return Status::OK();
-  }
-
-  Status SubmitFlush(const IoFlush& flush) override {
-    IoCompletion done;
-    done.user_data = flush.user_data;
-    done.status = PerformBlockingFlush(flush);
-    std::lock_guard<std::mutex> lock(mu_);
-    completed_.push_back(std::move(done));
-    return Status::OK();
-  }
-
-  size_t PollCompletions(IoCompletion* out, size_t max,
-                         bool /*block*/) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t n = 0;
-    while (n < max && !completed_.empty()) {
-      out[n++] = std::move(completed_.front());
-      completed_.pop_front();
-    }
-    return n;
-  }
-
-  size_t InFlight() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return completed_.size();  // submitted == completed; all unreaped
-  }
-
-  size_t queue_depth() const override { return queue_depth_; }
-  IoBackendKind kind() const override { return IoBackendKind::kSync; }
-
- private:
-  const size_t queue_depth_;
-  mutable std::mutex mu_;
-  std::deque<IoCompletion> completed_;
-};
-
-}  // namespace
-
-std::unique_ptr<AsyncIoBackend> CreateSyncBackend(size_t queue_depth) {
-  return std::make_unique<SyncBackend>(queue_depth);
-}
-
 bool UringSupported() {
 #ifdef MPSM_HAVE_URING_HEADER
   // Probe once: io_uring_setup with a tiny ring. EPERM/ENOSYS (seccomp
@@ -231,8 +158,6 @@ Result<std::unique_ptr<AsyncIoBackend>> CreateIoBackend(IoBackendKind kind,
     return Status::InvalidArgument("io queue depth must be >= 1");
   }
   switch (ResolveIoBackendKind(kind)) {
-    case IoBackendKind::kSync:
-      return CreateSyncBackend(queue_depth);
     case IoBackendKind::kThreadpool:
       return CreateThreadpoolBackend(queue_depth);
     case IoBackendKind::kUring: {

@@ -3,11 +3,10 @@
 //
 // A backend accepts *vectored reads* — one file range scattered into up
 // to kMaxIovPerRead destination buffers — and completes them out of
-// order. Three implementations ship: a sync backend that performs the
-// preadv inline (the blocking baseline every A/B compares against), a
-// portable threadpool backend, and a Linux io_uring backend built on
-// raw syscalls (<linux/io_uring.h> at compile time, io_uring_setup
-// probed at runtime, so CI containers and macOS keep working).
+// order. Two implementations ship: a portable threadpool backend, and
+// a Linux io_uring backend built on raw syscalls (<linux/io_uring.h>
+// at compile time, io_uring_setup probed at runtime, so CI containers
+// and macOS keep working).
 //
 // Backends are deliberately dumb: no coalescing, no budgets, no
 // routing. That policy lives in IoScheduler (io_scheduler.h), which is
@@ -112,8 +111,8 @@ class AsyncIoBackend {
   /// unmodified) until the matching completion is reaped.
   virtual Status SubmitWrite(const IoWrite& write) = 0;
 
-  /// Queues one fdatasync barrier (sync: inline; threadpool: pool
-  /// thread; uring: IORING_OP_FSYNC | IORING_FSYNC_DATASYNC).
+  /// Queues one fdatasync barrier (threadpool: pool thread; uring:
+  /// IORING_OP_FSYNC | IORING_FSYNC_DATASYNC).
   virtual Status SubmitFlush(const IoFlush& flush) = 0;
 
   /// Reaps up to `max` completions into `out`, returning the count.

@@ -10,14 +10,15 @@
 namespace mpsm::io {
 
 /// Which engine performs the asynchronous page reads of the spill path.
+/// The values are explicit so a kind keeps its encoding now that the
+/// blocking sync kind (0) is retired.
 enum class IoBackendKind : uint8_t {
-  kSync,        // preadv inline at submission (the blocking baseline)
-  kThreadpool,  // portable worker threads servicing a submission queue
-  kUring,       // Linux io_uring (raw syscalls; needs kernel support)
-  kAuto,        // uring when the runtime probe succeeds, else threadpool
+  kThreadpool = 1,  // portable worker threads servicing a submission queue
+  kUring = 2,       // Linux io_uring (raw syscalls; needs kernel support)
+  kAuto = 3,        // uring when the runtime probe succeeds, else threadpool
 };
 
-/// Name of an IoBackendKind ("sync", "threadpool", "uring", "auto").
+/// Name of an IoBackendKind ("threadpool", "uring", "auto").
 const char* IoBackendKindName(IoBackendKind kind);
 
 /// Parses a backend name (the strings IoBackendKindName emits);

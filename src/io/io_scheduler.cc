@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/timer.h"
 
 namespace mpsm::io {
 
@@ -209,15 +208,11 @@ bool IoScheduler::PushOneFlushLocked(std::unique_lock<std::mutex>& lock) {
   obs::TraceInstant(obs::kCatIo, "io.flush", "inflight", inflight_reads_);
 
   lock.unlock();
-  WallTimer submit_timer;
   IoFlush flush;
   flush.fd = fd_;
   flush.user_data = slot;
   flush.delay_us = delay_us_;
   const Status submitted = backend_->SubmitFlush(flush);
-  if (backend_->kind() == IoBackendKind::kSync) {
-    AddStallNs(static_cast<uint64_t>(submit_timer.ElapsedSeconds() * 1e9));
-  }
   lock.lock();
   if (!submitted.ok()) {
     --inflight_reads_;
@@ -293,10 +288,6 @@ bool IoScheduler::PushOneBatchLocked(std::unique_lock<std::mutex>& lock,
                     take, "inflight", inflight_reads_);
 
   lock.unlock();
-  // With the blocking sync backend, the submit *is* the device round
-  // trip: charge it as stall so the sync/async A/B measures exactly
-  // the wait that batched async submission converts into compute.
-  WallTimer submit_timer;
   Status submitted;
   if (is_write) {
     IoWrite write;
@@ -316,9 +307,6 @@ bool IoScheduler::PushOneBatchLocked(std::unique_lock<std::mutex>& lock,
     read.user_data = slot;
     read.delay_us = delay_us_;
     submitted = backend_->SubmitRead(read);
-  }
-  if (backend_->kind() == IoBackendKind::kSync) {
-    AddStallNs(static_cast<uint64_t>(submit_timer.ElapsedSeconds() * 1e9));
   }
   lock.lock();
   if (!submitted.ok()) {

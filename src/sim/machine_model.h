@@ -77,8 +77,8 @@ struct MachineModel {
 
   // Spill device: streaming read bandwidth when fully saturated, and
   // the queue depth that saturates it. Effective bandwidth ramps
-  // linearly with depth (IoBytesPerSec), so a sync backend (depth 1)
-  // sees io_bytes_per_sec / io_saturation_depth — the classic reason
+  // linearly with depth (IoBytesPerSec), so depth 1 sees
+  // io_bytes_per_sec / io_saturation_depth — the classic reason
   // batched async submission turns a spilling operator compute-bound.
   // 2.0 GB/s at depth >= 8 models the paper-era enterprise SSD array.
   double io_bytes_per_sec = 2.0e9;

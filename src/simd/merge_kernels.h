@@ -16,27 +16,21 @@
 // attributes (simd/arch.h), so the merge loop templates in
 // core/merge_join.h — themselves stamped per ISA — inline them fully:
 // no per-advance call, the pivot and bias constants live in registers.
-// The AdvanceFn pointer form below serves the start-search paths,
-// where one call per probe window is noise. Dispatch follows
-// simd::Resolve (caps.h); the scalar advance is the oracle every kind
-// is tested against (tests/simd_test.cc).
+// Dispatch follows simd::Resolve (caps.h); the scalar advance is the
+// oracle every kind is tested against (tests/simd_test.cc).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "simd/arch.h"
-#include "simd/simd_kind.h"
 #include "storage/tuple.h"
 
 namespace mpsm::simd {
 
-/// Forward lower bound on a sorted run: the first index in [begin, n)
-/// with data[idx].key >= key (n when none).
-using AdvanceFn = size_t (*)(const Tuple* data, size_t begin, size_t n,
-                             uint64_t key);
-
-/// Scalar reference advance (one compare per tuple).
+/// Scalar reference advance (one compare per tuple). Every advance
+/// kernel is a forward lower bound on a sorted run: the first index in
+/// [begin, n) with data[idx].key >= key (n when none).
 inline size_t AdvanceLowerBoundScalar(const Tuple* data, size_t begin,
                                       size_t n, uint64_t key) {
   size_t i = begin;
@@ -44,17 +38,11 @@ inline size_t AdvanceLowerBoundScalar(const Tuple* data, size_t begin,
   return i;
 }
 
-/// Advance kernel for a *resolved* kind (see simd::Resolve). Returns
-/// nullptr for kScalar: search loops treat that as "keep the scalar
-/// descent", preserving the A/B baseline bit for bit.
-AdvanceFn AdvanceForKind(SimdKind resolved);
+#if MPSM_SIMD_X86
 
 /// Full vector blocks to scan with early exit before concluding the
-/// advance is a long skip and switching to galloping (also the shape
-/// the search accounting assumes, so defined for every build).
+/// advance is a long skip and switching to galloping.
 inline constexpr int kGallopAfterBlocks = 4;
-
-#if MPSM_SIMD_X86
 
 /// Packed x < pivot needs unsigned 64-bit compares; AVX2 only has
 /// signed ones, so keys and pivot are bias-flipped (a <u b  <=>

@@ -10,7 +10,8 @@
 
 namespace mpsm::simd {
 
-/// Which vector ISA the merge / search / histogram kernels run on.
+/// Which vector ISA the merge-advance, key-range and histogram kernels
+/// run on.
 /// Widths are cumulative: every non-scalar kind keeps the scalar tail
 /// loop, and kAuto resolves to the widest kind this build *and* this
 /// CPU support (simd::Resolve, caps.h). The values are explicit so a

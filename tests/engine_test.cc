@@ -69,9 +69,13 @@ TEST(PlannerGoldenTest, MemoryBudgetSpillsToDMpsm) {
   auto plan = engine.Plan(spec);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan->algorithm, Algorithm::kDMpsm);
-  // Budget-driven staging pool: half the budget in pages.
-  const uint64_t page_bytes = plan->dmpsm.tuples_per_page * sizeof(Tuple);
-  EXPECT_EQ(plan->dmpsm.pool_pages, (spec.memory_budget_bytes / 2) / page_bytes);
+  // The buffer pool gets half the budget, and EXPLAIN names that budget
+  // (D-MPSM sizes its frames and staging ring from it).
+  EXPECT_EQ(plan->dmpsm.pool_budget_bytes, spec.memory_budget_bytes / 2);
+  EXPECT_NE(plan->rationale.find(
+                std::to_string(spec.memory_budget_bytes / 2) + " bytes"),
+            std::string::npos)
+      << plan->rationale;
   // In-memory candidates are marked infeasible, with the reason.
   const auto& pmpsm = plan->candidates[static_cast<size_t>(Algorithm::kPMpsm)];
   EXPECT_FALSE(pmpsm.feasible);
@@ -113,10 +117,11 @@ TEST(PlannerGoldenTest, TinyInputsChooseWisconsin) {
   EXPECT_NE(plan->rationale.find("tiny"), std::string::npos);
 }
 
-TEST(PlannerGoldenTest, AsyncIoBackendPricesDMpsmCheaperThanSync) {
+TEST(PlannerGoldenTest, DeeperIoQueuePricesDMpsmCheaper) {
   // The machine model charges the spill device at depth-scaled
-  // bandwidth and overlaps it with merge compute for async backends;
-  // the sync baseline serializes depth-1 reads behind the compute.
+  // bandwidth, overlapped with each phase's compute. These inputs are
+  // device-bound, so the deeper queue's higher bandwidth lowers the
+  // join phase, where the page reads happen, and the total.
   PlannerInputs in;
   in.r_tuples = uint64_t{1} << 24;
   in.s_tuples = uint64_t{1} << 26;
@@ -125,22 +130,19 @@ TEST(PlannerGoldenTest, AsyncIoBackendPricesDMpsmCheaperThanSync) {
   const auto machine = sim::MachineModel::HyPer1();
   const MpsmOptions mpsm;
 
-  disk::DMpsmOptions sync_options;
-  sync_options.io_backend = io::IoBackendKind::kSync;
-  disk::DMpsmOptions async_options;
-  async_options.io_backend = io::IoBackendKind::kThreadpool;
-  async_options.io_queue_depth = 16;
+  disk::DMpsmOptions shallow;
+  shallow.io_backend = io::IoBackendKind::kThreadpool;
+  shallow.io_queue_depth = 1;
+  disk::DMpsmOptions deep = shallow;
+  deep.io_queue_depth = 16;
 
-  const auto sync_cost = Planner::EstimateCost(Algorithm::kDMpsm, in,
-                                               machine, mpsm, sync_options);
-  const auto async_cost = Planner::EstimateCost(Algorithm::kDMpsm, in,
-                                                machine, mpsm, async_options);
-  EXPECT_LT(async_cost.total_seconds, sync_cost.total_seconds);
-  // The whole gap is the join phase, where the reads happen.
-  EXPECT_LT(async_cost.phase_seconds[kPhaseJoin],
-            sync_cost.phase_seconds[kPhaseJoin]);
-  EXPECT_DOUBLE_EQ(async_cost.phase_seconds[kPhaseSortPublic],
-                   sync_cost.phase_seconds[kPhaseSortPublic]);
+  const auto shallow_cost =
+      Planner::EstimateCost(Algorithm::kDMpsm, in, machine, mpsm, shallow);
+  const auto deep_cost =
+      Planner::EstimateCost(Algorithm::kDMpsm, in, machine, mpsm, deep);
+  EXPECT_LT(deep_cost.total_seconds, shallow_cost.total_seconds);
+  EXPECT_LT(deep_cost.phase_seconds[kPhaseJoin],
+            shallow_cost.phase_seconds[kPhaseJoin]);
 }
 
 TEST(PlannerGoldenTest, ResolvesIoKnobsIntoDMpsmOptions) {
@@ -486,8 +488,7 @@ std::vector<MatrixCase> AllMatrixCases() {
   // must stay green regardless of the session-level knob).
   std::vector<MatrixCase> cases;
   for (const io::IoBackendKind backend :
-       {io::IoBackendKind::kSync, io::IoBackendKind::kThreadpool,
-        io::IoBackendKind::kUring}) {
+       {io::IoBackendKind::kThreadpool, io::IoBackendKind::kUring}) {
     for (const Algorithm a :
          {Algorithm::kPMpsm, Algorithm::kBMpsm, Algorithm::kDMpsm,
           Algorithm::kRadix, Algorithm::kWisconsin}) {

@@ -1,7 +1,8 @@
 // FlakyBackend: the shared fault-injection AsyncIoBackend for tests
 // (io_test.cc, bufferpool_test.cc, recovery_test.cc).
 //
-// Wraps a real sync backend and injects failures by policy:
+// Wraps a real threadpool backend (completions arrive on its pool
+// threads) and injects failures by policy:
 //   - periodic:  every Nth read / write / flush fails (the original
 //     io_test.cc mode, exercising steady-state error propagation),
 //   - fail-once: the first N reads / writes fail then the backend
@@ -47,7 +48,7 @@ class FlakyBackend final : public AsyncIoBackend {
   };
 
   FlakyBackend(size_t queue_depth, Options options)
-      : inner_(CreateSyncBackend(queue_depth)), options_(options) {}
+      : inner_(CreateThreadpoolBackend(queue_depth)), options_(options) {}
 
   /// Back-compat shorthand: periodic EIO on reads (and writes).
   FlakyBackend(size_t queue_depth, uint32_t failure_period,

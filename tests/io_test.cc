@@ -1,5 +1,5 @@
 // The async batched page-I/O subsystem (src/io/): backend conformance
-// across sync / threadpool / uring, IoScheduler coalescing, queue-depth
+// across threadpool / uring, IoScheduler coalescing, queue-depth
 // and byte-budget enforcement, completion routing, fault injection via
 // a flaky mock backend, and the D-MPSM io_backend x scheduler sweep.
 #include <gtest/gtest.h>
@@ -46,8 +46,7 @@ using io::PageFetchRequest;
 // Backends available on this host (uring only when the runtime probe
 // succeeds — CI containers without io_uring still run the suite).
 std::vector<IoBackendKind> AvailableBackends() {
-  std::vector<IoBackendKind> kinds = {IoBackendKind::kSync,
-                                      IoBackendKind::kThreadpool};
+  std::vector<IoBackendKind> kinds = {IoBackendKind::kThreadpool};
   if (io::UringSupported()) kinds.push_back(IoBackendKind::kUring);
   return kinds;
 }
@@ -71,8 +70,8 @@ void FillStore(PageStore& store, uint64_t num_pages, size_t per_page) {
 
 TEST(IoBackendKindTest, NamesRoundTrip) {
   for (const IoBackendKind kind :
-       {IoBackendKind::kSync, IoBackendKind::kThreadpool,
-        IoBackendKind::kUring, IoBackendKind::kAuto}) {
+       {IoBackendKind::kThreadpool, IoBackendKind::kUring,
+        IoBackendKind::kAuto}) {
     const auto parsed = io::ParseIoBackendKind(IoBackendKindName(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
@@ -340,7 +339,7 @@ TEST(IoSchedulerTest, RejectsOutOfRangeQueue) {
   PageStore store(store_options);
   ASSERT_TRUE(store.Open().ok());
   IoSchedulerOptions options;
-  options.backend = IoBackendKind::kSync;
+  options.backend = IoBackendKind::kThreadpool;
   auto scheduler = IoScheduler::Create(store.fd(), store.page_bytes(),
                                        store.io_delay_us(), options);
   ASSERT_TRUE(scheduler.ok());
@@ -644,8 +643,7 @@ TEST_P(DMpsmIoSweepTest, MatchesReferenceWithSaneIoStats) {
 std::vector<SweepCase> AllSweepCases() {
   std::vector<SweepCase> cases;
   for (const IoBackendKind backend :
-       {IoBackendKind::kSync, IoBackendKind::kThreadpool,
-        IoBackendKind::kUring}) {
+       {IoBackendKind::kThreadpool, IoBackendKind::kUring}) {
     for (const SchedulerKind scheduler :
          {SchedulerKind::kStatic, SchedulerKind::kStealing}) {
       cases.push_back({backend, scheduler});

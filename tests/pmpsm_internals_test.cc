@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "baseline/reference_join.h"
 #include "core/consumers.h"
 #include "core/p_mpsm.h"
 #include "numa/topology.h"
+#include "parallel/counters.h"
 #include "util/bits.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -300,21 +302,35 @@ TEST(PMpsmOptionsTest, AllSearchStrategiesAgree) {
 
   uint64_t reference = 0;
   bool first = true;
+  // Phase-4 random-read bytes per strategy: the start searches' probes
+  // (§3.2.2), in interpolation / binary / linear order.
+  std::vector<uint64_t> probe_bytes;
   for (auto search : {StartSearch::kInterpolation, StartSearch::kBinary,
                       StartSearch::kLinear}) {
     MpsmOptions options;
     options.start_search = search;
     CountFactory counts(4);
-    ASSERT_TRUE(
-        PMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts).ok());
+    auto info = PMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
     if (first) {
       reference = counts.Result();
       first = false;
     } else {
       EXPECT_EQ(counts.Result(), reference);
     }
+    uint64_t bytes = 0;
+    for (const auto& worker : info->workers) {
+      const PerfCounters& join = worker.phase_counters[kPhaseJoin];
+      bytes += join.bytes_read_local_rand + join.bytes_read_remote_rand;
+    }
+    probe_bytes.push_back(bytes);
   }
   EXPECT_GT(reference, 0u);
+  // The paper's ordering: interpolation probes least, and the linear
+  // scan reads every tuple below each run's start.
+  EXPECT_LT(probe_bytes[0], probe_bytes[1]);
+  EXPECT_LT(probe_bytes[1], probe_bytes[2]);
+  EXPECT_GE(probe_bytes[2], 100 * probe_bytes[0]);
 }
 
 TEST(PMpsmOptionsTest, RadixBitSweepAgrees) {

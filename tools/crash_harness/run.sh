@@ -20,7 +20,7 @@ if [[ ! -x "$HARNESS" ]]; then
 fi
 
 failures=0
-for backend in sync threadpool uring; do
+for backend in threadpool uring; do
   echo "=== crash sweep: $backend ==="
   if ! "$HARNESS" "$backend"; then
     echo "=== crash sweep FAILED: $backend ==="
