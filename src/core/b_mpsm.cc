@@ -28,6 +28,7 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   for (uint32_t w = 0; w < num_workers; ++w) team.ArenaOf(w).Reset();
 
   const MpsmOptions options = options_;
+  const sort::RadixSortConfig sort_config{.simd = options.simd};
   RunJoinOptions join_options;
   join_options.kind = options.kind;
   join_options.search = options.start_search;
@@ -49,7 +50,7 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   AddRunGenerationPhases(pipeline, kPhaseSortPublic, s_public, arena_of,
                          s_runs, s_gen, /*histograms=*/nullptr,
                          /*num_bounds=*/0, options.scheduler,
-                         options.sort_config, options.morsel_tuples);
+                         sort_config, options.morsel_tuples);
 
   // Phase 3 slot: sort the private chunks (B-MPSM has no partition
   // phase; the kPhasePartition slot stays empty).
@@ -57,7 +58,7 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   AddRunGenerationPhases(pipeline, kPhaseSortPrivate, r_private, arena_of,
                          r_runs, r_gen, /*histograms=*/nullptr,
                          /*num_bounds=*/0, options.scheduler,
-                         options.sort_config, options.morsel_tuples);
+                         sort_config, options.morsel_tuples);
 
   // Phase 4: merge join the private runs against all public runs.
   if (options.scheduler == SchedulerKind::kStatic) {

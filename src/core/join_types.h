@@ -8,7 +8,6 @@
 #include "partition/scatter_kind.h"
 #include "partition/splitters.h"
 #include "simd/simd_kind.h"
-#include "sort/radix_introsort.h"
 #include "util/status.h"
 
 namespace mpsm {
@@ -82,11 +81,6 @@ struct MpsmOptions {
   uint32_t morsel_tuples = 1u << 14;
 
   // ------------------------------------------- cache-conscious kernels
-  /// Bucket threshold / pass cap of the radix sort that turns chunks
-  /// and partitions into runs (phases 1 and 3); max_passes = 1 is the
-  /// paper's single MSD pass (§2.3).
-  sort::RadixSortConfig sort_config;
-
   /// Scatter implementation for phase 2.3 range partitioning. kAuto
   /// picks per execution from the fan-out/input size (write combining
   /// above the ~100-partition crossover, the scalar loop below —
@@ -97,12 +91,11 @@ struct MpsmOptions {
   ScatterKind scatter = ScatterKind::kAuto;
 
   /// Vector ISA of the merge-advance, key-range and radix-histogram
-  /// kernels (docs/simd.md). kAuto resolves to the widest ISA this
-  /// build and CPU support; kScalar keeps the paper's
-  /// one-key-per-compare loops as the A/B baseline. The merge-start
-  /// search is scalar under every kind.
-  /// The sort's digit histograms follow sort_config.simd (the engine
-  /// front door sets both from its one canonical knob).
+  /// kernels, the run sorts' digit histograms included (docs/simd.md;
+  /// the sorts otherwise run the default sort::RadixSortConfig). kAuto
+  /// resolves to the widest ISA this build and CPU support; kScalar
+  /// keeps the paper's one-key-per-compare loops as the A/B baseline.
+  /// The merge-start search is scalar under every kind.
   simd::SimdKind simd = simd::SimdKind::kAuto;
 
   /// Checks every knob against its legal range for a team of

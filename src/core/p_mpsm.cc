@@ -204,6 +204,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   const uint32_t num_bounds =
       std::max(1u, options_.equi_height_factor * num_workers);
   const MpsmOptions options = options_;
+  const sort::RadixSortConfig sort_config{.simd = options.simd};
   const bool stealing = options.scheduler == SchedulerKind::kStealing;
 
   SharedState shared;
@@ -269,7 +270,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         pipeline, kPhaseSortPublic, s_public,
         [&team](uint32_t w) -> numa::Arena& { return team.ArenaOf(w); },
         shared.s_runs, shared.s_gen, &shared.s_histograms, num_bounds,
-        options.scheduler, options.sort_config, options.morsel_tuples);
+        options.scheduler, sort_config, options.morsel_tuples);
   }
 
   // ---------------------------------------------------- phase 2
@@ -497,7 +498,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
           const auto [low, bits] =
               SegmentKeyRange(shared, static_cast<uint32_t>(s));
           sort::SortKeyRange(shared.segment_data[s], n, low, bits,
-                             options.sort_config);
+                             sort_config);
           counters.CountSortSlice(n, partition_size);
         }
       },

@@ -36,7 +36,7 @@ Result<PublicRuns> BuildPublicRuns(WorkerTeam& team, const Relation& s_public,
       pipeline, kPhaseSortPublic, s_public,
       [&out](uint32_t w) -> numa::Arena& { return *out.arenas[w]; }, out.runs,
       state, &out.histograms, num_bounds, options.scheduler,
-      options.sort_config, options.morsel_tuples);
+      sort::RadixSortConfig{.simd = options.simd}, options.morsel_tuples);
   pipeline.Run(team);
   return out;
 }

@@ -64,14 +64,14 @@ obs::Counter& RunsReattachedCounter() {
 /// Pages go through the pool's write-back cache (AppendPage: encode
 /// into a frame, flush in the background); `spool_stall_ns`
 /// accumulates the wall time this worker spent blocked spooling.
+/// `simd` steers the sort's digit histograms.
 /// `content_checksum` (optional) receives fnv1a over the run's sorted
 /// tuple bytes — the recovery manifest's per-run checksum.
 Status SortAndSpool(const Chunk& chunk, uint32_t run_id,
                     numa::NodeId worker_node, PageStore& store,
                     bufferpool::BufferPool& pool, PerfCounters& counters,
                     PageIndex* index, SpooledRun* run_out,
-                    const sort::RadixSortConfig& sort_config,
-                    uint64_t* spool_stall_ns,
+                    simd::SimdKind simd, uint64_t* spool_stall_ns,
                     uint64_t* content_checksum = nullptr) {
   // The materializing copy is fused into the sort's first MSD pass
   // (§2.3 amortization, SortCopyInto); counters keep charging copy +
@@ -79,7 +79,8 @@ Status SortAndSpool(const Chunk& chunk, uint32_t run_id,
   // for_overwrite scratch: every slot is written by the fused copy
   // before it is read.
   auto sorted = std::make_unique_for_overwrite<Tuple[]>(chunk.size);
-  sort::SortCopyInto(chunk.data, chunk.size, sorted.get(), sort_config,
+  sort::SortCopyInto(chunk.data, chunk.size, sorted.get(),
+                     sort::RadixSortConfig{.simd = simd},
                      /*src_is_local=*/chunk.node == worker_node);
   counters.CountSort(chunk.size);
   counters.CountRead(chunk.node == worker_node, /*sequential=*/true,
@@ -299,7 +300,7 @@ Status DMpsmOptions::Validate() const {
     return Status::InvalidArgument(
         "recovery.resume requires recovery.journal");
   }
-  return sort_config.Validate();
+  return Status::OK();
 }
 
 Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
@@ -568,7 +569,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         worker_status[w] = SortAndSpool(
             s_public.chunk(w), w, ctx.node, store, *pool,
             ctx.Counters(kPhaseSortPublic), &index_parts[w], nullptr,
-            options_.sort_config, &spool_stall[w],
+            options_.simd, &spool_stall[w],
             (journal && options_.recovery.checksum_runs) ? &checksum
                                                           : nullptr);
         if (journal && worker_status[w].ok()) {
@@ -616,7 +617,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
             r_private.chunk(w), w, ctx.node, store, *pool,
             ctx.Counters(kPhaseSortPrivate),
             journal ? &private_part : nullptr, &r_runs[w],
-            options_.sort_config, &spool_stall[w],
+            options_.simd, &spool_stall[w],
             (journal && options_.recovery.checksum_runs) ? &checksum
                                                           : nullptr);
         if (journal && st.ok()) {

@@ -24,7 +24,6 @@
 #include "parallel/worker_team.h"
 #include "recovery/recovery_manager.h"
 #include "simd/simd_kind.h"
-#include "sort/radix_introsort.h"
 #include "storage/relation.h"
 #include "util/status.h"
 
@@ -95,12 +94,9 @@ struct DMpsmOptions {
   std::string directory = "/tmp";
   uint32_t io_delay_us = 0;
 
-  /// Bucket threshold / pass cap of the radix sort used when spooling
-  /// chunks (docs/tuning.md).
-  sort::RadixSortConfig sort_config;
-
-  /// Vector ISA of the page merge-join kernel (docs/simd.md); the sort
-  /// passes follow sort_config.simd.
+  /// Vector ISA of the page merge-join kernel and of the spooling
+  /// sorts' digit histograms (docs/simd.md); the sorts otherwise run
+  /// the default sort::RadixSortConfig.
   simd::SimdKind simd = simd::SimdKind::kAuto;
 
   /// Phase orchestration (docs/scheduler.md). Stealing makes the

@@ -90,26 +90,26 @@ static uint32_t CacheNumBounds(uint32_t equi_height_factor,
   return std::max(1u, equi_height_factor * team_size);
 }
 
+std::optional<CachedRunsHint> Engine::CachedRunsHintFor(
+    const JoinSpec& spec, const EngineOptions& options,
+    uint32_t team_size) const {
+  if (run_cache_ == nullptr || spec.shared_public_runs != nullptr ||
+      spec.s == nullptr) {
+    return std::nullopt;
+  }
+  const auto peek = run_cache_->Peek(
+      *spec.s, team_size,
+      CacheNumBounds(options.mpsm.equi_height_factor, team_size));
+  if (!peek.hit) return std::nullopt;
+  return CachedRunsHint{peek.delta_tuples, peek.delta_runs};
+}
+
 Result<JoinPlan> Engine::Plan(const JoinSpec& spec) const {
   const EngineOptions& options = spec.options ? *spec.options : options_;
-  Planner planner(&topology_, &options);
   const uint32_t team_size = TeamSizeFor(spec);
-  CachedRunsHint hint;
-  const CachedRunsHint* hint_ptr = nullptr;
-  if (run_cache_ != nullptr && spec.shared_public_runs == nullptr &&
-      spec.s != nullptr) {
-    const auto peek = run_cache_->Peek(
-        *spec.s, team_size,
-        CacheNumBounds(ResolveMpsmOptions(options, spec.kind)
-                           .equi_height_factor,
-                       team_size));
-    if (peek.hit) {
-      hint.delta_tuples = peek.delta_tuples;
-      hint.delta_runs = peek.delta_runs;
-      hint_ptr = &hint;
-    }
-  }
-  return planner.Plan(spec, team_size, hint_ptr);
+  const auto hint = CachedRunsHintFor(spec, options, team_size);
+  return Planner(&topology_, &options)
+      .Plan(spec, team_size, hint ? &*hint : nullptr);
 }
 
 Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
@@ -129,10 +129,7 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
                               1, std::memory_order_relaxed);
   report.admission_wait_ns = spec.admission_wait_ns;
   if (options.trace) {
-    obs::TraceSinkOptions trace_options;
-    trace_options.ring_events = options.trace_ring_events;
-    report.trace =
-        std::make_shared<obs::TraceSink>(report.query_id, trace_options);
+    report.trace = std::make_shared<obs::TraceSink>(report.query_id);
   }
   obs::TraceSink* sink = report.trace.get();
   obs::ScopedTraceThread trace_scope(sink, "caller", 0);
@@ -186,25 +183,13 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
   } team_trace_reset{traced_team};
 
   WallTimer plan_timer;
-  CachedRunsHint hint;
-  const CachedRunsHint* hint_ptr = nullptr;
-  uint32_t cache_bounds = 0;
-  if (run_cache_ != nullptr && spec.shared_public_runs == nullptr) {
-    cache_bounds = CacheNumBounds(
-        ResolveMpsmOptions(options, spec.kind).equi_height_factor,
-        team_size);
-    const auto peek = run_cache_->Peek(*spec.s, team_size, cache_bounds);
-    if (peek.hit) {
-      hint.delta_tuples = peek.delta_tuples;
-      hint.delta_runs = peek.delta_runs;
-      hint_ptr = &hint;
-    }
-  }
   {
+    const auto hint = CachedRunsHintFor(spec, options, team_size);
     obs::TraceSpan plan_span(obs::kCatPlan, "plan");
-    Planner planner(&topology_, &options);
     MPSM_ASSIGN_OR_RETURN(report.plan,
-                          planner.Plan(run_spec, team_size, hint_ptr));
+                          Planner(&topology_, &options)
+                              .Plan(run_spec, team_size,
+                                    hint ? &*hint : nullptr));
   }
   report.plan_seconds = plan_timer.ElapsedSeconds();
   ++stats_.plans_created;
@@ -228,6 +213,8 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
   std::shared_ptr<const Relation> s_view;   // pins a materialized S
   if (run_cache_ != nullptr && shared_runs == nullptr &&
       report.plan.algorithm == Algorithm::kPMpsm) {
+    const uint32_t cache_bounds =
+        CacheNumBounds(report.plan.mpsm.equi_height_factor, team_size);
     if (report.plan.cached_runs.use) {
       // Stale-plan hazard: an Ingest, eviction, or external version
       // bump between Plan and Execute invalidates the priced view.
@@ -339,13 +326,6 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
         dmpsm_options.recovery.journal_path = manager.JournalPath(fp);
         dmpsm_options.recovery.spool_path = manager.SpoolPath(fp);
         dmpsm_options.recovery.resume = &*resume_state;
-        dmpsm_options.recovery.retain_artifacts =
-            options.recovery.retain_artifacts;
-        dmpsm_options.recovery.checksum_runs =
-            options.recovery.checksum_runs;
-        dmpsm_options.recovery.strict_sync = options.recovery.strict_sync;
-        dmpsm_options.recovery.kill_after_commits =
-            options.recovery.kill_after_commits;
       }
       info = disk::DMpsmJoin(dmpsm_options)
                  .Execute(team, *run_spec.r, *run_spec.s, *spec.consumers,

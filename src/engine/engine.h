@@ -23,6 +23,8 @@
 // The variant classes (PMpsmJoin, DMpsmJoin, ...) remain available as
 // the internal layer for tests and kernel benches; examples, the
 // query harness, and the figure benches all go through the engine.
+// EngineOptions holds the variants' own option structs (mpsm, dmpsm,
+// radix), so a knob set on a session is the knob the variant reads.
 // API tour: docs/engine.md.
 #pragma once
 
@@ -224,6 +226,13 @@ class Engine {
   /// Returns the session team, spawning or re-spawning only when the
   /// required size changed.
   WorkerTeam& TeamFor(uint32_t team_size);
+
+  /// What the run cache would serve for spec.s (Peek at the f*T bounds
+  /// a fresh P-MPSM phase 1 derives); nullopt without a cache, with
+  /// caller-shared runs, or on a miss. Plan and Execute price with it.
+  std::optional<CachedRunsHint> CachedRunsHintFor(const JoinSpec& spec,
+                                                  const EngineOptions& options,
+                                                  uint32_t team_size) const;
 
   numa::Topology topology_;
   EngineOptions options_;

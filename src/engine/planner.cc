@@ -75,6 +75,11 @@ void CountLocalSort(PerfCounters& c, double n) {
 /// not fit in cache (the Wisconsin global table).
 constexpr double kHashLineBytes = 64.0;
 
+/// |R|+|S| at or below this runs the no-partition hash join for inner
+/// joins: phase orchestration dominates partitioned algorithms on
+/// inputs this small (decision rule 4).
+constexpr uint64_t kTinyInputTuples = uint64_t{1} << 15;
+
 }  // namespace
 
 const char* AlgorithmName(Algorithm algorithm) {
@@ -104,66 +109,6 @@ bool SupportsKind(Algorithm algorithm, JoinKind kind) {
       return kind == JoinKind::kInner;
   }
   return false;
-}
-
-MpsmOptions ResolveMpsmOptions(const EngineOptions& options, JoinKind kind) {
-  MpsmOptions m;
-  m.kind = kind;
-  m.radix_bits = options.mpsm.radix_bits;
-  m.equi_height_factor = options.mpsm.equi_height_factor;
-  m.start_search = options.mpsm.start_search;
-  m.cost_balanced_splitters = options.mpsm.cost_balanced_splitters;
-  m.scheduler = options.scheduler.value_or(m.scheduler);
-  m.sort_config = options.sort_config.value_or(m.sort_config);
-  m.scatter = options.scatter.value_or(m.scatter);
-  m.morsel_tuples = options.morsel_tuples.value_or(m.morsel_tuples);
-  // The canonical simd knob steers the sort's histogram kernels too
-  // (applied after sort_config so it wins over a combined override).
-  if (options.simd.has_value()) {
-    m.simd = *options.simd;
-    m.sort_config.simd = *options.simd;
-  }
-  return m;
-}
-
-disk::DMpsmOptions ResolveDMpsmOptions(const EngineOptions& options,
-                                       uint64_t memory_budget_bytes) {
-  disk::DMpsmOptions d;
-  d.tuples_per_page = options.dmpsm.tuples_per_page;
-  d.directory = options.dmpsm.directory;
-  d.io_delay_us = options.dmpsm.io_delay_us;
-  d.io_backend = options.dmpsm.io_backend;
-  d.io_queue_depth = options.dmpsm.io_queue_depth;
-  d.io_batch_pages = options.dmpsm.io_batch_pages;
-  d.io_max_inflight_bytes = options.dmpsm.io_max_inflight_bytes;
-  d.sort_config = options.sort_config.value_or(d.sort_config);
-  d.scheduler = options.scheduler.value_or(d.scheduler);
-  if (options.simd.has_value()) {
-    d.simd = *options.simd;
-    d.sort_config.simd = *options.simd;
-  }
-  if (options.dmpsm.pool_pages != 0) d.pool_pages = options.dmpsm.pool_pages;
-  if (options.dmpsm.pool_budget_bytes != 0) {
-    d.pool_budget_bytes = options.dmpsm.pool_budget_bytes;
-  } else if (memory_budget_bytes != 0) {
-    // Cap the buffer pool's frames at half the query budget: staging
-    // ring, private-window readahead and dirty write-back frames all
-    // come out of this one pot (docs/storage.md), and the remaining
-    // half covers transient sort scratch.
-    d.pool_budget_bytes = memory_budget_bytes / 2;
-  }
-  return d;
-}
-
-baseline::RadixJoinOptions ResolveRadixOptions(const EngineOptions& options) {
-  baseline::RadixJoinOptions r;
-  r.pass1_bits = options.radix.pass1_bits;
-  r.pass2_bits = options.radix.pass2_bits;
-  r.target_fragment_tuples = options.radix.target_fragment_tuples;
-  r.scatter = options.scatter.value_or(r.scatter);
-  r.scheduler = options.scheduler.value_or(r.scheduler);
-  r.simd = options.simd.value_or(r.simd);
-  return r;
 }
 
 uint64_t Planner::WorkingSetBytes(uint64_t r_tuples, uint64_t s_tuples) {
@@ -421,14 +366,22 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
   const EngineOptions& options = spec.options ? *spec.options : *options_;
 
   JoinPlan plan;
-  plan.mpsm = ResolveMpsmOptions(options, spec.kind);
+  plan.mpsm = options.mpsm;
+  plan.mpsm.kind = spec.kind;
   const uint64_t budget = spec.memory_budget_bytes != 0
                               ? spec.memory_budget_bytes
                               : options.memory_budget_bytes;
-  plan.dmpsm = ResolveDMpsmOptions(options, budget);
-  plan.radix = ResolveRadixOptions(options);
+  plan.dmpsm = options.dmpsm;
+  if (plan.dmpsm.pool_budget_bytes == 0) {
+    // Cap the buffer pool's frames at half the query budget: staging
+    // ring, private-window readahead and dirty write-back frames all
+    // come out of this one pot (docs/storage.md), and the remaining
+    // half covers transient sort scratch. No budget keeps it unset.
+    plan.dmpsm.pool_budget_bytes = budget / 2;
+  }
+  plan.radix = options.radix;
 
-  // Front-door validation: every resolved knob set must be legal, even
+  // Front-door validation: every variant's knob set must be legal, even
   // for the variants the planner ends up not choosing — a bad knob is
   // a caller bug regardless of today's plan.
   MPSM_RETURN_NOT_OK(plan.mpsm.Validate(team_size));
@@ -457,7 +410,7 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
   model_in.numa_nodes = std::max(in.numa_nodes, machine.nodes);
 
   const bool over_budget = budget != 0 && in.working_set_bytes > budget;
-  const bool tiny = in.r_tuples + in.s_tuples <= options.tiny_input_tuples;
+  const bool tiny = in.r_tuples + in.s_tuples <= kTinyInputTuples;
 
   // Cost every candidate so the plan is inspectable even for the paths
   // rules excluded.
@@ -545,7 +498,7 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
     plan.algorithm = Algorithm::kWisconsin;
     plan.rationale =
         "tiny inputs (" + std::to_string(in.r_tuples + in.s_tuples) +
-        " <= " + std::to_string(options.tiny_input_tuples) +
+        " <= " + std::to_string(kTinyInputTuples) +
         " tuples): phase orchestration would dominate; no-partition hash "
         "join";
   } else {

@@ -13,18 +13,19 @@
 //      the join spills: D-MPSM, with its buffer pool capped at half
 //      the budget.
 //   3. Non-inner joins (semi / anti / outer) are MPSM-family only.
-//   4. Tiny inputs skip partitioned algorithms entirely: the
-//      no-partition hash join's simplicity wins when everything fits
-//      in cache and phase orchestration would dominate.
+//   4. Tiny inputs (|R|+|S| <= 2^15 tuples) skip partitioned
+//      algorithms entirely: the no-partition hash join's simplicity
+//      wins when everything fits in cache and phase orchestration
+//      would dominate.
 //   5. Otherwise every candidate is costed through the calibrated
 //      sim::MachineModel (synthetic per-phase counters from the
 //      cardinalities, multiplicity, skew estimate, and node count) and
 //      the cheapest modeled response time wins.
 //
 // The outcome is an inspectable JoinPlan: chosen algorithm, predicted
-// phase costs, every candidate's modeled cost, and the fully resolved
-// per-variant option structs. See docs/engine.md for the decision
-// table.
+// phase costs, every candidate's modeled cost, and the per-variant
+// option structs it runs with (EngineOptions' own, copied through).
+// See docs/engine.md for the decision table.
 #pragma once
 
 #include <array>
@@ -69,42 +70,6 @@ const char* AlgorithmName(Algorithm algorithm);
 /// baselines are inner-only.
 bool SupportsKind(Algorithm algorithm, JoinKind kind);
 
-/// Per-algorithm overrides for the MPSM variants (knobs that have no
-/// cross-algorithm meaning; the canonical knobs live on EngineOptions).
-struct MpsmOverrides {
-  uint32_t radix_bits = 0;  // 0 = auto (see MpsmOptions::radix_bits)
-  uint32_t equi_height_factor = 4;
-  StartSearch start_search = StartSearch::kInterpolation;
-  bool cost_balanced_splitters = true;
-};
-
-/// Per-algorithm overrides for the D-MPSM spill path.
-struct DMpsmOverrides {
-  size_t tuples_per_page = 4096;
-  /// Staging ring capacity in pages (DMpsmOptions::pool_pages); 0
-  /// keeps that default. Only unbudgeted pools read it: with a pool
-  /// budget, D-MPSM sizes the ring from the budget.
-  size_t pool_pages = 0;
-  /// Buffer-pool frame budget in bytes (DMpsmOptions::pool_budget_bytes);
-  /// 0 derives half the query's memory budget when one is set, else the
-  /// legacy unbounded-frames shape.
-  uint64_t pool_budget_bytes = 0;
-  std::string directory = "/tmp";
-  uint32_t io_delay_us = 0;
-  /// Async page-I/O engine for the spill path (docs/io.md): auto
-  /// probes for io_uring at runtime.
-  io::IoBackendKind io_backend = io::IoBackendKind::kThreadpool;
-  /// Backend queue depth; the planner prices D-MPSM reads at the
-  /// machine model's effective bandwidth for this depth.
-  size_t io_queue_depth = 16;
-  /// Pages coalesced per vectored read / private-window readahead.
-  size_t io_batch_pages = 8;
-  /// In-flight byte budget toward the I/O backend; 0 = no extra cap
-  /// (queue_depth * batch_pages * page_bytes). The join service slices
-  /// its global I/O budget into per-session shares through this knob.
-  uint64_t io_max_inflight_bytes = 0;
-};
-
 /// Crash-safe restartability of the D-MPSM spill path
 /// (docs/recovery.md). Enabled, a D-MPSM execution spools through a
 /// persistent named file and commits a checksummed manifest record
@@ -112,46 +77,23 @@ struct DMpsmOverrides {
 /// Execute of the *same* query (inputs, versions, team size, page
 /// geometry — the manifest fingerprint) re-attaches the durable runs
 /// and skips completed chunks; any mismatch falls back to a clean cold
-/// run. Engine::Resume is Execute with this switched on.
+/// run. Engine::Resume is Execute with this switched on. The journal's
+/// own knobs (checksum_runs, strict_sync, retain_artifacts,
+/// kill_after_commits) are set on EngineOptions::dmpsm.recovery.
 struct RecoveryOverrides {
   bool enabled = false;
   /// Manifest + persistent-spool directory; empty uses the D-MPSM
-  /// spill directory (DMpsmOverrides::directory).
+  /// spill directory (DMpsmOptions::directory).
   std::string dir;
   /// Re-read and checksum every recorded run during Load (paranoid
   /// resume; catches spool corruption the manifest cannot see).
   bool verify_runs = false;
-  /// Keep the manifest and spool after a successful run instead of
-  /// retiring them (tests and the crash harness inspect them).
-  bool retain_artifacts = false;
-  /// Record per-run content checksums in the manifest
-  /// (DMpsmRecoveryOptions::checksum_runs) — one fnv1a pass over every
-  /// spooled byte; only verify_runs reads them.
-  bool checksum_runs = false;
-  /// Per-commit durability (DMpsmRecoveryOptions::strict_sync).
-  /// Default relaxed: commits are process-crash durable, device
-  /// fdatasyncs are deferred to query end. Strict pays ~2 device
-  /// flushes per commit for power-loss-grade durability.
-  bool strict_sync = false;
-  /// Crash injection (tools/crash_harness): SIGKILL this process right
-  /// after the n-th durable manifest commit. 0 = off.
-  uint64_t kill_after_commits = 0;
 };
 
-/// Per-algorithm overrides for the radix hash join.
-struct RadixOverrides {
-  uint32_t pass1_bits = 0;  // 0 = auto
-  uint32_t pass2_bits = 0;
-  uint32_t target_fragment_tuples = 2048;
-};
-
-/// The engine's one canonical knob set. Shared kernel knobs are stated
-/// once (std::nullopt keeps each algorithm's own default, e.g. the
-/// in-memory variants and the radix join default to stealing while
-/// D-MPSM schedules statically); algorithm-specific knobs live in the
-/// override sub-structs. This
-/// replaces hand-tuning MpsmOptions / DMpsmOptions / RadixJoinOptions
-/// in parallel.
+/// The engine's knob set: a few session fields plus each variant's own
+/// option struct, which the planner copies into the plan (filling in
+/// only the two fields noted below). Zero-initialise, then set only
+/// what differs from the defaults.
 struct EngineOptions {
   // ------------------------------------------------------------ session
   /// Worker-team size. 0 sizes the team to the inputs' chunk count
@@ -165,11 +107,6 @@ struct EngineOptions {
   /// Session-wide RAM budget for a join's working set (inputs + runs);
   /// 0 = unlimited. JoinSpec::memory_budget_bytes overrides per query.
   uint64_t memory_budget_bytes = 0;
-
-  /// |R|+|S| at or below this runs the no-partition hash join for
-  /// inner joins: phase orchestration dominates partitioned algorithms
-  /// on inputs this small.
-  uint64_t tiny_input_tuples = uint64_t{1} << 15;
 
   /// Cost model the planner prices candidates with. Unset derives one
   /// from the probed topology (its node/core counts with the paper's
@@ -191,24 +128,16 @@ struct EngineOptions {
   /// one thread-local load per span (BM_TraceOverheadOff measures it
   /// at < 1% of join throughput).
   bool trace = false;
-  /// Events per thread ring of a traced query (TraceSinkOptions).
-  size_t trace_ring_events = 4096;
 
-  // ---------------------------------------- canonical kernel knobs
-  std::optional<SchedulerKind> scheduler;
-  std::optional<sort::RadixSortConfig> sort_config;
-  std::optional<ScatterKind> scatter;
-  std::optional<uint32_t> morsel_tuples;
-  /// Vector ISA of the merge / search / histogram kernels
-  /// (docs/simd.md). Set, it steers every algorithm's simd knob
-  /// *including* the sort's digit histograms (sort_config.simd); unset
-  /// keeps each algorithm's default (kAuto everywhere).
-  std::optional<simd::SimdKind> simd;
-
-  // ---------------------------------------- per-algorithm overrides
-  MpsmOverrides mpsm;
-  DMpsmOverrides dmpsm;
-  RadixOverrides radix;
+  // -------------------------------------------------- variant options
+  /// P-MPSM and B-MPSM. The planner sets `kind` from JoinSpec::kind;
+  /// the value here is ignored.
+  MpsmOptions mpsm;
+  /// The D-MPSM spill path. An unset (0) pool_budget_bytes becomes
+  /// half the query's memory budget when one is set.
+  disk::DMpsmOptions dmpsm;
+  /// The radix hash join.
+  baseline::RadixJoinOptions radix;
 
   /// Crash-safe restartable spilling joins (docs/recovery.md).
   RecoveryOverrides recovery;
@@ -299,7 +228,7 @@ struct CandidateCost {
 };
 
 /// An inspectable join plan: what will run, why, at what predicted
-/// cost, with every knob resolved.
+/// cost, and with which knobs.
 struct JoinPlan {
   Algorithm algorithm = Algorithm::kPMpsm;
   PlannerInputs inputs;
@@ -314,8 +243,9 @@ struct JoinPlan {
   /// One-line reason for the choice.
   std::string rationale;
 
-  /// Fully resolved knobs; the struct matching `algorithm` is the one
-  /// Execute uses (kPMpsm/kBMpsm -> mpsm, kDMpsm -> dmpsm, ...).
+  /// EngineOptions' variant structs with kind and pool budget filled
+  /// in; the struct matching `algorithm` is the one Execute uses
+  /// (kPMpsm/kBMpsm -> mpsm, kDMpsm -> dmpsm, ...).
   MpsmOptions mpsm;
   disk::DMpsmOptions dmpsm;
   baseline::RadixJoinOptions radix;
@@ -375,7 +305,7 @@ class Planner {
       : topology_(topology), options_(options) {}
 
   /// Produces the plan for `spec` on a team of `team_size` workers.
-  /// Validates the resolved option structs (Validate() satellites)
+  /// Validates the plan's option structs (their Validate() methods)
   /// before any cost is estimated. `cached_runs` (optional) announces a
   /// coherent run-cache view of S: the planner then prices cached-merge
   /// vs fresh-sort and records the decision in JoinPlan::cached_runs.
@@ -407,13 +337,5 @@ class Planner {
   const numa::Topology* topology_;
   const EngineOptions* options_;
 };
-
-/// Resolves the canonical + override knobs into each variant's own
-/// option struct (exposed for tests; the planner embeds the results in
-/// the JoinPlan).
-MpsmOptions ResolveMpsmOptions(const EngineOptions& options, JoinKind kind);
-disk::DMpsmOptions ResolveDMpsmOptions(const EngineOptions& options,
-                                       uint64_t memory_budget_bytes);
-baseline::RadixJoinOptions ResolveRadixOptions(const EngineOptions& options);
 
 }  // namespace mpsm::engine

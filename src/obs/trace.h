@@ -79,7 +79,7 @@ struct TraceSummary {
   std::vector<CategoryTotal> categories;
 };
 
-/// Sink tuning (EngineOptions::trace_ring_events feeds capacity).
+/// Sink tuning; the engine's traced queries use the defaults.
 struct TraceSinkOptions {
   /// Events per thread ring. When a ring fills, further *instant*
   /// events are dropped first (kSpanReserve slots stay reserved for

@@ -67,7 +67,7 @@ struct ServiceOptions {
 
   /// Global in-flight device-read budget for spilling (D-MPSM)
   /// queries; 0 = each lane's backend-derived default. Sliced evenly
-  /// into per-lane shares via DMpsmOverrides::io_max_inflight_bytes.
+  /// into per-lane shares via DMpsmOptions::io_max_inflight_bytes.
   uint64_t io_inflight_budget_bytes = 0;
 
   /// Coalesce compatible queued queries over one public input into a
@@ -86,7 +86,7 @@ struct ServiceOptions {
   uint64_t run_cache_bytes = 0;
 
   /// Base options for every lane engine (workers, machine model,
-  /// recalibrate, per-algorithm overrides). The service leaves
+  /// recalibrate, the variants' option structs). The service leaves
   /// memory_budget_bytes alone — admission is governed service-side.
   /// Set engine.recovery.enabled for crash-safe restartable spilling:
   /// a resubmitted query whose previous incarnation died mid-spill

@@ -42,9 +42,9 @@ struct QueryResult {
 
 /// Runs the benchmark query on `engine`'s session. `r` plays the
 /// private/build role, `s` the public/probe role (callers decide role
-/// reversal by swapping). `options` carries the MPSM-variant knobs
-/// (ignored for the hash baselines, which keep their own defaults,
-/// matching the historical harness behavior).
+/// reversal by swapping). `options` replaces the session's
+/// EngineOptions::mpsm, so it steers P-MPSM and B-MPSM only; D-MPSM
+/// and the hash baselines run with the session's dmpsm / radix structs.
 Result<QueryResult> RunBenchmarkQuery(Algorithm algorithm,
                                       engine::Engine& engine,
                                       const Relation& r, const Relation& s,

@@ -254,9 +254,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DMpsmTest, KernelKnobsMatchReference) {
-  // The disk variant's sort/simd knobs (docs/tuning.md) must not
-  // change the join result: the paper's single MSD pass and the
-  // multi-pass default, each with the scalar and the widest merge.
+  // The disk variant's simd knob (docs/simd.md) must not change the
+  // join result: scalar end to end (sort histograms and page merge)
+  // and the widest kind.
   const auto topology = numa::Topology::Simulated(2, 8);
   workload::DatasetSpec spec;
   spec.r_tuples = 5000;
@@ -271,23 +271,19 @@ TEST(DMpsmTest, KernelKnobsMatchReference) {
       dataset.r.ToVector(), dataset.s.ToVector(), JoinKind::kInner,
       reference.ConsumerForWorker(0));
 
-  for (uint32_t max_passes : {1u, 4u}) {
-    for (simd::SimdKind simd : {simd::SimdKind::kScalar,
-                                simd::SimdKind::kAuto}) {
-      DMpsmOptions options;
-      options.tuples_per_page = 128;
-      options.pool_pages = 4;
-      options.sort_config.max_passes = max_passes;
-      options.simd = simd;
+  for (simd::SimdKind simd :
+       {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
+    DMpsmOptions options;
+    options.tuples_per_page = 128;
+    options.pool_pages = 4;
+    options.simd = simd;
 
-      WorkerTeam team(topology, team_size);
-      CountFactory counts(team_size);
-      const auto info =
-          DMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
-      ASSERT_TRUE(info.ok()) << info.status().ToString();
-      EXPECT_EQ(counts.Result(), expected)
-          << "passes" << max_passes << "/" << simd::SimdKindName(simd);
-    }
+    WorkerTeam team(topology, team_size);
+    CountFactory counts(team_size);
+    const auto info =
+        DMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(counts.Result(), expected) << simd::SimdKindName(simd);
   }
 }
 

@@ -145,15 +145,115 @@ TEST(PlannerGoldenTest, DeeperIoQueuePricesDMpsmCheaper) {
             shallow_cost.phase_seconds[kPhaseJoin]);
 }
 
-TEST(PlannerGoldenTest, ResolvesIoKnobsIntoDMpsmOptions) {
+TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
+  // Every field of the three variant structs is set away from its
+  // default, and the plan must carry each value through. Two fields
+  // are the planner's: mpsm.kind comes from JoinSpec::kind, and an
+  // unset dmpsm.pool_budget_bytes becomes half the query budget.
+  const auto topology = Topo();
+  const auto dataset = MediumDataset(topology, 8);
+  const recovery::ResumeState resume;
+
   EngineOptions options;
-  options.dmpsm.io_backend = io::IoBackendKind::kAuto;
-  options.dmpsm.io_queue_depth = 4;
-  options.dmpsm.io_batch_pages = 2;
-  const auto resolved = ResolveDMpsmOptions(options, /*budget=*/0);
-  EXPECT_EQ(resolved.io_backend, io::IoBackendKind::kAuto);
-  EXPECT_EQ(resolved.io_queue_depth, 4u);
-  EXPECT_EQ(resolved.io_batch_pages, 2u);
+  options.workers = 8;
+  MpsmOptions& m = options.mpsm;
+  m.kind = JoinKind::kLeftAnti;
+  m.radix_bits = 12;
+  m.equi_height_factor = 8;
+  m.start_search = StartSearch::kBinary;
+  m.cost_balanced_splitters = false;
+  m.scheduler = SchedulerKind::kStatic;
+  m.morsel_tuples = 1u << 12;
+  m.scatter = ScatterKind::kScalar;
+  m.simd = simd::SimdKind::kScalar;
+  disk::DMpsmOptions& d = options.dmpsm;
+  d.tuples_per_page = 1024;
+  d.pool_pages = 32;
+  d.pool_budget_bytes = 3u << 20;
+  d.directory = "/spill";
+  d.io_delay_us = 7;
+  d.simd = simd::SimdKind::kScalar;
+  d.scheduler = SchedulerKind::kStealing;
+  d.io_backend = io::IoBackendKind::kAuto;
+  d.io_queue_depth = 4;
+  d.io_batch_pages = 2;
+  d.io_max_inflight_bytes = 1u << 20;
+  d.recovery.journal = true;
+  d.recovery.journal_path = "/spill/m.jnl";
+  d.recovery.spool_path = "/spill/s.pages";
+  d.recovery.resume = &resume;
+  d.recovery.retain_artifacts = true;
+  d.recovery.checksum_runs = true;
+  d.recovery.strict_sync = true;
+  d.recovery.kill_after_commits = 5;
+  baseline::RadixJoinOptions& x = options.radix;
+  x.pass1_bits = 10;
+  x.pass2_bits = 6;
+  x.target_fragment_tuples = 4096;
+  x.scatter = ScatterKind::kScalar;
+  x.scheduler = SchedulerKind::kStatic;
+  x.simd = simd::SimdKind::kScalar;
+  Engine engine(topology, options);
+
+  JoinSpec spec;
+  spec.r = &dataset.r;
+  spec.s = &dataset.s;
+  spec.kind = JoinKind::kLeftSemi;
+  spec.memory_budget_bytes = uint64_t{1} << 30;
+  auto plan = engine.Plan(spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  EXPECT_EQ(plan->mpsm.kind, JoinKind::kLeftSemi);
+  EXPECT_EQ(plan->mpsm.radix_bits, m.radix_bits);
+  EXPECT_EQ(plan->mpsm.equi_height_factor, m.equi_height_factor);
+  EXPECT_EQ(plan->mpsm.start_search, m.start_search);
+  EXPECT_EQ(plan->mpsm.cost_balanced_splitters, m.cost_balanced_splitters);
+  EXPECT_EQ(plan->mpsm.scheduler, m.scheduler);
+  EXPECT_EQ(plan->mpsm.morsel_tuples, m.morsel_tuples);
+  EXPECT_EQ(plan->mpsm.scatter, m.scatter);
+  EXPECT_EQ(plan->mpsm.simd, m.simd);
+
+  EXPECT_EQ(plan->dmpsm.tuples_per_page, d.tuples_per_page);
+  EXPECT_EQ(plan->dmpsm.pool_pages, d.pool_pages);
+  EXPECT_EQ(plan->dmpsm.pool_budget_bytes, d.pool_budget_bytes);  // wins
+  EXPECT_EQ(plan->dmpsm.directory, d.directory);
+  EXPECT_EQ(plan->dmpsm.io_delay_us, d.io_delay_us);
+  EXPECT_EQ(plan->dmpsm.simd, d.simd);
+  EXPECT_EQ(plan->dmpsm.scheduler, d.scheduler);
+  EXPECT_EQ(plan->dmpsm.io_backend, d.io_backend);
+  EXPECT_EQ(plan->dmpsm.io_queue_depth, d.io_queue_depth);
+  EXPECT_EQ(plan->dmpsm.io_batch_pages, d.io_batch_pages);
+  EXPECT_EQ(plan->dmpsm.io_max_inflight_bytes, d.io_max_inflight_bytes);
+  EXPECT_EQ(plan->dmpsm.recovery.journal, d.recovery.journal);
+  EXPECT_EQ(plan->dmpsm.recovery.journal_path, d.recovery.journal_path);
+  EXPECT_EQ(plan->dmpsm.recovery.spool_path, d.recovery.spool_path);
+  EXPECT_EQ(plan->dmpsm.recovery.resume, &resume);
+  EXPECT_EQ(plan->dmpsm.recovery.retain_artifacts,
+            d.recovery.retain_artifacts);
+  EXPECT_EQ(plan->dmpsm.recovery.checksum_runs, d.recovery.checksum_runs);
+  EXPECT_EQ(plan->dmpsm.recovery.strict_sync, d.recovery.strict_sync);
+  EXPECT_EQ(plan->dmpsm.recovery.kill_after_commits,
+            d.recovery.kill_after_commits);
+
+  EXPECT_EQ(plan->radix.pass1_bits, x.pass1_bits);
+  EXPECT_EQ(plan->radix.pass2_bits, x.pass2_bits);
+  EXPECT_EQ(plan->radix.target_fragment_tuples, x.target_fragment_tuples);
+  EXPECT_EQ(plan->radix.scatter, x.scatter);
+  EXPECT_EQ(plan->radix.scheduler, x.scheduler);
+  EXPECT_EQ(plan->radix.simd, x.simd);
+
+  // Unset, the pool budget is half the query's; without a budget it
+  // stays unset (the pool_pages frame shape).
+  EngineOptions unset = options;
+  unset.dmpsm.pool_budget_bytes = 0;
+  spec.options = &unset;
+  plan = engine.Plan(spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->dmpsm.pool_budget_bytes, spec.memory_budget_bytes / 2);
+  spec.memory_budget_bytes = 0;
+  plan = engine.Plan(spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->dmpsm.pool_budget_bytes, 0u);
 }
 
 TEST(PlannerGoldenTest, RejectsBadIoKnobsAtTheFrontDoor) {

@@ -138,6 +138,31 @@ TEST_P(JoinCorrectnessTest, MaxSumMatchesReference) {
   EXPECT_EQ(result->max_sum.value_or(0), expected);
 }
 
+TEST(BenchmarkQueryTest, DMpsmSchedulesStaticallyLikeTheEngine) {
+  // The harness MpsmOptions steer P-MPSM and B-MPSM only: a D-MPSM
+  // query keeps the session's DMpsmOptions, so it schedules statically
+  // exactly as Engine::Execute runs it, even though MpsmOptions
+  // defaults to stealing.
+  const auto topology = TestTopology();
+  DatasetSpec spec;
+  spec.r_tuples = 6000;
+  spec.multiplicity = 2.0;
+  spec.seed = 17;
+  const auto dataset = workload::Generate(topology, 4, spec);
+
+  engine::EngineOptions engine_options;
+  engine_options.workers = 4;
+  engine::Engine engine(topology, engine_options);
+  auto result = workload::RunBenchmarkQuery(engine::Algorithm::kDMpsm, engine,
+                                            dataset.r, dataset.s);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->plan().algorithm, engine::Algorithm::kDMpsm);
+  EXPECT_EQ(result->plan().dmpsm.scheduler, SchedulerKind::kStatic);
+  EXPECT_EQ(result->max_sum.value_or(0),
+            baseline::ReferenceMaxPayloadSum(dataset.r.ToVector(),
+                                             dataset.s.ToVector()));
+}
+
 std::vector<JoinCase> AllCases() {
   std::vector<JoinCase> cases;
   const Algorithm algorithms[] = {Algorithm::kPMpsm, Algorithm::kBMpsm,
@@ -225,11 +250,11 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------ kernel option matrix (tuning.md)
 
 TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
-  // Every combination of the cache-conscious knobs (scatter kind, sort
-  // pass budget, simd scalar/auto) and both schedulers (static and
-  // stealing) must produce the reference count through both P-MPSM and
-  // B-MPSM; the fast defaults may differ from the scalar paths only in
-  // speed.
+  // Every combination of the cache-conscious knobs (scatter kind, simd
+  // scalar/auto — the sorts' digit histograms follow it) and both
+  // schedulers (static and stealing) must produce the reference count
+  // through both P-MPSM and B-MPSM; the fast defaults may differ from
+  // the scalar paths only in speed.
   const auto topology = TestTopology();
   DatasetSpec spec;
   spec.r_tuples = 12000;
@@ -251,40 +276,34 @@ TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
     for (ScatterKind scatter :
          {ScatterKind::kScalar, ScatterKind::kWriteCombining,
           ScatterKind::kAuto}) {
-      // max_passes 1 is the paper's single MSD pass; 4 the default.
-      for (uint32_t max_passes : {1u, 4u}) {
-        for (simd::SimdKind simd_kind :
-             {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
-          MpsmOptions options;
-          options.scheduler = scheduler;
-          options.scatter = scatter;
-          options.sort_config.max_passes = max_passes;
-          options.simd = simd_kind;
-          options.sort_config.simd = simd_kind;
-          options.morsel_tuples = 1024;  // small enough to slice at test size
+      for (simd::SimdKind simd_kind :
+           {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
+        MpsmOptions options;
+        options.scheduler = scheduler;
+        options.scatter = scatter;
+        options.simd = simd_kind;
+        options.morsel_tuples = 1024;  // small enough to slice at test size
 
-          const auto label = [&] {
-            return std::string(SchedulerKindName(scheduler)) + "/" +
-                   ScatterKindName(scatter) + "/passes" +
-                   std::to_string(max_passes) + "/" +
-                   simd::SimdKindName(simd_kind);
-          };
-          {
-            WorkerTeam team(topology, team_size);
-            CountFactory counts(team_size);
-            const auto info = PMpsmJoin(options).Execute(team, dataset.r,
-                                                         dataset.s, counts);
-            ASSERT_TRUE(info.ok()) << info.status().ToString();
-            EXPECT_EQ(counts.Result(), expected) << "p-mpsm " << label();
-          }
-          {
-            WorkerTeam team(topology, team_size);
-            CountFactory counts(team_size);
-            const auto info = BMpsmJoin(options).Execute(team, dataset.r,
-                                                         dataset.s, counts);
-            ASSERT_TRUE(info.ok()) << info.status().ToString();
-            EXPECT_EQ(counts.Result(), expected) << "b-mpsm " << label();
-          }
+        const auto label = [&] {
+          return std::string(SchedulerKindName(scheduler)) + "/" +
+                 ScatterKindName(scatter) + "/" +
+                 simd::SimdKindName(simd_kind);
+        };
+        {
+          WorkerTeam team(topology, team_size);
+          CountFactory counts(team_size);
+          const auto info = PMpsmJoin(options).Execute(team, dataset.r,
+                                                       dataset.s, counts);
+          ASSERT_TRUE(info.ok()) << info.status().ToString();
+          EXPECT_EQ(counts.Result(), expected) << "p-mpsm " << label();
+        }
+        {
+          WorkerTeam team(topology, team_size);
+          CountFactory counts(team_size);
+          const auto info = BMpsmJoin(options).Execute(team, dataset.r,
+                                                       dataset.s, counts);
+          ASSERT_TRUE(info.ok()) << info.status().ToString();
+          EXPECT_EQ(counts.Result(), expected) << "b-mpsm " << label();
         }
       }
     }
@@ -338,8 +357,8 @@ TEST(AdaptiveMorselTest, AutoSliceMatchesReferenceUnderSkew) {
   // The engine front door must accept the 0 knob too.
   engine::EngineOptions engine_options;
   engine_options.workers = team_size;
-  engine_options.morsel_tuples = 0;
-  engine_options.scheduler = SchedulerKind::kStealing;
+  engine_options.mpsm.morsel_tuples = 0;
+  engine_options.mpsm.scheduler = SchedulerKind::kStealing;
   engine::Engine engine(topology, engine_options);
   CountFactory counts(team_size);
   engine::JoinSpec join;

@@ -572,7 +572,7 @@ TEST(EngineRecoveryTest, ExecuteThenResumeSkipsCompletedWork) {
   options.dmpsm.directory = dir.path;
   options.recovery.enabled = true;
   options.recovery.dir = dir.path;
-  options.recovery.retain_artifacts = true;
+  options.dmpsm.recovery.retain_artifacts = true;
   engine::Engine engine(topology, options);
 
   CountFactory first(kTeam);
@@ -623,7 +623,7 @@ TEST(ServiceRecoveryTest, ResubmissionResumesAndCountsIt) {
   options.engine.dmpsm.directory = dir.path;
   options.engine.recovery.enabled = true;
   options.engine.recovery.dir = dir.path;
-  options.engine.recovery.retain_artifacts = true;
+  options.engine.dmpsm.recovery.retain_artifacts = true;
   service::JoinService service(topology, options);
 
   engine::JoinSpec join;

@@ -305,9 +305,7 @@ TEST(PublicRunsTest, SharedRunsReproduceTheUnsharedJoin) {
   options.force_algorithm = engine::Algorithm::kPMpsm;
   engine::Engine engine(topology, options);
 
-  auto runs =
-      BuildPublicRuns(engine.EnsureTeam(kChunks), a.s,
-                      engine::ResolveMpsmOptions(options, JoinKind::kInner));
+  auto runs = BuildPublicRuns(engine.EnsureTeam(kChunks), a.s, options.mpsm);
   ASSERT_TRUE(runs.ok()) << runs.status().ToString();
   EXPECT_EQ(runs->runs.size(), kChunks);
   EXPECT_EQ(runs->histograms.size(), kChunks);

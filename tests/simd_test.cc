@@ -335,6 +335,16 @@ TEST_P(SimdKindSweep, MsdRadixPartitionAgreesAcrossKinds) {
 
 // --------------------------------- engine matrix: scalar vs auto A/B
 
+/// Session options whose every algorithm runs its kernels at `kind`.
+engine::EngineOptions OptionsAtSimd(uint32_t workers, simd::SimdKind kind) {
+  engine::EngineOptions options;
+  options.workers = workers;
+  options.mpsm.simd = kind;
+  options.dmpsm.simd = kind;
+  options.radix.simd = kind;
+  return options;
+}
+
 TEST(SimdEngineTest, ScalarAndAutoProduceIdenticalJoinsAcrossMatrix) {
   const auto topology = numa::Topology::Simulated(4, 8);
   constexpr uint32_t kWorkers = 4;
@@ -359,10 +369,7 @@ TEST(SimdEngineTest, ScalarAndAutoProduceIdenticalJoinsAcrossMatrix) {
       int slot = 0;
       for (const simd::SimdKind simd_kind :
            {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
-        engine::EngineOptions options;
-        options.workers = kWorkers;
-        options.simd = simd_kind;
-        engine::Engine engine(topology, options);
+        engine::Engine engine(topology, OptionsAtSimd(kWorkers, simd_kind));
         CountFactory consumer(kWorkers);
         engine::JoinSpec join;
         join.r = &dataset.r;
@@ -413,10 +420,7 @@ TEST(SimdEngineTest, ScatterDigitKnobIsAnIdentityAB) {
   int slot = 0;
   for (const simd::SimdKind kind :
        {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
-    engine::EngineOptions options;
-    options.workers = kWorkers;
-    options.simd = kind;
-    engine::Engine engine(topology, options);
+    engine::Engine engine(topology, OptionsAtSimd(kWorkers, kind));
     CountFactory consumer(kWorkers);
     engine::JoinSpec join;
     join.r = &dataset.r;
@@ -447,10 +451,8 @@ TEST(SimdEngineTest, UnsupportedForcedKindStillExecutes) {
   spec.seed = 8;
   const auto dataset = workload::Generate(topology, 4, spec);
 
-  engine::EngineOptions options;
-  options.workers = 4;
-  options.simd = simd::SimdKind::kAvx512;
-  engine::Engine engine(topology, options);
+  engine::Engine engine(topology,
+                        OptionsAtSimd(4, simd::SimdKind::kAvx512));
   CountFactory consumer(4);
   engine::JoinSpec join;
   join.r = &dataset.r;
@@ -475,10 +477,7 @@ TEST(SimdEngineTest, PlanSurfacesTheResolvedKind) {
   spec.seed = 7;
   const auto dataset = workload::Generate(topology, 8, spec);
 
-  engine::EngineOptions options;
-  options.workers = 8;
-  options.simd = simd::SimdKind::kScalar;
-  engine::Engine engine(topology, options);
+  engine::Engine engine(topology, OptionsAtSimd(8, simd::SimdKind::kScalar));
   engine::JoinSpec join;
   join.r = &dataset.r;
   join.s = &dataset.s;
