@@ -139,7 +139,10 @@ Result<JoinRunInfo> RadixHashJoin::Execute(WorkerTeam& team,
 
   const auto chunk_morsels = [num_workers] { return ChunkMorsels(num_workers); };
 
-  PhasePipeline pipeline(team.topology(), num_workers, options_.scheduler);
+  // Always stealing: the pass-2/join partitions are the legacy dynamic
+  // task counter, with locality-first dispatch (docs/scheduler.md).
+  PhasePipeline pipeline(team.topology(), num_workers,
+                         SchedulerKind::kStealing);
 
   // ---------------- pass 1: histograms ----------------
   pipeline.AddPhase(

@@ -12,7 +12,6 @@
 
 #include "core/consumers.h"
 #include "core/join_stats.h"
-#include "parallel/scheduler_kind.h"
 #include "parallel/worker_team.h"
 #include "partition/scatter_kind.h"
 #include "simd/simd_kind.h"
@@ -35,13 +34,6 @@ struct RadixJoinOptions {
   /// resolves per the ~100-partition crossover (docs/tuning.md): the
   /// 2^B1-way fan-out picks write combining except for tiny inputs.
   ScatterKind scatter = ScatterKind::kAuto;
-
-  /// How pass-2/join tasks are distributed (docs/scheduler.md).
-  /// Stealing reproduces the legacy dynamic task counter but with
-  /// NUMA-aware, locality-first dispatch: partitions queue on their
-  /// owning node and idle workers steal cross-node. Static pre-assigns
-  /// partitions round-robin to the owning node's workers (A/B knob).
-  SchedulerKind scheduler = SchedulerKind::kStealing;
 
   /// Vector ISA of the partitioning hash-digit histograms
   /// (docs/simd.md); every kind counts identically.

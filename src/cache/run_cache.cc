@@ -48,9 +48,7 @@ obs::Counter& CompactionCounter() {
 }
 }  // namespace
 
-RunCache::RunCache(RunCacheOptions options) : options_(options) {
-  options_.delta_level_fanout = std::max(options_.delta_level_fanout, 2u);
-}
+RunCache::RunCache(RunCacheOptions options) : options_(options) {}
 
 uint64_t RunCache::Ingest(Relation& rel, const Tuple* tuples, size_t n) {
   if (rel.id() == 0) return 0;
@@ -292,7 +290,7 @@ std::shared_ptr<const Relation> RunCache::MaterializedView(
 std::vector<RunCache::CompactJob> RunCache::CollectCompactJobsLocked() {
   std::vector<CompactJob> jobs;
   for (auto& [relation_id, log] : logs_) {
-    if (log.segments.size() < options_.delta_level_fanout) continue;
+    if (log.segments.size() < kDeltaLevelFanout) continue;
     // Merging across a live entry's install point would straddle its
     // covered-version boundary and invalidate a warm entry; cut
     // candidate stretches there.
@@ -314,7 +312,7 @@ std::vector<RunCache::CompactJob> RunCache::CollectCompactJobsLocked() {
              !protected_after(log.segments[j - 1]->last_version)) {
         ++j;
       }
-      if (j - i >= options_.delta_level_fanout) {
+      if (j - i >= kDeltaLevelFanout) {
         CompactJob job;
         job.relation_id = relation_id;
         job.sources.assign(log.segments.begin() + static_cast<ptrdiff_t>(i),

@@ -92,14 +92,14 @@ struct CacheStats {
   uint64_t delta_bytes = 0;  // not evictable (authoritative data)
 };
 
+/// Tiered-compaction fanout: a contiguous stretch of >= this many
+/// same-level segments becomes one CompactPending merge job.
+inline constexpr uint32_t kDeltaLevelFanout = 4;
+
 struct RunCacheOptions {
   /// Resident-byte capacity (base entries + delta logs). Install evicts
   /// LRU base entries to fit; 0 = unlimited.
   uint64_t capacity_bytes = 0;
-
-  /// Tiered-compaction fanout: a contiguous stretch of >= this many
-  /// same-level segments becomes one CompactPending merge job.
-  uint32_t delta_level_fanout = 4;
 };
 
 /// Thread-safe cross-query run cache. One instance is meant to be
@@ -167,7 +167,7 @@ class RunCache {
 
   // ------------------------------------------------------- compaction
   /// Runs every ready merge job (contiguous stretches of >=
-  /// delta_level_fanout same-level segments, never across a live
+  /// kDeltaLevelFanout same-level segments, never across a live
   /// entry's covered-version boundary). With a team, jobs run as
   /// stealable morsels on the task scheduler — idle service lanes
   /// compact; nullptr merges inline on the caller. Returns the number

@@ -60,41 +60,24 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
                          /*num_bounds=*/0, options.scheduler,
                          sort_config, options.morsel_tuples);
 
-  // Phase 4: merge join the private runs against all public runs.
-  if (options.scheduler == SchedulerKind::kStatic) {
-    // The paper's script: worker w drives its own run i = w over every
-    // public run, staggering the starting run.
-    pipeline.AddPhase(
-        kPhaseJoin, [&] { return ChunkMorsels(num_workers); },
-        [&](WorkerContext& ctx, const Morsel& morsel) {
-          JoinPrivateAgainstRuns(r_runs[morsel.task], s_runs,
-                                 /*first_run=*/morsel.task, join_options,
-                                 consumers.ConsumerForWorker(ctx.worker_id),
-                                 ctx.node, &ctx.Counters(kPhaseJoin));
-        });
-  } else {
-    // Range-sliced (run pair x merge range) morsels; built lazily so
-    // the slicing sees the actual run sizes (morsel_tuples == 0 adapts
-    // to their variance, docs/scheduler.md).
-    pipeline.AddPhase(
-        kPhaseJoin,
-        [&] {
-          std::vector<uint64_t> run_sizes(num_workers);
-          for (uint32_t w = 0; w < num_workers; ++w) {
-            run_sizes[w] = r_runs[w].size;
-          }
-          const uint64_t morsel_tuples = ResolveMorselTuples(
-              options.morsel_tuples, run_sizes.data(), run_sizes.size());
-          return MergeJoinMorsels(r_runs, num_workers, options.kind,
-                                  morsel_tuples);
-        },
-        [&](WorkerContext& ctx, const Morsel& morsel) {
-          ExecuteMergeJoinMorsel(morsel, r_runs, s_runs, join_options,
-                                 consumers.ConsumerForWorker(ctx.worker_id),
-                                 ctx.node, &ctx.Counters(kPhaseJoin));
-        },
-        PhasePipeline::PhaseOptions{.eager = false});
-  }
+  // Phase 4: merge join the private runs against all public runs, one
+  // morsel per (private run i, public run j, slice of i) with the
+  // public runs staggered per i (MergeJoinMorsels). Static scheduling
+  // slices whole runs, so worker w walks the paper's script over its
+  // own run; lazy, so the slicing sees the finished runs.
+  pipeline.AddPhase(
+      kPhaseJoin,
+      [&] {
+        return MergeJoinMorsels(
+            r_runs, num_workers, options.kind,
+            MorselSlice(options.scheduler, options.morsel_tuples));
+      },
+      [&](WorkerContext& ctx, const Morsel& morsel) {
+        ExecuteMergeJoinMorsel(morsel, r_runs, s_runs, join_options,
+                               consumers.ConsumerForWorker(ctx.worker_id),
+                               ctx.node, &ctx.Counters(kPhaseJoin));
+      },
+      PhasePipeline::PhaseOptions{.eager = false});
 
   WallTimer timer;
   pipeline.Run(team);

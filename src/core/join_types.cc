@@ -27,8 +27,10 @@ Status MpsmOptions::Validate(uint32_t team_size) const {
     return Status::InvalidArgument(
         "equi_height_factor must be >= 1 (f*T CDF bounds per worker)");
   }
-  // morsel_tuples == 0 is legal: adaptive slicing from partition-size
-  // variance (docs/scheduler.md).
+  if (morsel_tuples == 0) {
+    return Status::InvalidArgument(
+        "morsel_tuples must be >= 1 (tuples per stealable morsel)");
+  }
   return Status::OK();
 }
 

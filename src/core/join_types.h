@@ -72,12 +72,9 @@ struct MpsmOptions {
   SchedulerKind scheduler = SchedulerKind::kStealing;
 
   /// Target tuples per stealable morsel (scatter blocks, sort buckets,
-  /// merge ranges). Smaller morsels balance better but add claim
+  /// merge ranges; >= 1). Smaller morsels balance better but add claim
   /// overhead; 2^14 tuples = 256 KiB keeps a morsel around one L2.
-  /// 0 = adaptive: each phase derives its slice from the variance of
-  /// the work-unit sizes it is about to slice (ResolveMorselTuples,
-  /// docs/scheduler.md) — uniform partitions keep the 2^14 default,
-  /// skewed ones slice finer so the hot partition's surplus spreads.
+  /// Static scheduling ignores it: its morsels are whole tasks.
   uint32_t morsel_tuples = 1u << 14;
 
   // ------------------------------------------- cache-conscious kernels

@@ -169,7 +169,7 @@ uint64_t JoinPrivateAgainstRuns(const Run& ri, const RunSet& s_runs,
 
 std::vector<Morsel> MergeJoinMorsels(const RunSet& r_runs,
                                      uint32_t num_public_runs, JoinKind kind,
-                                     uint64_t morsel_tuples) {
+                                     uint64_t slice) {
   std::vector<Morsel> morsels;
   const uint32_t num_private = static_cast<uint32_t>(r_runs.size());
   for (uint32_t i = 0; i < num_private; ++i) {
@@ -179,9 +179,9 @@ std::vector<Morsel> MergeJoinMorsels(const RunSet& r_runs,
       morsels.push_back(Morsel{i, i, 0, ri.size});
       continue;
     }
-    const auto ranges = SliceRanges(ri.size, morsel_tuples);
+    const auto ranges = SliceRanges(ri.size, slice);
     for (uint32_t offset = 0; offset < num_public_runs; ++offset) {
-      // Stagger the public runs per private run, like the static
+      // Stagger the public runs per private run, like the paper's
       // driver, so concurrent morsels fan out across nodes.
       const uint32_t j = (i + offset) % num_public_runs;
       for (const auto& [begin, end] : ranges) {

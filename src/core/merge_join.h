@@ -267,16 +267,19 @@ uint64_t JoinPrivateAgainstRuns(const Run& ri, const RunSet& s_runs,
                                 numa::NodeId worker_node,
                                 PerfCounters* counters);
 
-/// Builds the stealing scheduler's phase-4 morsels. Inner joins are
-/// sliced finely — one morsel per (private run i, public run j, tuple
-/// range of i), task = i * |s_runs| + j, public runs staggered per i —
-/// so a hot partition's merge work spreads over idle workers. The
-/// bitmap-carrying kinds (semi/anti/outer) get one morsel per private
-/// run (task = i, the full driver): the match bitmap spans all public
-/// runs and must stay single-owner.
+/// Builds the phase-4 morsels of the MPSM variants, homed on the
+/// private run's worker. Inner joins get one morsel per (private run
+/// i, public run j, `slice`-tuple range of i), task = i * |s_runs| + j,
+/// public runs staggered per i (j = i, i + 1, ...), so a hot
+/// partition's merge work spreads over idle workers; a whole-task
+/// slice (static scheduling, MorselSlice) leaves one morsel per run
+/// pair, the paper's per-worker loop. The bitmap-carrying kinds
+/// (semi/anti/outer) get one morsel per private run (task = i, all
+/// public runs in one JoinPrivateAgainstRuns call): the match bitmap
+/// spans all public runs and must stay single-owner.
 std::vector<Morsel> MergeJoinMorsels(const RunSet& r_runs,
                                      uint32_t num_public_runs, JoinKind kind,
-                                     uint64_t morsel_tuples);
+                                     uint64_t slice);
 
 /// Executes one MergeJoinMorsels morsel. `worker_node` is the
 /// *executing* worker's node; locality is classified against the runs'

@@ -40,8 +40,8 @@ struct SharedState {
   RunGenState s_gen;
 
   // The private input sliced into scatter blocks; one plan row each.
-  // Static scheduling keeps one block per chunk (the paper's layout:
-  // row w == worker w); stealing slices to ~morsel_tuples, at least
+  // A static block is a whole chunk (the paper's layout: row w ==
+  // worker w); stealing slices to ~morsel_tuples, at least
   // kFlushesPerSegment staging flushes per segment.
   std::vector<ScatterBlock> blocks;
 
@@ -71,11 +71,6 @@ struct SharedState {
   // (allocated by its worker in the pinned 2.3b phase). Empty when the
   // scatter cannot resolve to write combining.
   std::vector<std::vector<internal::WcBuffer*>> wc_buffers;
-
-  // Phase-3/4 morsel slice, resolved in the 2.3a serial step once the
-  // partition sizes are known (morsel_tuples == 0 adapts to their
-  // variance, docs/scheduler.md).
-  uint64_t partition_morsel_tuples = kDefaultMorselTuples;
 
   // Phase 3 products: run p is partition p, sorted in place.
   RunSet r_runs;
@@ -149,11 +144,12 @@ std::pair<uint64_t, uint32_t> SegmentKeyRange(const SharedState& shared,
   return {low, bits::BitWidth(last - low)};
 }
 
-// Phase-3 morsels: runs of consecutive segments of one partition
-// holding about `morsel_tuples` tuples, homed on the partition's
-// worker (task = partition, [begin, end) = segments).
+// Phase-3 morsels: runs of consecutive segments of one non-empty
+// partition holding about `slice` tuples (a whole-task slice spans the
+// partition), homed on the partition's worker (task = partition,
+// [begin, end) = segments).
 std::vector<Morsel> SegmentSortMorsels(const SharedState& shared,
-                                       uint64_t morsel_tuples) {
+                                       uint64_t slice) {
   std::vector<Morsel> morsels;
   const std::vector<uint32_t>& first = shared.first_segment;
   for (uint32_t p = 0; p + 1 < first.size(); ++p) {
@@ -161,7 +157,7 @@ std::vector<Morsel> SegmentSortMorsels(const SharedState& shared,
     uint64_t acc = 0;
     for (uint32_t s = first[p]; s < first[p + 1]; ++s) {
       acc += shared.plan.partition_sizes[s];
-      if (acc >= morsel_tuples || s + 1 == first[p + 1]) {
+      if (acc >= slice || s + 1 == first[p + 1]) {
         if (acc > 0) morsels.push_back(Morsel{p, p, begin, s + 1});
         begin = s + 1;
         acc = 0;
@@ -205,7 +201,9 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
       std::max(1u, options_.equi_height_factor * num_workers);
   const MpsmOptions options = options_;
   const sort::RadixSortConfig sort_config{.simd = options.simd};
-  const bool stealing = options.scheduler == SchedulerKind::kStealing;
+  // Every phase runs one morsel plan; the scheduler picks the slice
+  // (whole tasks under static) and the dispatch.
+  const uint64_t slice = MorselSlice(options.scheduler, options.morsel_tuples);
 
   SharedState shared;
   shared.s_runs.resize(num_workers);
@@ -214,19 +212,13 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   for (uint32_t w = 0; w < num_workers; ++w) {
     chunk_sizes[w] = r_private.chunk(w).size;
   }
-  // Phase-2 slicing sees only the chunk sizes (partitions do not exist
-  // yet); the phase-3/4 slice is re-resolved from the partition sizes.
-  // A stealing-mode block is large enough that each of its (block,
-  // segment) pairs fills several write-combining buffers.
-  const uint64_t block_tuples = std::max(
-      ResolveMorselTuples(options.morsel_tuples, chunk_sizes.data(),
-                          chunk_sizes.size()),
-      MaxSortSegments(r_private.size(), num_workers) * kFlushesPerSegment *
-          kWcBufferTuples);
+  // A sliced block is large enough that each of its (block, segment)
+  // pairs fills several write-combining buffers.
+  const uint64_t block_tuples =
+      std::max(slice, MaxSortSegments(r_private.size(), num_workers) *
+                          kFlushesPerSegment * kWcBufferTuples);
   for (uint32_t w = 0; w < num_workers; ++w) {
-    const uint64_t chunk_size = chunk_sizes[w];
-    const uint64_t slice = stealing ? block_tuples : chunk_size;
-    for (const auto& [begin, end] : SliceRanges(chunk_size, slice)) {
+    for (const auto& [begin, end] : SliceRanges(chunk_sizes[w], block_tuples)) {
       shared.blocks.push_back(ScatterBlock{w, begin, end});
     }
   }
@@ -362,11 +354,6 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
           ctx.team_size,
           std::vector<internal::WcBuffer*>(num_segments, nullptr));
     }
-    // Phases 3/4 slice range partitions, whose sizes are now known:
-    // re-resolve the adaptive morsel slice against their variance.
-    shared.partition_morsel_tuples = ResolveMorselTuples(
-        options.morsel_tuples, shared.splitters.partition_r_sizes.data(),
-        shared.splitters.partition_r_sizes.size());
 
 #ifndef NDEBUG
     // The morsel slicing must cover each chunk exactly once (no tuple
@@ -472,28 +459,19 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   // ---------------------------------------------------- phase 3
   // Sort each segment in place: its keys lie in a known range, so LSD
   // passes over key - low finish it in cache (SortKeyRange), and the
-  // partition, segments concatenated in key order, is a sorted run.
-  // Static mode sorts partition w whole on worker w (the paper's
-  // script, an eager morsel); stealing mode slices it into
-  // ~morsel_tuples runs of segments so idle workers absorb a hot
-  // partition's sort. Each segment charges n log2 |partition|:
-  // together what sorting the partition whole charges.
+  // partition, segments concatenated in key order, is a sorted run. A
+  // morsel is a run of consecutive segments of one partition: under
+  // static scheduling the whole partition on its worker (the paper's
+  // script), under stealing ~morsel_tuples, so idle workers absorb a
+  // hot partition's sort. Each segment charges n log2 |partition|:
+  // together what sorting the partition whole charges. Lazy: the
+  // segment layout comes from the 2.3a serial step.
   pipeline.AddPhase(
-      kPhaseSortPrivate,
-      [&] {
-        return stealing
-                   ? SegmentSortMorsels(shared, shared.partition_morsel_tuples)
-                   : ChunkMorsels(num_workers);
-      },
+      kPhaseSortPrivate, [&] { return SegmentSortMorsels(shared, slice); },
       [&](WorkerContext& ctx, const Morsel& morsel) {
         PerfCounters& counters = ctx.Counters(kPhaseSortPrivate);
-        const uint32_t p = morsel.task;
-        const uint64_t partition_size = shared.r_runs[p].size;
-        const uint64_t begin =
-            stealing ? morsel.begin : shared.first_segment[p];
-        const uint64_t end =
-            stealing ? morsel.end : shared.first_segment[p + 1];
-        for (uint64_t s = begin; s < end; ++s) {
+        const uint64_t partition_size = shared.r_runs[morsel.task].size;
+        for (uint64_t s = morsel.begin; s < morsel.end; ++s) {
           const uint64_t n = shared.plan.partition_sizes[s];
           const auto [low, bits] =
               SegmentKeyRange(shared, static_cast<uint32_t>(s));
@@ -502,41 +480,32 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
           counters.CountSortSlice(n, partition_size);
         }
       },
-      PhasePipeline::PhaseOptions{.eager = !stealing});
+      PhasePipeline::PhaseOptions{.eager = false});
 
   // ---------------------------------------------------- phase 4
+  // One morsel per (private run i, public run j, slice of i), public
+  // runs staggered per i (MergeJoinMorsels); a static worker thus
+  // walks the paper's per-worker loop over j = i, i + 1, ... One morsel
+  // family per public run: s_runs.size(), not num_workers, because
+  // cache views append delta runs past the per-worker base runs.
   RunJoinOptions join_options;
   join_options.kind = options.kind;
   join_options.search = options.start_search;
   join_options.simd = options.simd;
-  if (!stealing) {
-    pipeline.AddPhase(
-        kPhaseJoin, chunk_morsels,
-        [&](WorkerContext& ctx, const Morsel& morsel) {
-          JoinPrivateAgainstRuns(shared.r_runs[morsel.task], shared.s_runs,
-                                 /*first_run=*/morsel.task, join_options,
-                                 consumers.ConsumerForWorker(ctx.worker_id),
-                                 ctx.node, &ctx.Counters(kPhaseJoin));
-        });
-  } else {
-    pipeline.AddPhase(
-        kPhaseJoin,
-        [&] {
-          // s_runs.size() (not num_workers): cache views append delta
-          // runs past the per-worker base runs, and each needs a
-          // (private run x public run) morsel family.
-          return MergeJoinMorsels(
-              shared.r_runs, static_cast<uint32_t>(shared.s_runs.size()),
-              options.kind, shared.partition_morsel_tuples);
-        },
-        [&](WorkerContext& ctx, const Morsel& morsel) {
-          ExecuteMergeJoinMorsel(morsel, shared.r_runs, shared.s_runs,
-                                 join_options,
-                                 consumers.ConsumerForWorker(ctx.worker_id),
-                                 ctx.node, &ctx.Counters(kPhaseJoin));
-        },
-        PhasePipeline::PhaseOptions{.eager = false});
-  }
+  pipeline.AddPhase(
+      kPhaseJoin,
+      [&] {
+        return MergeJoinMorsels(shared.r_runs,
+                                static_cast<uint32_t>(shared.s_runs.size()),
+                                options.kind, slice);
+      },
+      [&](WorkerContext& ctx, const Morsel& morsel) {
+        ExecuteMergeJoinMorsel(morsel, shared.r_runs, shared.s_runs,
+                               join_options,
+                               consumers.ConsumerForWorker(ctx.worker_id),
+                               ctx.node, &ctx.Counters(kPhaseJoin));
+      },
+      PhasePipeline::PhaseOptions{.eager = false});
 
   WallTimer timer;
   pipeline.Run(team);

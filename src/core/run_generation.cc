@@ -113,17 +113,11 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
                             std::vector<EquiHeightHistogram>* histograms,
                             uint32_t num_bounds, SchedulerKind scheduler,
                             const sort::RadixSortConfig& sort_config,
-                            uint64_t morsel_tuples_knob) {
+                            uint64_t morsel_tuples) {
   const uint32_t num_chunks = input.num_chunks();
   state.Resize(num_chunks);
   const bool stealing = scheduler == SchedulerKind::kStealing;
 
-  std::vector<uint64_t> chunk_sizes(num_chunks);
-  for (uint32_t w = 0; w < num_chunks; ++w) {
-    chunk_sizes[w] = input.chunk(w).size;
-  }
-  const uint64_t morsel_tuples = ResolveMorselTuples(
-      morsel_tuples_knob, chunk_sizes.data(), chunk_sizes.size());
   // Only split chunks whose bucket sorts amount to more than one
   // morsel; below that the split costs a barrier without spreading any
   // work.

@@ -85,9 +85,9 @@ void SortRunBuckets(const Run& run, const RunGenState& state,
 /// continuation and (when `histograms` is non-null) a final per-chunk
 /// step building `num_bounds` equi-height bounds from each finished
 /// run. `state` and all referenced containers must outlive the
-/// pipeline's Run. The sub-chunk split threshold is derived from the
-/// chunk sizes (2 * ResolveMorselTuples, at least 2 * kRadixBuckets);
-/// static mode keeps the paper's fused one-morsel-per-chunk script.
+/// pipeline's Run. Under stealing a chunk above 2 * morsel_tuples (at
+/// least 2 * kRadixBuckets) is split; static mode keeps the paper's
+/// fused one-morsel-per-chunk script.
 void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
                             const Relation& input,
                             const std::function<numa::Arena&(uint32_t)>& arena_of,
@@ -95,6 +95,6 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
                             std::vector<EquiHeightHistogram>* histograms,
                             uint32_t num_bounds, SchedulerKind scheduler,
                             const sort::RadixSortConfig& sort_config,
-                            uint64_t morsel_tuples_knob);
+                            uint64_t morsel_tuples);
 
 }  // namespace mpsm

@@ -289,7 +289,6 @@ Status DMpsmOptions::Validate() const {
   io_options.backend = io_backend;
   io_options.queue_depth = io_queue_depth;
   io_options.batch_pages = io_batch_pages;
-  io_options.max_inflight_bytes = io_max_inflight_bytes;
   MPSM_RETURN_NOT_OK(io_options.Validate());
   if (recovery.journal &&
       (recovery.journal_path.empty() || recovery.spool_path.empty())) {
@@ -301,6 +300,25 @@ Status DMpsmOptions::Validate() const {
         "recovery.resume requires recovery.journal");
   }
   return Status::OK();
+}
+
+DMpsmPoolShape DMpsmOptions::PoolShape(uint32_t team_size) const {
+  DMpsmPoolShape shape;
+  shape.page_bytes = PageStore::PageBytes(tuples_per_page);
+  shape.readahead =
+      std::clamp<size_t>(io_batch_pages, 1, io::kMaxIovPerRead);
+  shape.staging_capacity = pool_pages;
+  shape.frames =
+      pool_pages + team_size * shape.readahead + 2 * io_batch_pages;
+  if (pool_budget_bytes != 0) {
+    shape.frames = std::max<size_t>(pool_budget_bytes / shape.page_bytes,
+                                    size_t{team_size} + 2);
+    shape.readahead = std::clamp<size_t>(shape.frames / (2 * team_size),
+                                         size_t{1}, shape.readahead);
+    shape.staging_capacity = std::max<size_t>(
+        1, shape.frames - team_size * shape.readahead - 2);
+  }
+  return shape;
 }
 
 Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
@@ -348,7 +366,6 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   io_options.backend = options_.io_backend;
   io_options.queue_depth = options_.io_queue_depth;
   io_options.batch_pages = options_.io_batch_pages;
-  io_options.max_inflight_bytes = options_.io_max_inflight_bytes;
   // Queues 0/1 feed the buffer pool; journaling adds a third for the
   // run-commit fdatasync barrier.
   io_options.completion_queues = journaling ? 3 : 2;
@@ -357,33 +374,14 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
       io::IoScheduler::Create(store.fd(), store.page_bytes(),
                               store.io_delay_us(), io_options));
 
-  // Frame budget. Legacy mode (pool_budget_bytes == 0) preserves the
-  // pre-pool RAM shape: pool_pages staging slots plus full per-worker
-  // readahead, with headroom for in-flight appends and flush batches.
-  // Budget mode caps the frames at the byte budget and shrinks the
-  // staging ring and readahead to fit — larger-than-RAM relations then
-  // run on eviction + write-back instead of growing the pool.
-  size_t readahead =
-      std::clamp<size_t>(options_.io_batch_pages, 1, io::kMaxIovPerRead);
-  size_t staging_capacity = options_.pool_pages;
-  size_t frames = options_.pool_pages + num_workers * readahead +
-                  2 * options_.io_batch_pages;
-  if (options_.pool_budget_bytes != 0) {
-    const size_t budget_frames =
-        options_.pool_budget_bytes / store.page_bytes();
-    // Floor: one frame per worker (pin or append in progress) plus a
-    // flush/load slot pair, so the pool can always make progress.
-    frames = std::max<size_t>(budget_frames, num_workers + 2);
-    readahead = std::clamp<size_t>(frames / (2 * num_workers),
-                                   size_t{1}, readahead);
-    staging_capacity = std::max<size_t>(
-        1, frames - num_workers * readahead - 2);
-  }
+  // With pool_budget_bytes the frames fit the budget, so larger-than-RAM
+  // relations run on eviction + write-back instead of growing the pool.
+  const DMpsmPoolShape shape = options_.PoolShape(num_workers);
 
   // The pool owns the scheduler's two queues; clients get one pin
   // queue per NUMA node (staging) plus one per worker (windows).
   bufferpool::BufferPoolOptions pool_options;
-  pool_options.frames = frames;
+  pool_options.frames = shape.frames;
   pool_options.client_queues = num_nodes + num_workers;
   pool_options.flush_batch_pages = options_.io_batch_pages;
   MPSM_ASSIGN_OR_RETURN(
@@ -595,9 +593,9 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
     for (auto& part : index_parts) s_index.Append(part);
     s_index.Finalize();
     if (active_consumers > 0) {
-      pipeline.emplace(store, s_index, staging_capacity, active_consumers,
-                       pool.get(), /*consumer_loads=*/stealing,
-                       &team.topology());
+      pipeline.emplace(store, s_index, shape.staging_capacity,
+                       active_consumers, pool.get(),
+                       /*consumer_loads=*/stealing, &team.topology());
       pipeline->Start();
     }
   });
@@ -651,7 +649,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         PerfCounters& counters = ctx.Counters(kPhaseJoin);
         JoinConsumer& consumer = consumers.ConsumerForWorker(w);
         PrivateWindow window(store, r_runs[w], pool.get(),
-                             /*queue=*/num_nodes + w, readahead,
+                             /*queue=*/num_nodes + w, shape.readahead,
                              &counters);
         FetchActivity activity;
 

@@ -73,6 +73,25 @@ struct DMpsmRecoveryOptions {
   uint64_t kill_after_commits = 0;
 };
 
+/// One execution's buffer pool. Without pool_budget_bytes: pool_pages
+/// staging slots plus full per-worker readahead and headroom for
+/// in-flight appends and flush batches. With it: budget / page_bytes
+/// frames, floored at team_size + 2 (a pin or append per worker plus a
+/// flush/load slot pair) so the pool can always make progress, with
+/// the staging ring and readahead shrunk to fit.
+struct DMpsmPoolShape {
+  size_t frames = 0;
+  /// Staging ring capacity for decoded shared S pages.
+  size_t staging_capacity = 0;
+  /// Per-worker private-window readahead in pages.
+  size_t readahead = 0;
+  /// Bytes of one frame (PageStore::PageBytes).
+  size_t page_bytes = 0;
+
+  /// The frames' resident bytes.
+  uint64_t bytes() const { return uint64_t{frames} * page_bytes; }
+};
+
 /// D-MPSM tuning.
 struct DMpsmOptions {
   /// Page size in tuples for both spooled inputs.
@@ -118,12 +137,6 @@ struct DMpsmOptions {
   /// (1 <= io_batch_pages <= io::kMaxIovPerRead).
   size_t io_batch_pages = 8;
 
-  /// In-flight byte budget toward the I/O backend; 0 derives
-  /// queue_depth * batch_pages * page_bytes (no extra cap). A join
-  /// service running several spilling sessions concurrently divides
-  /// its device budget across them through this knob.
-  uint64_t io_max_inflight_bytes = 0;
-
   /// Crash-safe restartability (docs/recovery.md): durable manifest,
   /// persistent spool, resume state.
   DMpsmRecoveryOptions recovery;
@@ -131,6 +144,11 @@ struct DMpsmOptions {
   /// Checks every knob against its legal range (e.g. pool_pages >= 1).
   /// Execute and the engine front door both call this.
   Status Validate() const;
+
+  /// The buffer pool an execution on `team_size` workers allocates.
+  /// Execute allocates it, the join service reserves its bytes and the
+  /// planner prices its hit rate from them.
+  DMpsmPoolShape PoolShape(uint32_t team_size) const;
 };
 
 /// Observability for tests and the spill example.

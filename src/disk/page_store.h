@@ -105,8 +105,11 @@ class PageStore {
   uint32_t io_delay_us() const { return options_.io_delay_us; }
 
   size_t tuples_per_page() const { return options_.tuples_per_page; }
-  size_t page_bytes() const {
-    return options_.tuples_per_page * sizeof(Tuple) + sizeof(uint64_t);
+  size_t page_bytes() const { return PageBytes(options_.tuples_per_page); }
+  /// Bytes of one page of `tuples_per_page` tuples: the tuples plus an
+  /// 8-byte header.
+  static size_t PageBytes(size_t tuples_per_page) {
+    return tuples_per_page * sizeof(Tuple) + sizeof(uint64_t);
   }
   uint64_t num_pages() const {
     return next_page_.load(std::memory_order_relaxed);

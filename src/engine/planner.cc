@@ -272,9 +272,7 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
       // with pool bytes over the spooled working set, capped — clock
       // eviction churn always leaves some misses.
       const double pool_bytes =
-          dmpsm.pool_budget_bytes != 0
-              ? static_cast<double>(dmpsm.pool_budget_bytes)
-              : static_cast<double>(dmpsm.pool_pages) * page_bytes;
+          static_cast<double>(dmpsm.PoolShape(in.team_size).bytes());
       const double hit_rate =
           std::min(0.95, pool_bytes / std::max(io_bytes, 1.0));
       p4.io_seconds = io_bytes * (1.0 - hit_rate) / depth_bw;

@@ -37,32 +37,38 @@ std::optional<IoBackendKind> ParseIoBackendKind(std::string_view name) {
   return std::nullopt;
 }
 
-Status PerformBlockingRead(const IoRead& read) {
-  if (read.delay_us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(read.delay_us));
+namespace {
+
+// Runs one vectored transfer (`transfer` is preadv or pwritev) to
+// completion. A transfer may legally move less than the full range
+// (signals, readahead or quota boundaries): resume after short
+// transfers and EINTR. EAGAIN-class failures surface as kUnavailable
+// so the scheduler retries them; a zero return — EOF inside a read
+// range, a device that accepts nothing — fails with `no_progress`.
+template <typename Request, typename Transfer>
+Status PerformBlockingTransfer(const Request& request, Transfer transfer,
+                               const char* name, const char* no_progress) {
+  if (request.delay_us > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(request.delay_us));
   }
-  // Resume after short reads: preadv may legally return less than the
-  // full range (signals, readahead boundaries). Only a zero return —
-  // EOF inside the requested range — is a hard error.
-  std::array<::iovec, kMaxIovPerRead> iov = read.iov;
+  std::array<::iovec, kMaxIovPerRead> iov = request.iov;
   uint32_t first = 0;
-  uint32_t count = read.iov_count;
-  uint64_t offset = read.offset;
+  uint32_t count = request.iov_count;
+  uint64_t offset = request.offset;
   while (count > 0) {
-    const ssize_t n = ::preadv(read.fd, iov.data() + first,
+    const ssize_t n = transfer(request.fd, iov.data() + first,
                                static_cast<int>(count),
                                static_cast<off_t>(offset));
     if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::Unavailable(std::string("preadv: ") +
-                                   std::strerror(errno));
+      const int err = errno;
+      if (err == EINTR) continue;
+      const std::string message = std::string(name) + ": " + std::strerror(err);
+      if (err == EAGAIN || err == EWOULDBLOCK) {
+        return Status::Unavailable(message);
       }
-      return Status::IoError(std::string("preadv: ") + std::strerror(errno));
+      return Status::IoError(message);
     }
-    if (n == 0) {
-      return Status::IoError("preadv: unexpected EOF (short read)");
-    }
+    if (n == 0) return Status::IoError(no_progress);
     offset += static_cast<uint64_t>(n);
     size_t consumed = static_cast<size_t>(n);
     while (count > 0 && consumed >= iov[first].iov_len) {
@@ -78,45 +84,16 @@ Status PerformBlockingRead(const IoRead& read) {
   return Status::OK();
 }
 
+}  // namespace
+
+Status PerformBlockingRead(const IoRead& read) {
+  return PerformBlockingTransfer(read, ::preadv, "preadv",
+                                 "preadv: unexpected EOF (short read)");
+}
+
 Status PerformBlockingWrite(const IoWrite& write) {
-  if (write.delay_us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(write.delay_us));
-  }
-  // Resume after short writes (signals, quota boundaries) instead of
-  // failing the query on a legal partial pwritev. Zero progress means
-  // the device accepted nothing (disk full) — a hard error.
-  std::array<::iovec, kMaxIovPerRead> iov = write.iov;
-  uint32_t first = 0;
-  uint32_t count = write.iov_count;
-  uint64_t offset = write.offset;
-  while (count > 0) {
-    const ssize_t n = ::pwritev(write.fd, iov.data() + first,
-                                static_cast<int>(count),
-                                static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::Unavailable(std::string("pwritev: ") +
-                                   std::strerror(errno));
-      }
-      return Status::IoError(std::string("pwritev: ") + std::strerror(errno));
-    }
-    if (n == 0) {
-      return Status::IoError("pwritev: no progress (disk full?)");
-    }
-    offset += static_cast<uint64_t>(n);
-    size_t consumed = static_cast<size_t>(n);
-    while (count > 0 && consumed >= iov[first].iov_len) {
-      consumed -= iov[first].iov_len;
-      ++first;
-      --count;
-    }
-    if (count > 0 && consumed > 0) {
-      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + consumed;
-      iov[first].iov_len -= consumed;
-    }
-  }
-  return Status::OK();
+  return PerformBlockingTransfer(write, ::pwritev, "pwritev",
+                                 "pwritev: no progress (disk full?)");
 }
 
 Status PerformBlockingFlush(const IoFlush& flush) {

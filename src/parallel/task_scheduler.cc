@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -205,38 +204,6 @@ std::vector<Morsel> ChunkMorsels(uint32_t num_chunks) {
   return morsels;
 }
 
-uint64_t ResolveMorselTuples(uint64_t knob, const uint64_t* sizes,
-                             size_t count) {
-  if (knob != 0) return knob;
-  uint64_t total = 0;
-  uint64_t max_size = 0;
-  for (size_t i = 0; i < count; ++i) {
-    total += sizes[i];
-    max_size = std::max(max_size, sizes[i]);
-  }
-  if (count == 0 || total == 0) return kDefaultMorselTuples;
-
-  // Coefficient of variation of the partition sizes: the straggler
-  // signal. cv = 0 (uniform) keeps the default slice; cv = 1 (heavy
-  // imbalance) slices 3x finer, clamped to the claim-overhead floor.
-  const double mean = static_cast<double>(total) / static_cast<double>(count);
-  double variance = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const double d = static_cast<double>(sizes[i]) - mean;
-    variance += d * d;
-  }
-  variance /= static_cast<double>(count);
-  const double cv = std::sqrt(variance) / mean;
-
-  const double scaled =
-      static_cast<double>(kDefaultMorselTuples) / (1.0 + 2.0 * cv);
-  // Even a uniform phase wants the largest unit split a few ways so a
-  // stolen remainder is meaningful.
-  const uint64_t eighth = std::max<uint64_t>(max_size / 8, 1);
-  return std::clamp(std::min(static_cast<uint64_t>(scaled), eighth),
-                    kMinAdaptiveMorselTuples, kDefaultMorselTuples);
-}
-
 std::vector<std::pair<uint64_t, uint64_t>> SliceRanges(uint64_t total,
                                                        uint64_t morsel_size) {
   std::vector<std::pair<uint64_t, uint64_t>> ranges;
@@ -246,7 +213,9 @@ std::vector<std::pair<uint64_t, uint64_t>> SliceRanges(uint64_t total,
     return ranges;
   }
   for (uint64_t begin = 0; begin < total; begin += morsel_size) {
-    ranges.emplace_back(begin, std::min(total, begin + morsel_size));
+    // total - begin, not begin + morsel_size: a whole-task slice
+    // (MorselSlice) must not overflow.
+    ranges.emplace_back(begin, begin + std::min(total - begin, morsel_size));
   }
   return ranges;
 }

@@ -11,10 +11,10 @@
 // queued per NUMA node. A worker drains its own node's queue first
 // (locality-first dispatch) and then steals from other nodes in
 // distance order, so idle workers absorb stragglers' backlogs instead
-// of waiting. In static mode the scheduler degenerates to per-worker
-// lists claimed without atomics, reproducing the paper's behavior
-// exactly; MpsmOptions::scheduler selects the mode for A/B runs
-// (docs/scheduler.md).
+// of waiting. Static mode runs the same morsel plan with whole-task
+// morsels (MorselSlice) on per-worker lists claimed without atomics,
+// reproducing the paper's scripts exactly; MpsmOptions::scheduler
+// selects the mode for A/B runs (docs/scheduler.md).
 //
 // PhasePipeline expresses a join as a sequence of steps — serial
 // (worker-0) combines and morsel-parallel phases — so the four drivers
@@ -166,20 +166,11 @@ std::vector<std::pair<uint64_t, uint64_t>> SliceRanges(uint64_t total,
 /// canonical morsel list for per-chunk phases (task == home == index).
 std::vector<Morsel> ChunkMorsels(uint32_t num_chunks);
 
-/// Default stealing-mode morsel slice and the adaptive floor
-/// (docs/scheduler.md): 2^14 tuples = one L2 of work; the adaptive
-/// resolver never slices below 2^10 (claim overhead would dominate).
-inline constexpr uint64_t kDefaultMorselTuples = uint64_t{1} << 14;
-inline constexpr uint64_t kMinAdaptiveMorselTuples = uint64_t{1} << 10;
-
-/// Resolves the `morsel_tuples` knob against the work-unit sizes it
-/// will slice (chunks in phase 2, range partitions / runs in phases
-/// 3-4). A non-zero knob passes through. 0 = adaptive: the slice
-/// shrinks with the partition-size imbalance — uniform sizes keep the
-/// default 2^14 (slicing costs claims and per-morsel searches without
-/// balancing anything), while a high coefficient of variation divides
-/// the slice so a hot partition's surplus spreads over idle workers.
-uint64_t ResolveMorselTuples(uint64_t knob, const uint64_t* sizes,
-                             size_t count);
+/// The slice a phase cuts its tasks into: `morsel_tuples` under
+/// stealing, the whole task under static scheduling. The paper's
+/// per-worker scripts are the morsel plan with whole-task morsels.
+inline uint64_t MorselSlice(SchedulerKind kind, uint64_t morsel_tuples) {
+  return kind == SchedulerKind::kStealing ? morsel_tuples : UINT64_MAX;
+}
 
 }  // namespace mpsm

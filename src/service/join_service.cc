@@ -54,20 +54,12 @@ obs::Histogram& AdmissionWaitHistogram() {
 
 /// Bytes the governor reserves while a planned query runs. In-memory
 /// variants keep both inputs plus their runs resident; the spill path's
-/// residency is its bounded page pools — the shared S staging pool plus
-/// the per-worker private windows, which the pool capacity also bounds.
+/// residency is its buffer pool, whose frames hold the staging ring,
+/// the private windows' readahead and dirty write-back pages. The
+/// staging ring's decoded copies stay uncounted.
 uint64_t PlanFootprintBytes(const engine::JoinPlan& plan) {
   if (plan.algorithm == engine::Algorithm::kDMpsm) {
-    // A budget-capped buffer pool IS the spill path's resident RAM
-    // (frames cover staging, readahead and dirty write-back pages);
-    // charge it against admission directly. The legacy shape keeps the
-    // old estimate: staging ring + an equal share for the windows.
-    if (plan.dmpsm.pool_budget_bytes != 0) {
-      return plan.dmpsm.pool_budget_bytes;
-    }
-    const uint64_t page_bytes =
-        static_cast<uint64_t>(plan.dmpsm.tuples_per_page) * sizeof(Tuple);
-    return 2 * static_cast<uint64_t>(plan.dmpsm.pool_pages) * page_bytes;
+    return plan.dmpsm.PoolShape(plan.inputs.team_size).bytes();
   }
   return plan.inputs.working_set_bytes;
 }
@@ -82,13 +74,6 @@ JoinService::JoinService(const numa::Topology& topology, ServiceOptions options)
   options_.lanes = std::max(options_.lanes, 1u);
   options_.max_batch = std::max(options_.max_batch, 1u);
 
-  engine::EngineOptions lane_options = options_.engine;
-  if (options_.io_inflight_budget_bytes != 0) {
-    // Slice the device budget evenly; the IO scheduler's progress
-    // guarantee (one batch always starts) makes any non-zero share safe.
-    lane_options.dmpsm.io_max_inflight_bytes = std::max<uint64_t>(
-        options_.io_inflight_budget_bytes / options_.lanes, 1);
-  }
   if (options_.run_cache_bytes != 0) {
     run_cache_ = std::make_unique<cache::RunCache>(
         cache::RunCacheOptions{.capacity_bytes = options_.run_cache_bytes});
@@ -97,7 +82,7 @@ JoinService::JoinService(const numa::Topology& topology, ServiceOptions options)
   engines_.reserve(options_.lanes);
   for (uint32_t i = 0; i < options_.lanes; ++i) {
     engines_.push_back(
-        std::make_unique<engine::Engine>(topology_, lane_options));
+        std::make_unique<engine::Engine>(topology_, options_.engine));
     if (run_cache_ != nullptr) {
       engines_.back()->set_run_cache(run_cache_.get());
     }

@@ -65,11 +65,6 @@ struct ServiceOptions {
   /// footprint against it.
   uint64_t memory_budget_bytes = 0;
 
-  /// Global in-flight device-read budget for spilling (D-MPSM)
-  /// queries; 0 = each lane's backend-derived default. Sliced evenly
-  /// into per-lane shares via DMpsmOptions::io_max_inflight_bytes.
-  uint64_t io_inflight_budget_bytes = 0;
-
   /// Coalesce compatible queued queries over one public input into a
   /// shared-sort batch (docs/service.md).
   bool shared_sort = true;

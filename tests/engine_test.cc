@@ -177,7 +177,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   d.io_backend = io::IoBackendKind::kAuto;
   d.io_queue_depth = 4;
   d.io_batch_pages = 2;
-  d.io_max_inflight_bytes = 1u << 20;
   d.recovery.journal = true;
   d.recovery.journal_path = "/spill/m.jnl";
   d.recovery.spool_path = "/spill/s.pages";
@@ -191,7 +190,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   x.pass2_bits = 6;
   x.target_fragment_tuples = 4096;
   x.scatter = ScatterKind::kScalar;
-  x.scheduler = SchedulerKind::kStatic;
   x.simd = simd::SimdKind::kScalar;
   Engine engine(topology, options);
 
@@ -223,7 +221,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   EXPECT_EQ(plan->dmpsm.io_backend, d.io_backend);
   EXPECT_EQ(plan->dmpsm.io_queue_depth, d.io_queue_depth);
   EXPECT_EQ(plan->dmpsm.io_batch_pages, d.io_batch_pages);
-  EXPECT_EQ(plan->dmpsm.io_max_inflight_bytes, d.io_max_inflight_bytes);
   EXPECT_EQ(plan->dmpsm.recovery.journal, d.recovery.journal);
   EXPECT_EQ(plan->dmpsm.recovery.journal_path, d.recovery.journal_path);
   EXPECT_EQ(plan->dmpsm.recovery.spool_path, d.recovery.spool_path);
@@ -239,7 +236,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   EXPECT_EQ(plan->radix.pass2_bits, x.pass2_bits);
   EXPECT_EQ(plan->radix.target_fragment_tuples, x.target_fragment_tuples);
   EXPECT_EQ(plan->radix.scatter, x.scatter);
-  EXPECT_EQ(plan->radix.scheduler, x.scheduler);
   EXPECT_EQ(plan->radix.simd, x.simd);
 
   // Unset, the pool budget is half the query's; without a budget it
@@ -388,19 +384,22 @@ TEST(EngineValidationTest, RejectsIllegalRadixJoinBits) {
 TEST(EngineValidationTest, RejectsBadMpsmKnobsThroughTheEngine) {
   const auto topology = Topo();
   const auto dataset = MediumDataset(topology, 4);
-  EngineOptions options;
-  options.workers = 4;
-  options.mpsm.equi_height_factor = 0;
-  Engine engine(topology, options);
+  for (auto mutate : {+[](MpsmOptions& o) { o.equi_height_factor = 0; },
+                      +[](MpsmOptions& o) { o.morsel_tuples = 0; }}) {
+    EngineOptions options;
+    options.workers = 4;
+    mutate(options.mpsm);
+    Engine engine(topology, options);
 
-  CountFactory counts(4);
-  JoinSpec spec;
-  spec.r = &dataset.r;
-  spec.s = &dataset.s;
-  spec.consumers = &counts;
-  auto report = engine.Execute(spec);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    CountFactory counts(4);
+    JoinSpec spec;
+    spec.r = &dataset.r;
+    spec.s = &dataset.s;
+    spec.consumers = &counts;
+    auto report = engine.Execute(spec);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EngineValidationTest, RejectsMismatchedChunking) {

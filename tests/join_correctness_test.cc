@@ -310,67 +310,6 @@ TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
   }
 }
 
-// ------------------------------------- adaptive morsel sizing (auto)
-
-TEST(AdaptiveMorselTest, AutoSliceMatchesReferenceUnderSkew) {
-  // morsel_tuples = 0 derives the phase-2 slice from chunk sizes and
-  // the phase-3/4 slice from the actual partition/run sizes; a skewed
-  // private input makes those resolutions differ. Output must stay
-  // exactly the reference for both MPSM variants.
-  const auto topology = TestTopology();
-  DatasetSpec spec;
-  spec.r_tuples = 30000;
-  spec.multiplicity = 2.0;
-  spec.key_domain = 60000;
-  spec.r_distribution = KeyDistribution::kSkewLowEnd;
-  spec.s_mode = SKeyMode::kIndependent;
-  spec.seed = 616;
-  const uint32_t team_size = 4;
-  const auto dataset = workload::Generate(topology, team_size, spec);
-
-  CountFactory reference(1);
-  const uint64_t expected =
-      baseline::ReferenceJoin(dataset.r.ToVector(), dataset.s.ToVector(),
-                              JoinKind::kInner,
-                              reference.ConsumerForWorker(0));
-
-  MpsmOptions options;
-  options.scheduler = SchedulerKind::kStealing;
-  options.morsel_tuples = 0;  // adaptive
-  options.cost_balanced_splitters = false;  // keep the partitions skewed
-  {
-    WorkerTeam team(topology, team_size);
-    CountFactory counts(team_size);
-    const auto info =
-        PMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
-    ASSERT_TRUE(info.ok()) << info.status().ToString();
-    EXPECT_EQ(counts.Result(), expected);
-  }
-  {
-    WorkerTeam team(topology, team_size);
-    CountFactory counts(team_size);
-    const auto info =
-        BMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
-    ASSERT_TRUE(info.ok()) << info.status().ToString();
-    EXPECT_EQ(counts.Result(), expected);
-  }
-  // The engine front door must accept the 0 knob too.
-  engine::EngineOptions engine_options;
-  engine_options.workers = team_size;
-  engine_options.mpsm.morsel_tuples = 0;
-  engine_options.mpsm.scheduler = SchedulerKind::kStealing;
-  engine::Engine engine(topology, engine_options);
-  CountFactory counts(team_size);
-  engine::JoinSpec join;
-  join.r = &dataset.r;
-  join.s = &dataset.s;
-  join.consumers = &counts;
-  join.algorithm = engine::Algorithm::kPMpsm;
-  auto report = engine.Execute(join);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(counts.Result(), expected);
-}
-
 // --------------------------------------------- materialized row check
 
 TEST(JoinOutputTest, MaterializedRowsMatchReferenceMultiset) {

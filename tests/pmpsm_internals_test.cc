@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "baseline/reference_join.h"
+#include "core/b_mpsm.h"
 #include "core/consumers.h"
 #include "core/p_mpsm.h"
 #include "numa/topology.h"
@@ -551,6 +553,62 @@ TEST(SchedulerABTest, AllMergeMorselsExecutedExactlyOnce) {
   // The slicing is genuinely fine-grained: far more morsels than the
   // static script's one-per-worker, so stragglers have work to give up.
   EXPECT_GT(expected, uint64_t{team_size} * team_size);
+}
+
+// Static scheduling runs the stealing plan with whole-task morsels on
+// per-worker lists: one phase-3 morsel per non-empty partition, one
+// phase-4 morsel per (non-empty private run, public run) for inner
+// joins and per non-empty private run for the bitmap kinds, and no
+// claim atomics or steals in any phase.
+TEST(SchedulerABTest, StaticClaimsEachTaskWhole) {
+  const auto topology = Topo();
+  const uint32_t team_size = 8;
+  const auto dataset = SkewedDataset(topology, team_size);
+  WorkerTeam team(topology, team_size);
+
+  const auto expect_no_claim_sync = [](const JoinRunInfo& info,
+                                       const std::string& label) {
+    for (uint32_t p = 0; p < kNumJoinPhases; ++p) {
+      const PerfCounters& c = info.aggregate.phase_counters[p];
+      EXPECT_EQ(c.sync_acquisitions, 0u) << label << " phase " << p;
+      EXPECT_EQ(c.morsels_stolen, 0u) << label << " phase " << p;
+    }
+  };
+
+  for (JoinKind kind : {JoinKind::kInner, JoinKind::kLeftSemi,
+                        JoinKind::kLeftAnti, JoinKind::kLeftOuter}) {
+    MpsmOptions options = SkewOptions(SchedulerKind::kStatic);
+    options.kind = kind;
+    CountFactory counts(team_size);
+    PMpsmDiagnostics diagnostics;
+    auto info = PMpsmJoin(options).Execute(team, dataset.r, dataset.s,
+                                           counts, &diagnostics);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    const uint64_t non_empty = static_cast<uint64_t>(
+        std::count_if(diagnostics.partition_sizes.begin(),
+                      diagnostics.partition_sizes.end(),
+                      [](uint64_t size) { return size > 0; }));
+    ASSERT_GT(non_empty, 1u);
+    const auto& phases = info->aggregate.phase_counters;
+    EXPECT_EQ(phases[kPhaseSortPrivate].morsels_executed, non_empty)
+        << JoinKindName(kind);
+    EXPECT_EQ(phases[kPhaseJoin].morsels_executed,
+              kind == JoinKind::kInner ? non_empty * team_size : non_empty)
+        << JoinKindName(kind);
+    expect_no_claim_sync(*info, std::string("p-mpsm ") + JoinKindName(kind));
+  }
+
+  CountFactory counts(team_size);
+  auto info = BMpsmJoin(SkewOptions(SchedulerKind::kStatic))
+                  .Execute(team, dataset.r, dataset.s, counts);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  uint64_t non_empty_runs = 0;
+  for (uint32_t w = 0; w < team_size; ++w) {
+    if (dataset.r.chunk(w).size > 0) ++non_empty_runs;
+  }
+  EXPECT_EQ(info->aggregate.phase_counters[kPhaseJoin].morsels_executed,
+            non_empty_runs * team_size);
+  expect_no_claim_sync(*info, "b-mpsm");
 }
 
 TEST(JoinRunInfoTest, PhaseBreakdownRendering) {

@@ -56,41 +56,6 @@ TEST(SliceRangesTest, CoversExactlyWithoutOverlap) {
   EXPECT_EQ(cursor, 100u);
 }
 
-TEST(ResolveMorselTuplesTest, NonZeroKnobPassesThrough) {
-  const std::vector<uint64_t> sizes{100, 200000, 5};
-  EXPECT_EQ(ResolveMorselTuples(1234, sizes.data(), sizes.size()), 1234u);
-  EXPECT_EQ(ResolveMorselTuples(1u << 14, nullptr, 0), uint64_t{1} << 14);
-}
-
-TEST(ResolveMorselTuplesTest, UniformSizesKeepTheDefault) {
-  const std::vector<uint64_t> sizes(8, uint64_t{1} << 20);
-  EXPECT_EQ(ResolveMorselTuples(0, sizes.data(), sizes.size()),
-            kDefaultMorselTuples);
-}
-
-TEST(ResolveMorselTuplesTest, SkewShrinksTheSlice) {
-  // One hot partition among seven tiny ones: the adaptive slice must
-  // drop below the default so the surplus spreads, but never below the
-  // claim-overhead floor.
-  std::vector<uint64_t> sizes(8, 1000);
-  sizes[3] = uint64_t{1} << 22;
-  const uint64_t adaptive =
-      ResolveMorselTuples(0, sizes.data(), sizes.size());
-  EXPECT_LT(adaptive, kDefaultMorselTuples);
-  EXPECT_GE(adaptive, kMinAdaptiveMorselTuples);
-
-  const std::vector<uint64_t> uniform(8, uint64_t{1} << 22);
-  EXPECT_GT(ResolveMorselTuples(0, uniform.data(), uniform.size()),
-            adaptive);
-}
-
-TEST(ResolveMorselTuplesTest, DegenerateInputsFallBackToDefault) {
-  EXPECT_EQ(ResolveMorselTuples(0, nullptr, 0), kDefaultMorselTuples);
-  const std::vector<uint64_t> zeros(4, 0);
-  EXPECT_EQ(ResolveMorselTuples(0, zeros.data(), zeros.size()),
-            kDefaultMorselTuples);
-}
-
 TEST(SliceRangesTest, EmptyTotalYieldsOneEmptyRange) {
   const auto ranges = SliceRanges(0, 16);
   ASSERT_EQ(ranges.size(), 1u);

@@ -16,6 +16,7 @@
 #include "baseline/reference_join.h"
 #include "core/consumers.h"
 #include "core/public_runs.h"
+#include "disk/page_store.h"
 #include "engine/engine.h"
 #include "numa/topology.h"
 #include "service/join_service.h"
@@ -136,6 +137,46 @@ TEST(ServiceAdmissionTest, OverBudgetInnerJoinDownBudgetsToSpill) {
   EXPECT_EQ(report->plan.algorithm, engine::Algorithm::kDMpsm);
   EXPECT_EQ(svc.stats().down_budgeted, 1u);
   EXPECT_LE(svc.stats().peak_reserved_bytes, options.memory_budget_bytes);
+  EXPECT_EQ(counts.Result(),
+            Reference(dataset.r, dataset.s, JoinKind::kInner));
+}
+
+TEST(ServiceAdmissionTest, UnbudgetedSpillReservesItsWholePool) {
+  // Without a pool budget the spill path allocates pool_pages staging
+  // frames plus per-worker readahead and flush headroom. Admission
+  // must reserve exactly those frames.
+  const auto topology = Topo();
+  constexpr uint32_t kWorkers = 8;
+  workload::DatasetSpec data;
+  data.r_tuples = 1u << 14;
+  data.multiplicity = 1.5;
+  data.key_domain = 4 * data.r_tuples;
+  data.s_mode = workload::SKeyMode::kIndependent;
+  data.seed = 19;
+  const auto dataset = workload::Generate(topology, kWorkers, data);
+
+  ServiceOptions options;
+  options.lanes = 1;
+  options.memory_budget_bytes = uint64_t{1} << 30;
+  options.engine.workers = kWorkers;
+  JoinService svc(topology, options);
+
+  CountFactory counts(kWorkers);
+  engine::JoinSpec spec;
+  spec.r = &dataset.r;
+  spec.s = &dataset.s;
+  spec.consumers = &counts;
+  spec.algorithm = engine::Algorithm::kDMpsm;
+  auto id = svc.Submit(spec);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto report = svc.Wait(*id);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->dmpsm.has_value());
+  EXPECT_EQ(report->plan.dmpsm.pool_budget_bytes, 0u);
+  const uint64_t page_bytes =
+      disk::PageStore::PageBytes(report->plan.dmpsm.tuples_per_page);
+  EXPECT_EQ(svc.stats().peak_reserved_bytes,
+            report->dmpsm->pool.frames * page_bytes);
   EXPECT_EQ(counts.Result(),
             Reference(dataset.r, dataset.s, JoinKind::kInner));
 }
