@@ -19,6 +19,7 @@
 #include "core/merge_join.h"
 #include "core/p_mpsm.h"
 #include "disk/d_mpsm.h"
+#include "disk/page_store.h"
 #include "engine/engine.h"
 #include "io/io_backend.h"
 #include "numa/topology.h"
@@ -687,14 +688,15 @@ void BM_RunCacheIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_RunCacheIngest)->Arg(12)->Arg(16);
 
-// Spill-path I/O backend rows on the lowmem join: D-MPSM with a
-// synthetic 100 us/page device (PageStoreOptions::io_delay_us burns
-// inside the threadpool backend's reads), which the threadpool
-// overlaps with merge compute (poll-or-steal, docs/io.md) —
-// io_stall_ms is the wait it could not hide. The uring backend rides
-// the real page cache (no synthetic delay is injectable into the
-// kernel), so its row tracks raw subsystem overhead instead.
-// MPSM_IO_BENCH_LOG2 scales |R| (default 2^15; CI smoke uses less).
+// Spill-path I/O backend rows on the lowmem join: D-MPSM's static
+// walk over a 64-frame pool with a synthetic 100 us/page device
+// (PageStoreOptions::io_delay_us burns inside the threadpool backend's
+// reads). The prefetch thread and the private windows' readahead keep
+// reads in flight while workers merge (docs/io.md) — io_stall_ms is
+// the wait they could not hide. The uring backend rides the real page
+// cache (no synthetic delay is injectable into the kernel), so its row
+// tracks raw subsystem overhead instead. MPSM_IO_BENCH_LOG2 scales |R|
+// (default 2^15; CI smoke uses less).
 void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
   if (backend == io::IoBackendKind::kUring && !io::UringSupported()) {
     state.SkipWithError("io_uring unavailable on this host");
@@ -711,8 +713,7 @@ void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
 
   disk::DMpsmOptions options;
   options.tuples_per_page = 512;
-  options.pool_pages = 16;
-  options.scheduler = SchedulerKind::kStealing;
+  options.pool_budget_bytes = 64 * disk::PageStore::PageBytes(512);
   options.io_backend = backend;
   if (backend != io::IoBackendKind::kUring) options.io_delay_us = 100;
 
@@ -771,8 +772,7 @@ void DMpsmJournalBench(benchmark::State& state, bool journal) {
 
   disk::DMpsmOptions options;
   options.tuples_per_page = 512;
-  options.pool_pages = 16;
-  options.scheduler = SchedulerKind::kStealing;
+  options.pool_budget_bytes = 64 * disk::PageStore::PageBytes(512);
   options.io_backend = io::IoBackendKind::kThreadpool;
   options.io_delay_us = 100;
   char dir_template[] = "/tmp/mpsm_bench_journal_XXXXXX";
@@ -965,7 +965,7 @@ void BM_DMpsmSpoolWriteback(benchmark::State& state) {
 
   disk::DMpsmOptions options;
   options.tuples_per_page = 512;
-  options.pool_pages = 16;
+  options.pool_budget_bytes = 64 * disk::PageStore::PageBytes(512);
   options.io_backend = io::IoBackendKind::kThreadpool;
   options.io_delay_us = 100;
 

@@ -32,6 +32,7 @@
 
 #include "baseline/reference_join.h"
 #include "core/consumers.h"
+#include "disk/page_store.h"
 #include "engine/engine.h"
 #include "io/io_backend_kind.h"
 #include "numa/topology.h"
@@ -53,10 +54,11 @@ struct Harness {
     engine::EngineOptions options;
     options.workers = kWorkers;
     options.force_algorithm = engine::Algorithm::kDMpsm;
-    // 64-tuple pages, a 4-page staging ring: |R|+|S| is ~24x the pool,
-    // so the join genuinely spills and the manifest genuinely matters.
+    // 64-tuple pages in a 52-frame pool: |R|+|S| (96 KB) is ~1.8x the
+    // pool, so the join genuinely spills and the manifest genuinely
+    // matters.
     options.dmpsm.tuples_per_page = 64;
-    options.dmpsm.pool_pages = 4;
+    options.dmpsm.pool_budget_bytes = 52 * disk::PageStore::PageBytes(64);
     options.dmpsm.directory = dir;
     options.dmpsm.io_backend = backend;
     options.recovery.enabled = true;

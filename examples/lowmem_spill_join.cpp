@@ -116,12 +116,12 @@ int main() {
           pool_bytes / 1e6, window_bytes / 1e6, input_bytes / 1e6);
       std::printf(
           "               %s: %llu batches (%llu pages coalesced), "
-          "mean depth %.1f, stall %.1f ms; staging on %u node%s\n",
+          "mean depth %.1f, stall %.1f ms; pool on %u node%s\n",
           io::IoBackendKindName(d.io_backend_used),
           static_cast<unsigned long long>(d.io_sched.io_batches),
           static_cast<unsigned long long>(d.io_sched.coalesced_pages),
           d.io_sched.mean_queue_depth, d.io_sched.io_stall_ns / 1e6,
-          d.staging_nodes, d.staging_nodes == 1 ? "" : "s");
+          d.pool.pool_nodes, d.pool.pool_nodes == 1 ? "" : "s");
       std::printf(
           "               pool: %zu frames, %llu hit / %llu miss, "
           "%llu evicted, %llu written back, spool stall %.1f ms\n",

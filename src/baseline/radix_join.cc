@@ -191,8 +191,10 @@ Result<JoinRunInfo> RadixHashJoin::Execute(WorkerTeam& team,
             dest[p] = out.data() + part_offset[p];
             cursor[p] = plan.start_offset[w][p];
           }
+          // The 2^B1-way fan-out picks write combining at the
+          // ~100-partition crossover (docs/tuning.md).
           const ScatterKind scatter_kind =
-              ResolveScatterKind(options_.scatter, chunk.size, p1);
+              ResolveScatterKind(ScatterKind::kAuto, chunk.size, p1);
           ScatterChunkWith(
               scatter_kind, chunk.data, chunk.size,
               [&](uint64_t key) { return HashDigit(key, 0, pass1_bits); },

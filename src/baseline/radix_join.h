@@ -13,7 +13,6 @@
 #include "core/consumers.h"
 #include "core/join_stats.h"
 #include "parallel/worker_team.h"
-#include "partition/scatter_kind.h"
 #include "simd/simd_kind.h"
 #include "storage/relation.h"
 #include "util/status.h"
@@ -30,10 +29,6 @@ struct RadixJoinOptions {
   /// Target tuples per final fragment for auto bit selection
   /// (cache-resident build side).
   uint32_t target_fragment_tuples = 2048;
-  /// Scatter implementation of the pass-1 partitioning writes. kAuto
-  /// resolves per the ~100-partition crossover (docs/tuning.md): the
-  /// 2^B1-way fan-out picks write combining except for tiny inputs.
-  ScatterKind scatter = ScatterKind::kAuto;
 
   /// Vector ISA of the partitioning hash-digit histograms
   /// (docs/simd.md); every kind counts identically.

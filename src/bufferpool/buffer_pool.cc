@@ -18,10 +18,6 @@ Status BufferPoolOptions::Validate() const {
   if (flush_batch_pages == 0) {
     return Status::InvalidArgument("flush_batch_pages must be >= 1");
   }
-  if (scheduler_load_queue == scheduler_write_queue) {
-    return Status::InvalidArgument(
-        "pool load and write-back scheduler queues must differ");
-  }
   return Status::OK();
 }
 
@@ -32,10 +28,7 @@ Result<std::unique_ptr<BufferPool>> BufferPool::Create(
   if (store == nullptr || scheduler == nullptr) {
     return Status::InvalidArgument("store and scheduler must be non-null");
   }
-  const uint32_t scheduler_queues =
-      scheduler->options().completion_queues;
-  if (options.scheduler_load_queue >= scheduler_queues ||
-      options.scheduler_write_queue >= scheduler_queues) {
+  if (scheduler->options().completion_queues <= kPoolWriteQueue) {
     return Status::InvalidArgument(
         "pool scheduler queues out of range for this scheduler");
   }
@@ -69,9 +62,8 @@ BufferPool::BufferPool(disk::PageStore* store, io::IoScheduler* scheduler,
     arenas_.push_back(std::make_unique<numa::Arena>(n, block_bytes));
   }
   for (size_t i = 0; i < frames_.size(); ++i) {
-    const auto node = static_cast<numa::NodeId>(i % pool_nodes_);
-    frames_[i].data = arenas_[node]->AllocateArray<char>(page_bytes_);
-    frames_[i].home = node;
+    frames_[i].data =
+        arenas_[i % pool_nodes_]->AllocateArray<char>(page_bytes_);
   }
   table_.reserve(options_.frames * 2);
   flusher_ = std::thread([this] { FlusherLoop(); });
@@ -155,7 +147,7 @@ bool BufferPool::RoutePinLocked(const PagePinRequest& request,
   fetch.page = request.page;
   fetch.dest = f.data;
   fetch.user_data = fid;
-  fetch.queue = options_.scheduler_load_queue;
+  fetch.queue = kPoolLoadQueue;
   reads.push_back(fetch);
   return true;
 }
@@ -247,8 +239,7 @@ bool BufferPool::DrainSchedulerQueues() {
   io::PageFetchCompletion done[kMaxDrain];
   bool progressed = false;
   for (;;) {
-    const size_t n = scheduler_->Drain(options_.scheduler_load_queue,
-                                       done, kMaxDrain);
+    const size_t n = scheduler_->Drain(kPoolLoadQueue, done, kMaxDrain);
     if (n == 0) break;
     progressed = true;
     std::lock_guard<std::mutex> lock(mu_);
@@ -258,8 +249,7 @@ bool BufferPool::DrainSchedulerQueues() {
     }
   }
   for (;;) {
-    const size_t n = scheduler_->Drain(options_.scheduler_write_queue,
-                                       done, kMaxDrain);
+    const size_t n = scheduler_->Drain(kPoolWriteQueue, done, kMaxDrain);
     if (n == 0) break;
     progressed = true;
     std::lock_guard<std::mutex> lock(mu_);
@@ -359,7 +349,7 @@ void BufferPool::FlusherLoop() {
         writes[i].page = f.page;
         writes[i].src = f.data;
         writes[i].user_data = batch[i];
-        writes[i].queue = options_.scheduler_write_queue;
+        writes[i].queue = kPoolWriteQueue;
       }
       writes_inflight_ += batch.size();
       lock.unlock();

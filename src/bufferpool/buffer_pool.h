@@ -21,7 +21,7 @@
 // There is no pool thread for reads and no completion callback: like
 // the scheduler underneath, progress happens when some caller Pumps.
 // Every blocking wait in the pool pumps the scheduler, so any stalled
-// thread drives everyone's I/O forward (poll-or-steal, docs/io.md).
+// thread drives everyone's I/O forward (docs/io.md).
 #pragma once
 
 #include <condition_variable>
@@ -48,6 +48,12 @@ namespace mpsm::bufferpool {
 using FrameId = uint32_t;
 inline constexpr FrameId kInvalidFrame = 0xffffffffu;
 
+/// Scheduler completion queues the pool owns for its own traffic:
+/// frame loads and write-backs. The scheduler needs at least two
+/// queues, and no other client may drain these.
+inline constexpr uint32_t kPoolLoadQueue = 0;
+inline constexpr uint32_t kPoolWriteQueue = 1;
+
 /// Pool tuning; Validate() is called by Create and by the front doors
 /// that derive these knobs (DMpsmOptions::pool_budget_bytes).
 struct BufferPoolOptions {
@@ -58,10 +64,6 @@ struct BufferPoolOptions {
   uint32_t client_queues = 1;
   /// Most dirty frames gathered into one flush submission (>= 1).
   size_t flush_batch_pages = 8;
-  /// Scheduler completion queues the pool owns for its own traffic
-  /// (loads and write-backs must differ).
-  uint32_t scheduler_load_queue = 0;
-  uint32_t scheduler_write_queue = 1;
 
   Status Validate() const;
 };
@@ -111,7 +113,7 @@ class BufferPool {
   /// Creates a pool of options.frames frames of store->page_bytes()
   /// bytes each. `store` and `scheduler` are borrowed and must outlive
   /// the pool; the pool owns scheduler completion queues
-  /// options.scheduler_{load,write}_queue (no other client may drain
+  /// kPoolLoadQueue and kPoolWriteQueue (no other client may drain
   /// them). `topology` (optional) interleaves frames across its nodes.
   static Result<std::unique_ptr<BufferPool>> Create(
       disk::PageStore* store, io::IoScheduler* scheduler,
@@ -188,7 +190,6 @@ class BufferPool {
   struct Frame {
     enum class State : uint8_t { kFree, kLoading, kResident };
     char* data = nullptr;
-    numa::NodeId home = 0;
     disk::PageId page = 0;
     uint32_t pins = 0;
     State state = State::kFree;

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "parallel/scheduler_kind.h"
-#include "partition/scatter_kind.h"
 #include "partition/splitters.h"
 #include "simd/simd_kind.h"
 #include "util/status.h"
@@ -78,15 +77,6 @@ struct MpsmOptions {
   uint32_t morsel_tuples = 1u << 14;
 
   // ------------------------------------------- cache-conscious kernels
-  /// Scatter implementation for phase 2.3 range partitioning. kAuto
-  /// picks per execution from the fan-out/input size (write combining
-  /// above the ~100-partition crossover, the scalar loop below —
-  /// docs/tuning.md). P-MPSM's fan-out is its sort-segment count, at
-  /// most min(|R| / 2^11, 2^10) + T (core/p_mpsm.h), so small inputs
-  /// resolve to scalar and large ones to write combining; explicit
-  /// kScalar/kWriteCombining still force a kernel for A/B runs.
-  ScatterKind scatter = ScatterKind::kAuto;
-
   /// Vector ISA of the merge-advance, key-range and radix-histogram
   /// kernels, the run sorts' digit histograms included (docs/simd.md;
   /// the sorts otherwise run the default sort::RadixSortConfig). kAuto

@@ -345,11 +345,9 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
     shared.plan = ComputeScatterPlan(block_segment_hist);
     shared.segment_data.assign(num_segments, nullptr);
     // Destination-homed WC staging only when a block can actually
-    // resolve to write combining (explicit, or auto at crossover
-    // fan-out); T buffers of 256 B per segment.
-    if (options.scatter == ScatterKind::kWriteCombining ||
-        (options.scatter == ScatterKind::kAuto &&
-         num_segments >= kScatterAutoFanoutCrossover)) {
+    // resolve to write combining (crossover fan-out); T buffers of
+    // 256 B per segment.
+    if (num_segments >= kScatterAutoFanoutCrossover) {
       shared.wc_buffers.assign(
           ctx.team_size,
           std::vector<internal::WcBuffer*>(num_segments, nullptr));
@@ -418,8 +416,11 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         const std::vector<uint64_t>& start = shared.plan.start_offset[b];
         std::vector<uint64_t> cursor = start;
         const uint32_t num_segments = shared.plan.num_partitions();
+        // The fan-out picks the kernel: write combining at the
+        // ~100-segment crossover, the scalar loop below it
+        // (docs/tuning.md).
         const ScatterKind scatter =
-            ResolveScatterKind(options.scatter, size, num_segments);
+            ResolveScatterKind(ScatterKind::kAuto, size, num_segments);
         internal::WcBuffer* const* staged =
             shared.wc_buffers.empty()
                 ? nullptr

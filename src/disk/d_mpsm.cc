@@ -34,9 +34,9 @@ struct SpooledRun {
   std::vector<uint32_t> counts;
 };
 
-/// Scheduler completion queue the run-commit fdatasync barrier uses
-/// (queues 0/1 are owned by the buffer pool).
-constexpr uint32_t kJournalFlushQueue = 2;
+/// Scheduler completion queue the run-commit fdatasync barrier uses,
+/// past the two the buffer pool owns.
+constexpr uint32_t kJournalFlushQueue = bufferpool::kPoolWriteQueue + 1;
 
 obs::Counter& JournalCommitCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().counter(
@@ -59,8 +59,8 @@ obs::Counter& RunsReattachedCounter() {
 
 /// Sorts a chunk and spools it; records index entries when `index` is
 /// given (public input) or returns the page list (private input).
-/// `worker_node` is the executing worker's node: a stolen spool morsel
-/// reads the chunk remotely (the sort scratch stays executor-local).
+/// `worker_node` is the executing worker's node: the chunk's read is
+/// charged local or remote against it.
 /// Pages go through the pool's write-back cache (AppendPage: encode
 /// into a frame, flush in the background); `spool_stall_ns`
 /// accumulates the wall time this worker spent blocked spooling.
@@ -277,9 +277,6 @@ Status DMpsmOptions::Validate() const {
   if (tuples_per_page == 0) {
     return Status::InvalidArgument("tuples_per_page must be >= 1");
   }
-  if (pool_pages == 0) {
-    return Status::InvalidArgument("pool_pages must be >= 1");
-  }
   if (directory.empty()) {
     return Status::InvalidArgument("directory must be non-empty");
   }
@@ -303,21 +300,18 @@ Status DMpsmOptions::Validate() const {
 }
 
 DMpsmPoolShape DMpsmOptions::PoolShape(uint32_t team_size) const {
+  const uint64_t budget =
+      pool_budget_bytes != 0 ? pool_budget_bytes : kDefaultPoolBudgetBytes;
   DMpsmPoolShape shape;
   shape.page_bytes = PageStore::PageBytes(tuples_per_page);
-  shape.readahead =
+  shape.frames = std::max<size_t>(budget / shape.page_bytes,
+                                  size_t{team_size} + 2);
+  const size_t max_readahead =
       std::clamp<size_t>(io_batch_pages, 1, io::kMaxIovPerRead);
-  shape.staging_capacity = pool_pages;
-  shape.frames =
-      pool_pages + team_size * shape.readahead + 2 * io_batch_pages;
-  if (pool_budget_bytes != 0) {
-    shape.frames = std::max<size_t>(pool_budget_bytes / shape.page_bytes,
-                                    size_t{team_size} + 2);
-    shape.readahead = std::clamp<size_t>(shape.frames / (2 * team_size),
-                                         size_t{1}, shape.readahead);
-    shape.staging_capacity = std::max<size_t>(
-        1, shape.frames - team_size * shape.readahead - 2);
-  }
+  shape.readahead = std::clamp<size_t>(shape.frames / (2 * team_size), 1,
+                                       max_readahead);
+  shape.staging_capacity = std::max<size_t>(
+      1, shape.frames - team_size * shape.readahead - 2);
   return shape;
 }
 
@@ -333,7 +327,6 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         "relations must be chunked into team.size() chunks");
   }
   MPSM_RETURN_NOT_OK(options_.Validate());
-  const bool stealing = options_.scheduler == SchedulerKind::kStealing;
 
   // Resume bookkeeping: which durable state a validated manifest lets
   // this execution skip. All empty on a cold start.
@@ -361,7 +354,6 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   // completion queue for frame loads, one for write-backs). A
   // requested-but-unsupported backend fails the query here — not the
   // process.
-  const uint32_t num_nodes = std::max(1u, team.topology().num_nodes());
   io::IoSchedulerOptions io_options;
   io_options.backend = options_.io_backend;
   io_options.queue_depth = options_.io_queue_depth;
@@ -374,15 +366,16 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
       io::IoScheduler::Create(store.fd(), store.page_bytes(),
                               store.io_delay_us(), io_options));
 
-  // With pool_budget_bytes the frames fit the budget, so larger-than-RAM
-  // relations run on eviction + write-back instead of growing the pool.
+  // The frames fit the budget, so larger-than-RAM relations run on
+  // eviction + write-back instead of growing the pool.
   const DMpsmPoolShape shape = options_.PoolShape(num_workers);
 
-  // The pool owns the scheduler's two queues; clients get one pin
-  // queue per NUMA node (staging) plus one per worker (windows).
+  // The pool owns the scheduler's two queues; clients get pin queue 0
+  // (the staging ring's prefetch thread) plus 1 + w (worker w's
+  // private window).
   bufferpool::BufferPoolOptions pool_options;
   pool_options.frames = shape.frames;
-  pool_options.client_queues = num_nodes + num_workers;
+  pool_options.client_queues = 1 + num_workers;
   pool_options.flush_batch_pages = options_.io_batch_pages;
   MPSM_ASSIGN_OR_RETURN(
       auto pool,
@@ -396,7 +389,6 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   std::vector<Status> worker_status(num_workers);
   std::vector<uint64_t> spool_stall(num_workers, 0);
   std::atomic<size_t> peak_window{0};
-  std::atomic<uint64_t> consumer_loads{0};
 
   // Re-attach durable state before the phases run: recorded runs fill
   // their index parts / page lists directly (their sort+spool morsels
@@ -553,11 +545,12 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         });
   };
 
-  PhasePipeline phases(team.topology(), num_workers, options_.scheduler);
+  // The paper's static scripts: worker w sorts and spools chunk w in
+  // phases 1 and 3 and walks the page index against its own private
+  // run in phase 4.
+  PhasePipeline phases(team.topology(), num_workers, SchedulerKind::kStatic);
 
   // Phase 1: sort + spool the public chunks; collect index entries.
-  // Spooling is already concurrency-safe (the page store hands out
-  // page ids under its own latch), so the morsels are stealable.
   phases.AddPhase(
       kPhaseSortPublic, [&] { return ChunkMorsels(num_workers); },
       [&](WorkerContext& ctx, const Morsel& morsel) {
@@ -594,8 +587,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
     s_index.Finalize();
     if (active_consumers > 0) {
       pipeline.emplace(store, s_index, shape.staging_capacity,
-                       active_consumers, pool.get(),
-                       /*consumer_loads=*/stealing, &team.topology());
+                       active_consumers, pool.get());
       pipeline->Start();
     }
   });
@@ -634,12 +626,9 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
       });
 
   // Phase 4: walk the key domain in page-index order, joining each
-  // public page against the private window. The walk is stateful per
-  // consumer (window + in-order releases), so its morsels stay pinned;
-  // the *page-fetch tasks* are the stealable unit instead: a blocked
-  // consumer submits batches and decodes completions for everyone
-  // (poll-or-steal, docs/io.md), and its private window keeps
-  // readahead in flight while it merges.
+  // public page against the private window. The prefetch thread stages
+  // the public pages, and the private window keeps readahead in flight
+  // while the worker merges (docs/io.md).
   const simd::SimdKind merge_simd = simd::Resolve(options_.simd);
   phases.AddPhase(
       kPhaseJoin, [&] { return ChunkMorsels(num_workers); },
@@ -648,10 +637,8 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         if (chunk_done[w]) return;  // restored snapshot covers this walk
         PerfCounters& counters = ctx.Counters(kPhaseJoin);
         JoinConsumer& consumer = consumers.ConsumerForWorker(w);
-        PrivateWindow window(store, r_runs[w], pool.get(),
-                             /*queue=*/num_nodes + w, shape.readahead,
-                             &counters);
-        FetchActivity activity;
+        PrivateWindow window(store, r_runs[w], pool.get(), /*queue=*/1 + w,
+                             shape.readahead, &counters);
 
         // On error — whether from this consumer's earlier spool phases
         // or mid-walk — the worker keeps draining (acquire + release)
@@ -660,7 +647,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         bool failed = !worker_status[w].ok();
         for (size_t pos = 0; pos < s_index.size(); ++pos) {
           const PageFrame* frame =
-              pipeline->Acquire(pos, ctx.node, &activity);
+              pipeline->Acquire(pos, &counters.io_stall_ns);
           if (frame == nullptr) break;  // pipeline stopped on I/O error
           if (!failed && !frame->tuples.empty()) {
             const uint64_t high_key = frame->tuples.back().key;
@@ -683,13 +670,6 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
           }
           pipeline->Release(pos);
         }
-        // Each consumer-submitted page fetch was one stolen fetch task.
-        counters.morsels_executed += activity.pages_loaded;
-        counters.io_submits += activity.batches_submitted;
-        counters.io_stall_ns += activity.stall_ns;
-        consumer_loads.fetch_add(activity.pages_loaded,
-                                 std::memory_order_relaxed);
-
         // The walk finished: commit this chunk's consumer snapshot so
         // a restarted query can skip the whole walk. The snapshot is
         // self-contained — no spool barrier needed, just the record's
@@ -712,8 +692,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
                !peak_window.compare_exchange_weak(expected,
                                                   window.peak_tuples())) {
         }
-      },
-      PhasePipeline::PhaseOptions{.pinned = true});
+      });
 
   WallTimer timer;
   phases.Run(team);
@@ -742,15 +721,12 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
     report->io_backend_used = io_scheduler->backend().kind();
     report->peak_pool_pages =
         pipeline ? pipeline->peak_resident_pages() : 0;
-    report->staging_nodes = pool->stats().pool_nodes;
     report->pool = pool->stats();
     for (const uint64_t ns : spool_stall) {
       report->spool_write_stall_ns += ns;
     }
     report->peak_window_tuples = peak_window.load(std::memory_order_relaxed);
     report->index_entries = s_index.size();
-    report->consumer_page_loads =
-        consumer_loads.load(std::memory_order_relaxed);
     report->resumed = resuming;
     report->runs_reattached = runs_reattached;
     report->chunks_skipped = chunks_skipped;

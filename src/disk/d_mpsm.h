@@ -20,7 +20,6 @@
 #include "disk/page_store.h"
 #include "io/io_backend_kind.h"
 #include "io/io_scheduler.h"
-#include "parallel/scheduler_kind.h"
 #include "parallel/worker_team.h"
 #include "recovery/recovery_manager.h"
 #include "simd/simd_kind.h"
@@ -73,12 +72,15 @@ struct DMpsmRecoveryOptions {
   uint64_t kill_after_commits = 0;
 };
 
-/// One execution's buffer pool. Without pool_budget_bytes: pool_pages
-/// staging slots plus full per-worker readahead and headroom for
-/// in-flight appends and flush batches. With it: budget / page_bytes
-/// frames, floored at team_size + 2 (a pin or append per worker plus a
-/// flush/load slot pair) so the pool can always make progress, with
-/// the staging ring and readahead shrunk to fit.
+/// Buffer-pool budget of a D-MPSM execution whose pool_budget_bytes is
+/// unset.
+inline constexpr uint64_t kDefaultPoolBudgetBytes = uint64_t{8} << 20;
+
+/// One execution's buffer pool: budget / page_bytes frames, floored at
+/// team_size + 2 (a pin or append per worker plus a flush/load slot
+/// pair) so the pool can always make progress. Each worker's readahead
+/// takes up to a 2T-th of the frames (at most io_batch_pages), and the
+/// staging ring gets the rest but two.
 struct DMpsmPoolShape {
   size_t frames = 0;
   /// Staging ring capacity for decoded shared S pages.
@@ -96,17 +98,12 @@ struct DMpsmPoolShape {
 struct DMpsmOptions {
   /// Page size in tuples for both spooled inputs.
   size_t tuples_per_page = 4096;
-  /// Public-input staging ring capacity in pages (the RAM budget for
-  /// decoded shared S pages). >= 1.
-  size_t pool_pages = 64;
 
-  /// Buffer-pool RAM budget in bytes (docs/storage.md). 0 derives a
-  /// legacy-compatible frame count from pool_pages plus per-worker
-  /// readahead headroom; nonzero caps the pool's frames at
-  /// budget / page_bytes (floored at a small working minimum) and
-  /// shrinks the staging ring and private-window readahead to fit, so
-  /// relations far larger than the budget run with eviction and
-  /// write-back instead of growing RAM.
+  /// Buffer-pool RAM budget in bytes (docs/storage.md); 0 means
+  /// kDefaultPoolBudgetBytes. The pool's frames, and with them the
+  /// staging ring and private-window readahead, fit the budget
+  /// (PoolShape), so relations far larger than it run with eviction
+  /// and write-back instead of growing RAM.
   uint64_t pool_budget_bytes = 0;
 
   /// Spool directory and synthetic I/O delay (see PageStoreOptions).
@@ -117,12 +114,6 @@ struct DMpsmOptions {
   /// sorts' digit histograms (docs/simd.md); the sorts otherwise run
   /// the default sort::RadixSortConfig.
   simd::SimdKind simd = simd::SimdKind::kAuto;
-
-  /// Phase orchestration (docs/scheduler.md). Stealing makes the
-  /// sort+spool work of phases 1/3 stealable morsels and turns page
-  /// fetches into tasks blocked consumers execute themselves
-  /// (StagingPipeline consumer_loads).
-  SchedulerKind scheduler = SchedulerKind::kStatic;
 
   /// Async page-I/O engine for staging-pool and private-window fetches
   /// (docs/io.md). kAuto picks io_uring when the kernel supports it,
@@ -141,8 +132,8 @@ struct DMpsmOptions {
   /// persistent spool, resume state.
   DMpsmRecoveryOptions recovery;
 
-  /// Checks every knob against its legal range (e.g. pool_pages >= 1).
-  /// Execute and the engine front door both call this.
+  /// Checks every knob against its legal range (e.g. tuples_per_page
+  /// >= 1). Execute and the engine front door both call this.
   Status Validate() const;
 
   /// The buffer pool an execution on `team_size` workers allocates.
@@ -161,9 +152,6 @@ struct DMpsmReport {
   io::IoBackendKind io_backend_used = io::IoBackendKind::kThreadpool;
   /// Peak resident S pages in the shared staging ring.
   size_t peak_pool_pages = 0;
-  /// Distinct NUMA nodes the buffer pool's frames are homed on
-  /// (NUMA-interleaved allocation; 1 on single-node hosts).
-  uint32_t staging_nodes = 1;
   /// Buffer pool counters: hits, misses, evictions, write-backs,
   /// append stalls (docs/storage.md).
   bufferpool::BufferPoolStats pool;
@@ -174,10 +162,6 @@ struct DMpsmReport {
   size_t peak_window_tuples = 0;
   /// Entries in the S page index.
   size_t index_entries = 0;
-  /// Page fetches submitted by consumers instead of the prefetch
-  /// thread (stealing scheduler only — page fetches as stealable
-  /// tasks).
-  uint64_t consumer_page_loads = 0;
 
   // ---------------------------------- crash recovery (docs/recovery.md)
   /// A validated manifest contributed durable state to this execution.

@@ -10,29 +10,13 @@ StagingPipeline::StagingPipeline(const PageStore& store,
                                  const PageIndex& index,
                                  size_t capacity_pages,
                                  uint32_t num_consumers,
-                                 bufferpool::BufferPool* pool,
-                                 bool consumer_loads,
-                                 const numa::Topology* topology)
+                                 bufferpool::BufferPool* pool)
     : store_(store),
       index_(index),
       capacity_(capacity_pages == 0 ? 1 : capacity_pages),
       num_consumers_(num_consumers),
-      consumer_loads_(consumer_loads),
       pool_(pool),
-      slots_(capacity_) {
-  const uint32_t nodes =
-      topology != nullptr ? std::max(1u, topology->num_nodes()) : 1;
-  staging_nodes_ = static_cast<uint32_t>(
-      std::min<size_t>(nodes, capacity_));
-  node_queues_ = std::min<uint32_t>(pool_->options().client_queues,
-                                    staging_nodes_);
-  // Slot i's pin completions route to node i % staging_nodes_'s queue,
-  // so each consumer drains its own node's arrivals first. The page
-  // bytes themselves live in the pool's NUMA-interleaved frames.
-  for (size_t i = 0; i < capacity_; ++i) {
-    slots_[i].home = static_cast<numa::NodeId>(i % staging_nodes_);
-  }
-}
+      slots_(capacity_) {}
 
 StagingPipeline::~StagingPipeline() { Stop(); }
 
@@ -47,20 +31,10 @@ void StagingPipeline::Stop() {
   }
   frame_freed_.notify_all();
   frame_loaded_.notify_all();
-  // The prefetch loop only exits once every submitted pin has been
-  // reaped, so joining it guarantees no pool frame stays pinned on our
-  // behalf after this returns.
+  // The prefetch thread is the only submitter, and its loop exits only
+  // once every submitted pin has been reaped, so joining it guarantees
+  // no pool frame stays pinned on our behalf after this returns.
   if (prefetch_thread_.joinable()) prefetch_thread_.join();
-  // Never-started pipelines (or consumer-submitted stragglers on an
-  // error path) still need their in-flight pins reaped here.
-  std::unique_lock<std::mutex> lock(mu_);
-  while (outstanding_ > 0) {
-    if (!DrainAndPublishLocked(lock, /*node=*/0)) {
-      lock.unlock();
-      pool_->Pump(/*block=*/true);
-      lock.lock();
-    }
-  }
 }
 
 bool StagingPipeline::ClaimableLocked() const {
@@ -71,7 +45,7 @@ bool StagingPipeline::ClaimableLocked() const {
 }
 
 bool StagingPipeline::ClaimAndSubmitLocked(
-    std::unique_lock<std::mutex>& lock, FetchActivity* activity) {
+    std::unique_lock<std::mutex>& lock) {
   bufferpool::PagePinRequest requests[io::kMaxIovPerRead];
   const size_t batch_max = std::min(
       pool_->scheduler()->options().batch_pages, io::kMaxIovPerRead);
@@ -83,7 +57,7 @@ bool StagingPipeline::ClaimAndSubmitLocked(
     slot.pos = pos;
     requests[n].page = index_[pos].page;
     requests[n].user_data = pos;
-    requests[n].queue = slot.home % node_queues_;
+    requests[n].queue = 0;
     ++n;
   }
   if (n == 0) return false;
@@ -91,10 +65,6 @@ bool StagingPipeline::ClaimAndSubmitLocked(
   lock.unlock();
   const Status submitted = pool_->SubmitPins(requests, n);
   lock.lock();
-  // Wake the prefetch thread: with pins in flight it must park in the
-  // pool (Pump) rather than on the ring condvar, or a completion could
-  // land with every pipeline thread asleep.
-  frame_freed_.notify_all();
   if (!submitted.ok()) {
     // SubmitPins rejects only malformed requests (a pipeline bug, not
     // a device error); fail the query and let the janitor loop drain.
@@ -102,31 +72,20 @@ bool StagingPipeline::ClaimAndSubmitLocked(
     stop_ = true;
     frame_loaded_.notify_all();
   }
-  if (activity != nullptr) {
-    activity->pages_loaded += n;
-    activity->batches_submitted += 1;
-  }
   return true;
 }
 
 bool StagingPipeline::DrainAndPublishLocked(
-    std::unique_lock<std::mutex>& lock, numa::NodeId node) {
+    std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   pool_->Pump(/*block=*/false);
   constexpr size_t kMaxDrain = 2 * io::kMaxIovPerRead;
   bufferpool::PagePinCompletion completions[kMaxDrain];
-  size_t n = 0;
-  // The caller's own node queue first (its arrivals are node-local),
-  // then the other node queues round-robin.
-  const uint32_t first = node % node_queues_;
-  for (uint32_t q = 0; q < node_queues_ && n < kMaxDrain; ++q) {
-    n += pool_->DrainPins((first + q) % node_queues_, completions + n,
-                          kMaxDrain - n);
-  }
-  // Decode outside the lock: an in-flight slot is exclusively owned by
-  // whoever holds its completion. The pool frame is borrowed only for
-  // the copy-out and unpinned immediately (second chance keeps it
-  // cached for other readers of the same page).
+  const size_t n = pool_->DrainPins(/*queue=*/0, completions, kMaxDrain);
+  // Decode outside the lock: an in-flight slot is owned by the
+  // prefetch thread until it is published. The pool frame is borrowed
+  // only for the copy-out and unpinned immediately (second chance
+  // keeps it cached for other readers of the same page).
   std::vector<Status> decode_status(n);
   for (size_t i = 0; i < n; ++i) {
     if (!completions[i].status.ok()) {
@@ -168,10 +127,7 @@ bool StagingPipeline::DrainAndPublishLocked(
       peak_resident_ = std::max(peak_resident_, resident_);
     }
   }
-  if (n > 0) {
-    frame_loaded_.notify_all();
-    frame_freed_.notify_all();
-  }
+  if (n > 0) frame_loaded_.notify_all();
   return n > 0;
 }
 
@@ -183,8 +139,8 @@ void StagingPipeline::PrefetchLoop() {
     if (completed_positions_ >= index_.size()) return;
     if (stop_ && outstanding_ == 0) return;
     bool progressed = false;
-    if (!stop_) progressed |= ClaimAndSubmitLocked(lock, nullptr);
-    progressed |= DrainAndPublishLocked(lock, /*node=*/0);
+    if (!stop_) progressed |= ClaimAndSubmitLocked(lock);
+    progressed |= DrainAndPublishLocked(lock);
     if (progressed) continue;
     if (outstanding_ > 0) {
       // Pins in flight: park in the pool until one lands.
@@ -193,45 +149,30 @@ void StagingPipeline::PrefetchLoop() {
       lock.lock();
     } else {
       // Ring full and nothing in flight: wait for the slowest consumer
-      // to free a slot — or for a consumer-submitted pin
-      // (outstanding_) that this thread must then pump for.
+      // to free a slot.
       frame_freed_.wait(lock, [&] {
-        return stop_ || ClaimableLocked() || outstanding_ > 0 ||
+        return stop_ || ClaimableLocked() ||
                completed_positions_ >= index_.size();
       });
     }
   }
 }
 
-const PageFrame* StagingPipeline::Acquire(size_t pos, numa::NodeId node,
-                                          FetchActivity* activity) {
+const PageFrame* StagingPipeline::Acquire(size_t pos, uint64_t* stall_ns) {
   std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    Slot& slot = slots_[pos % capacity_];
-    if (slot.pos == pos && slot.state == SlotState::kResident) {
-      return &slot.frame;
-    }
-    if (stop_) return nullptr;
-    if (consumer_loads_) {
-      // Poll-or-steal: the fetch task is the stealable unit. Pin the
-      // next unclaimed batch (it is `pos` or a position some consumer
-      // needs) and/or decode+publish arrived pages for everyone.
-      bool progressed = ClaimAndSubmitLocked(lock, activity);
-      progressed |= DrainAndPublishLocked(lock, node);
-      if (progressed) continue;
-    }
-    // Nothing productive left: this is true I/O stall time.
+  Slot& slot = slots_[pos % capacity_];
+  const auto resident = [&] {
+    return slot.pos == pos && slot.state == SlotState::kResident;
+  };
+  if (!resident() && !stop_) {
     WallTimer stall;
-    frame_loaded_.wait(lock, [&] {
-      const Slot& s = slots_[pos % capacity_];
-      return (s.pos == pos && s.state == SlotState::kResident) || stop_ ||
-             (consumer_loads_ && ClaimableLocked());
-    });
+    frame_loaded_.wait(lock, [&] { return resident() || stop_; });
     const auto stalled_ns =
         static_cast<uint64_t>(stall.ElapsedSeconds() * 1e9);
-    if (activity != nullptr) activity->stall_ns += stalled_ns;
+    if (stall_ns != nullptr) *stall_ns += stalled_ns;
     pool_->AddStallNs(stalled_ns);
   }
+  return resident() ? &slot.frame : nullptr;
 }
 
 void StagingPipeline::Release(size_t pos) {
@@ -250,12 +191,7 @@ void StagingPipeline::Release(size_t pos) {
       freed = true;
     }
   }
-  if (freed) {
-    frame_freed_.notify_all();
-    // In consumer_loads mode a freed slot is also a claim opportunity
-    // for consumers blocked in Acquire.
-    if (consumer_loads_) frame_loaded_.notify_all();
-  }
+  if (freed) frame_freed_.notify_all();
 }
 
 Status StagingPipeline::status() const {

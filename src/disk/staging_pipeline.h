@@ -3,25 +3,15 @@
 // buffer pool of src/bufferpool/ — docs/storage.md).
 //
 // Workers consume the public input's pages in page-index order. Page
-// residency flows through a bufferpool::BufferPool: a loader claims a
-// *batch* of upcoming index positions and pins their pages (a cached
-// page completes immediately; a miss becomes a coalesced vectored read
-// through the IoScheduler), and pin completions land in per-NUMA-node
-// client queues. A dedicated prefetch thread keeps the ring full; each
-// arrived page is decoded into its ring slot and unpinned at once, so
-// the pool frame is only borrowed for the copy-out. A slot is released
-// once every worker has processed it — i.e. once the *slowest* worker
-// has moved past it. Ring capacity bounds resident decoded RAM.
-//
-// With `consumer_loads` (the stealing scheduler's mode), a consumer
-// whose page is not yet resident does not sleep: it claims and pins
-// the next unclaimed batch itself, drains pin queues (its own node's
-// first), and decodes arrived pages for everyone — poll-or-steal,
-// where the stealable unit is the page-fetch task. Only when no fetch
-// work exists does it block, and that wait is recorded as io_stall_ns.
-// (The phase-4 *walk* morsels themselves cannot be the steal unit: two
-// walks serialized on one worker deadlock against the bounded ring's
-// all-consumers-release rule — see docs/io.md.)
+// residency flows through a bufferpool::BufferPool: a dedicated
+// prefetch thread claims a *batch* of upcoming index positions whose
+// ring slots are free and pins their pages (a cached page completes
+// immediately; a miss becomes a coalesced vectored read through the
+// IoScheduler). It alone drains the pin completions, decodes each
+// arrived page into its ring slot and unpins it at once, so the pool
+// frame is only borrowed for the copy-out. A slot is released once
+// every worker has processed it — i.e. once the *slowest* worker has
+// moved past it. Ring capacity bounds resident decoded RAM.
 #pragma once
 
 #include <condition_variable>
@@ -34,7 +24,6 @@
 #include "bufferpool/buffer_pool.h"
 #include "disk/page_index.h"
 #include "disk/page_store.h"
-#include "numa/topology.h"
 #include "util/status.h"
 
 namespace mpsm::disk {
@@ -45,32 +34,16 @@ struct PageFrame {
   PageIndexEntry entry;
 };
 
-/// What one Acquire call did while it waited (the caller charges these
-/// to its per-worker counters).
-struct FetchActivity {
-  /// Page fetches this caller claimed and submitted.
-  uint64_t pages_loaded = 0;
-  /// Submit batches this caller issued (PerfCounters::io_submits).
-  uint64_t batches_submitted = 0;
-  /// Wall nanoseconds blocked with no fetch work available
-  /// (PerfCounters::io_stall_ns).
-  uint64_t stall_ns = 0;
-};
-
 /// Shared pipeline over one finalized page index.
 class StagingPipeline {
  public:
   /// `capacity_pages` bounds resident decoded frames (>= 1);
   /// `num_consumers` workers will each acquire every index position
   /// exactly once. Pages are pinned through `pool` (borrowed; must
-  /// outlive the pipeline), whose client queues [0, nodes) this
-  /// pipeline owns. `consumer_loads` lets blocked consumers claim and
-  /// pin batches themselves (see file comment). `topology` (optional)
-  /// routes each slot's pin completions to its node's queue.
+  /// outlive the pipeline), whose client queue 0 this pipeline owns.
   StagingPipeline(const PageStore& store, const PageIndex& index,
                   size_t capacity_pages, uint32_t num_consumers,
-                  bufferpool::BufferPool* pool, bool consumer_loads = false,
-                  const numa::Topology* topology = nullptr);
+                  bufferpool::BufferPool* pool);
   ~StagingPipeline();
 
   StagingPipeline(const StagingPipeline&) = delete;
@@ -81,28 +54,22 @@ class StagingPipeline {
 
   /// Blocks until index position `pos` is resident; returns its frame,
   /// valid until this consumer calls Release(pos). Returns nullptr when
-  /// the pipeline stopped on an I/O error (check status()). `node` is
-  /// the caller's NUMA node (its completion queue is drained first);
-  /// `activity` (optional) accumulates the fetch work and stall time
-  /// this call performed.
-  const PageFrame* Acquire(size_t pos, numa::NodeId node = 0,
-                           FetchActivity* activity = nullptr);
+  /// the pipeline stopped on an I/O error (check status()). `stall_ns`
+  /// (optional) accumulates the wall nanoseconds this call blocked.
+  const PageFrame* Acquire(size_t pos, uint64_t* stall_ns = nullptr);
 
   /// Signals that this consumer is done with position `pos`. After
   /// num_consumers releases the frame is freed ("green" in Figure 4).
   /// No-op for positions that never became resident (error shutdown).
   void Release(size_t pos);
 
-  /// Stops the prefetcher (joins the thread) and reaps every pin this
-  /// pipeline still has in flight, so no pool frame stays pinned after
-  /// destruction. Called automatically by the destructor.
+  /// Stops the prefetcher (joins the thread) once every pin this
+  /// pipeline has in flight is reaped, so no pool frame stays pinned
+  /// after destruction. Called automatically by the destructor.
   void Stop();
 
   /// Highest number of simultaneously resident frames observed.
   size_t peak_resident_pages() const { return peak_resident_; }
-
-  /// Distinct NUMA nodes the ring's pin queues are spread over.
-  uint32_t staging_nodes() const { return staging_nodes_; }
 
   /// First I/O error encountered, if any.
   Status status() const;
@@ -110,7 +77,6 @@ class StagingPipeline {
  private:
   enum class SlotState : uint8_t { kFree, kInFlight, kResident };
   struct Slot {
-    numa::NodeId home = 0;
     PageFrame frame;  // tuple storage reused across positions
     SlotState state = SlotState::kFree;
     size_t pos = SIZE_MAX;
@@ -124,22 +90,17 @@ class StagingPipeline {
   /// Claims up to the scheduler's batch size of consecutive claimable
   /// positions and pins them (lock dropped around the submit).
   /// Returns true when at least one pin was submitted.
-  bool ClaimAndSubmitLocked(std::unique_lock<std::mutex>& lock,
-                            FetchActivity* activity);
-  /// Pumps the pool and drains pin queues (preferring `node`),
-  /// decoding, unpinning and publishing arrived frames. Returns true
-  /// when at least one completion was processed.
-  bool DrainAndPublishLocked(std::unique_lock<std::mutex>& lock,
-                             numa::NodeId node);
+  bool ClaimAndSubmitLocked(std::unique_lock<std::mutex>& lock);
+  /// Pumps the pool and drains the pin queue, decoding, unpinning and
+  /// publishing arrived frames. Returns true when at least one
+  /// completion was processed.
+  bool DrainAndPublishLocked(std::unique_lock<std::mutex>& lock);
 
   const PageStore& store_;
   const PageIndex& index_;
   const size_t capacity_;
   const uint32_t num_consumers_;
-  const bool consumer_loads_;
   bufferpool::BufferPool* const pool_;
-  uint32_t node_queues_ = 1;  // pool client queues this pipeline owns
-  uint32_t staging_nodes_ = 1;
 
   mutable std::mutex mu_;
   std::condition_variable frame_loaded_;

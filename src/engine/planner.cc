@@ -374,7 +374,8 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
     // Cap the buffer pool's frames at half the query budget: staging
     // ring, private-window readahead and dirty write-back frames all
     // come out of this one pot (docs/storage.md), and the remaining
-    // half covers transient sort scratch. No budget keeps it unset.
+    // half covers transient sort scratch. No budget leaves it unset
+    // (kDefaultPoolBudgetBytes).
     plan.dmpsm.pool_budget_bytes = budget / 2;
   }
   plan.radix = options.radix;

@@ -59,10 +59,6 @@ IoScheduler::IoScheduler(std::unique_ptr<AsyncIoBackend> backend, int fd,
       page_bytes_(page_bytes),
       delay_us_(delay_us),
       options_(std::move(options)),
-      byte_budget_(options_.max_inflight_bytes != 0
-                       ? options_.max_inflight_bytes
-                       : static_cast<uint64_t>(options_.queue_depth) *
-                             options_.batch_pages * page_bytes),
       batches_(options_.queue_depth),
       queues_(options_.completion_queues) {
   free_batches_.reserve(options_.queue_depth);
@@ -197,7 +193,6 @@ bool IoScheduler::PushOneFlushLocked(std::unique_lock<std::mutex>& lock) {
   page.queue = req.queue;
   page.attempts = req.attempts;
   batch.pages.push_back(page);
-  batch.bytes = 0;
   batch.used = true;
   batch.is_write = false;
   batch.is_flush = true;
@@ -243,18 +238,11 @@ bool IoScheduler::PushOneBatchLocked(std::unique_lock<std::mutex>& lock,
          queue[take].page == queue[take - 1].page + 1) {
     ++take;
   }
-  const uint64_t bytes = static_cast<uint64_t>(take) * page_bytes_;
-  // The byte budget throttles only while operations are in flight: a
-  // single batch must always be able to start (progress guarantee).
-  if (inflight_bytes_ != 0 && inflight_bytes_ + bytes > byte_budget_) {
-    return false;
-  }
 
   const size_t slot = free_batches_.back();
   free_batches_.pop_back();
   Batch& batch = batches_[slot];
   batch.pages.clear();
-  batch.bytes = bytes;
   batch.used = true;
   batch.is_write = is_write;
   batch.is_flush = false;
@@ -271,7 +259,6 @@ bool IoScheduler::PushOneBatchLocked(std::unique_lock<std::mutex>& lock,
   }
   if (is_write) inflight_write_seqs_.insert(batch.min_seq);
 
-  inflight_bytes_ += bytes;
   ++inflight_reads_;
   if (is_write) {
     ++write_batches_;
@@ -316,7 +303,6 @@ bool IoScheduler::PushOneBatchLocked(std::unique_lock<std::mutex>& lock,
     if (is_write) {
       inflight_write_seqs_.erase(inflight_write_seqs_.find(batch.min_seq));
     }
-    inflight_bytes_ -= bytes;
     --inflight_reads_;
     RouteBatchLocked(batch, submitted);
     batch.used = false;
@@ -362,7 +348,7 @@ Status IoScheduler::PushPendingLocked(std::unique_lock<std::mutex>& lock) {
   // Reads before writes: fetches gate join progress now; write-backs
   // are background work whose only deadline is freeing frames. A read
   // backlog cannot starve writes forever — once it drains (or the
-  // budget blocks it), pending writes get the leftover slots.
+  // depth cap blocks it), pending writes get the leftover slots.
   while (PushOneBatchLocked(lock, pending_, /*is_write=*/false)) {
   }
   while (PushOneBatchLocked(lock, pending_writes_, /*is_write=*/true)) {
@@ -393,7 +379,6 @@ size_t IoScheduler::ReapLocked(std::unique_lock<std::mutex>& lock,
       (batch.is_write ? pages_written_ : pages_read_) +=
           batch.pages.size();
     }
-    inflight_bytes_ -= batch.bytes;
     --inflight_reads_;
     RouteBatchLocked(batch, raw[i].status);
     batch.used = false;
@@ -421,7 +406,7 @@ Status IoScheduler::Pump(bool block) {
   if (block && reaped == 0 && inflight_reads_ > 0) {
     reaped = ReapLocked(lock, /*block=*/true);
   }
-  // Freed batch slots (and byte budget) admit more pending work.
+  // Freed batch slots admit more pending work.
   if (reaped > 0) MPSM_RETURN_NOT_OK(PushPendingLocked(lock));
   // Nothing in flight but a retry waiting out its backoff: a blocking
   // pump sleeps to the deadline and re-submits, so callers looping on

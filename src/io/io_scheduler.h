@@ -1,4 +1,4 @@
-// IoScheduler: batched, budgeted page-fetch scheduling over an
+// IoScheduler: batched, depth-capped page-fetch scheduling over an
 // AsyncIoBackend (docs/io.md).
 //
 // Callers submit PageFetchRequests — "read page id P into this pinned
@@ -9,17 +9,17 @@
 //     (pages are contiguous on the spool file, so consecutive ids are
 //     one device request), and likewise adjacent write-backs into
 //     vectored writes,
-//   - enforces a queue-depth cap and an in-flight byte budget toward
-//     the backend (shared by reads and writes; reads go first),
-//   - routes completions into per-queue lists (the spill path uses one
-//     queue per NUMA node plus one per worker's private window), and
+//   - enforces a queue-depth cap toward the backend (shared by reads
+//     and writes; reads go first),
+//   - routes completions into per-queue lists (the spill path's buffer
+//     pool owns two: frame loads and write-backs), and
 //   - keeps the counters the engine reports (pages_read, io_batches,
 //     coalesced_pages, io_stall_ns, mean/peak queue depth).
 //
 // Thread-safe: any worker may Submit, Pump, or Drain concurrently;
 // Pump is how I/O progresses — there is no scheduler thread. A blocked
-// consumer pumping the scheduler *is* the poll-or-steal design: its
-// wait time becomes submission/completion work for everyone.
+// caller pumps the scheduler, so its wait time becomes
+// submission/completion work for everyone.
 #pragma once
 
 #include <atomic>
@@ -47,9 +47,6 @@ struct IoSchedulerOptions {
   /// Most adjacent pages coalesced into one vectored read
   /// (1 <= batch <= kMaxIovPerRead).
   size_t batch_pages = 8;
-  /// In-flight byte budget toward the backend; 0 derives
-  /// queue_depth * batch_pages * page_bytes (i.e. no extra cap).
-  uint64_t max_inflight_bytes = 0;
   /// Completion queues (>= 1); requests name their queue.
   uint32_t completion_queues = 1;
   /// Most times a transiently failed batch (kUnavailable: EINTR/EAGAIN
@@ -114,7 +111,7 @@ struct IoSchedulerStats {
   /// (reads and writes).
   double mean_queue_depth = 0;
   /// Peak backend operations in flight (reads and writes share the
-  /// queue-depth cap and byte budget).
+  /// queue-depth cap).
   uint64_t peak_inflight_reads = 0;
 };
 
@@ -138,9 +135,9 @@ class IoScheduler {
   IoScheduler(const IoScheduler&) = delete;
   IoScheduler& operator=(const IoScheduler&) = delete;
 
-  /// Queues `count` fetches and starts as many as the depth/byte
-  /// budget allows. Buffers stay caller-owned until the matching
-  /// completion is drained.
+  /// Queues `count` fetches and starts as many as the queue-depth cap
+  /// allows. Buffers stay caller-owned until the matching completion
+  /// is drained.
   Status Submit(const PageFetchRequest* requests, size_t count);
 
   /// Queues `count` write-backs (coalesced like reads; reads are
@@ -159,11 +156,11 @@ class IoScheduler {
   Status SubmitFlush(uint64_t user_data, uint32_t queue);
 
   /// Drives I/O forward: pushes pending coalesced batches while the
-  /// budget allows and reaps ready backend completions into their
-  /// queues. With `block`, waits for at least one completion when
+  /// queue-depth cap allows and reaps ready backend completions into
+  /// their queues. With `block`, waits for at least one completion when
   /// reads are in flight. Callers record any true blocking time via
-  /// AddStallNs themselves (only they know whether the wait was
-  /// stealable).
+  /// AddStallNs themselves (only they know which waits count as
+  /// stall).
   Status Pump(bool block);
 
   /// Pops up to `max` completions from `queue`; returns the count.
@@ -196,7 +193,6 @@ class IoScheduler {
   };
   struct Batch {
     std::vector<BatchPage> pages;
-    uint64_t bytes = 0;
     bool used = false;
     bool is_write = false;
     bool is_flush = false;
@@ -229,12 +225,12 @@ class IoScheduler {
   };
 
   /// Builds + submits coalesced batches (reads first, then writes,
-  /// then barrier-eligible flushes) while budget allows; caller holds
-  /// mu_ on entry and exit (dropped around backend calls).
+  /// then barrier-eligible flushes) while the depth cap allows; caller
+  /// holds mu_ on entry and exit (dropped around backend calls).
   Status PushPendingLocked(std::unique_lock<std::mutex>& lock);
   /// Coalesces + submits one batch from the front of `queue`; caller
   /// holds mu_ (dropped around the backend call). Returns false when
-  /// the depth/byte budget blocks further submission from this queue.
+  /// the depth cap blocks further submission from this queue.
   bool PushOneBatchLocked(std::unique_lock<std::mutex>& lock,
                           std::deque<PendingPage>& queue, bool is_write);
   /// Submits the front pending flush when its write barrier is clear;
@@ -259,7 +255,6 @@ class IoScheduler {
   const size_t page_bytes_;
   const uint32_t delay_us_;
   const IoSchedulerOptions options_;
-  const uint64_t byte_budget_;
 
   mutable std::mutex mu_;
   std::deque<PendingPage> pending_;
@@ -268,7 +263,6 @@ class IoScheduler {
   std::vector<Batch> batches_;  // slot table, index == backend user_data
   std::vector<size_t> free_batches_;
   std::vector<std::deque<PageFetchCompletion>> queues_;
-  uint64_t inflight_bytes_ = 0;
   size_t inflight_reads_ = 0;
   /// Per-write enqueue sequence (monotonic) and the min seqs of write
   /// batches currently in flight — together they answer "is every

@@ -58,7 +58,7 @@ struct PerfCounters {
 
   // Async page I/O (src/io/, the D-MPSM spill path): batched read
   // submissions this worker issued, and wall nanoseconds it spent
-  // blocked on I/O with no stealable fetch work left. The machine
+  // blocked waiting for a staged or private-window page. The machine
   // model charges ns_per_io_submit per submission; io_stall_ns is
   // observability only (measured wall time, not a modeled count).
   uint64_t io_submits = 0;

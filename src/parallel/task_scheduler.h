@@ -111,7 +111,7 @@ class PhasePipeline {
     bool eager = true;
     /// Pinned phases always execute morsels on their home worker, even
     /// under a stealing scheduler (allocations from the home worker's
-    /// arena, stateful per-consumer walks).
+    /// arena).
     bool pinned = false;
     /// Self-timed bodies manage their own PhaseScope sub-timers (e.g.
     /// the radix join's pass-2/join split); the pipeline then only

@@ -124,10 +124,6 @@ TEST(BufferPoolOptionsTest, ValidateRejectsIllegalKnobs) {
   BufferPoolOptions no_batch = ok;
   no_batch.flush_batch_pages = 0;
   EXPECT_FALSE(no_batch.Validate().ok());
-
-  BufferPoolOptions aliased = ok;
-  aliased.scheduler_write_queue = aliased.scheduler_load_queue;
-  EXPECT_FALSE(aliased.Validate().ok());
 }
 
 TEST(BufferPoolOptionsTest, CreateRejectsSchedulerWithoutPoolQueues) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "baseline/reference_join.h"
@@ -201,7 +202,7 @@ class DMpsmTest : public testing::TestWithParam<
                       std::tuple<uint32_t, size_t, size_t>> {};
 
 TEST_P(DMpsmTest, MatchesReferenceUnderRamBudget) {
-  const auto [team_size, tuples_per_page, pool_pages] = GetParam();
+  const auto [team_size, tuples_per_page, pool_frames] = GetParam();
   const auto topology = numa::Topology::Simulated(4, 16);
 
   workload::DatasetSpec spec;
@@ -214,7 +215,8 @@ TEST_P(DMpsmTest, MatchesReferenceUnderRamBudget) {
   WorkerTeam team(topology, team_size);
   DMpsmOptions options;
   options.tuples_per_page = tuples_per_page;
-  options.pool_pages = pool_pages;
+  options.pool_budget_bytes =
+      pool_frames * PageStore::PageBytes(tuples_per_page);
   CountFactory counts(team_size);
   DMpsmReport report;
   auto info = DMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts,
@@ -228,7 +230,8 @@ TEST_P(DMpsmTest, MatchesReferenceUnderRamBudget) {
   EXPECT_EQ(counts.Result(), expected);
 
   // RAM budget respected and everything was spooled + read back.
-  EXPECT_LE(report.peak_pool_pages, pool_pages);
+  EXPECT_LE(report.peak_pool_pages,
+            options.PoolShape(team_size).staging_capacity);
   EXPECT_GT(report.io.pages_written, 0u);
   EXPECT_GT(report.io.pages_read, 0u);
   // One index entry per spooled S page.
@@ -275,7 +278,7 @@ TEST(DMpsmTest, KernelKnobsMatchReference) {
        {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
     DMpsmOptions options;
     options.tuples_per_page = 128;
-    options.pool_pages = 4;
+    options.pool_budget_bytes = 16 * PageStore::PageBytes(128);
     options.simd = simd;
 
     WorkerTeam team(topology, team_size);
@@ -285,51 +288,6 @@ TEST(DMpsmTest, KernelKnobsMatchReference) {
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     EXPECT_EQ(counts.Result(), expected) << simd::SimdKindName(simd);
   }
-}
-
-TEST(DMpsmTest, StealingSchedulerMatchesStatic) {
-  // Under the stealing scheduler the sort+spool phases are stealable
-  // morsels and page fetches become consumer-executed tasks
-  // (StagingPipeline consumer_loads); the join result must be
-  // identical, and with a tiny pool the blocked consumers should be
-  // performing loads themselves.
-  const auto topology = numa::Topology::Simulated(2, 8);
-  workload::DatasetSpec spec;
-  spec.r_tuples = 8000;
-  spec.multiplicity = 2.0;
-  spec.key_domain = 24000;
-  spec.seed = 17;
-  const uint32_t team_size = 4;
-  const auto dataset = workload::Generate(topology, team_size, spec);
-  WorkerTeam team(topology, team_size);
-
-  DMpsmOptions static_options;
-  static_options.tuples_per_page = 64;
-  static_options.pool_pages = 2;
-  CountFactory static_counts(team_size);
-  DMpsmReport static_report;
-  ASSERT_TRUE(DMpsmJoin(static_options)
-                  .Execute(team, dataset.r, dataset.s, static_counts,
-                           &static_report)
-                  .ok());
-  EXPECT_EQ(static_report.consumer_page_loads, 0u);
-
-  DMpsmOptions stealing_options = static_options;
-  stealing_options.scheduler = SchedulerKind::kStealing;
-  CountFactory stealing_counts(team_size);
-  DMpsmReport stealing_report;
-  ASSERT_TRUE(DMpsmJoin(stealing_options)
-                  .Execute(team, dataset.r, dataset.s, stealing_counts,
-                           &stealing_report)
-                  .ok());
-
-  EXPECT_GT(static_counts.Result(), 0u);
-  EXPECT_EQ(stealing_counts.Result(), static_counts.Result());
-  EXPECT_LE(stealing_report.peak_pool_pages, stealing_options.pool_pages);
-  // With a 2-page pool and 4 consumers marching over 100+ pages, some
-  // fetches land on consumers (the prefetch thread alone cannot keep
-  // every wait non-productive).
-  EXPECT_GT(stealing_report.consumer_page_loads, 0u);
 }
 
 TEST(DMpsmTest, MaxSumMatchesReference) {
@@ -377,7 +335,7 @@ TEST(DMpsmTest, SkewedKeysWithDuplicatesAcrossPageBoundaries) {
   WorkerTeam team(topology, team_size);
   DMpsmOptions options;
   options.tuples_per_page = 32;  // many boundary-spanning groups
-  options.pool_pages = 2;
+  options.pool_budget_bytes = 8 * PageStore::PageBytes(32);
   CountFactory counts(team_size);
   auto info = DMpsmJoin(options).Execute(team, r, s, counts);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
@@ -460,12 +418,36 @@ TEST(DMpsmTest, RejectsInvalidOptions) {
   const auto dataset = workload::Generate(topology, 4, spec);
 
   DMpsmOptions options;
-  options.pool_pages = 0;
+  options.tuples_per_page = 0;
   CountFactory counts(4);
   auto info =
       DMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
   EXPECT_FALSE(info.ok());
   EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DMpsmOptionsTest, UnsetPoolBudgetIsTheDefaultBudget) {
+  // One pool rule: an unset budget sizes the pool exactly as an 8 MiB
+  // budget does, whatever the team and page size.
+  for (const uint32_t team_size : {1u, 4u, 8u, 32u}) {
+    for (const size_t tuples_per_page : {size_t{64}, size_t{4096}}) {
+      SCOPED_TRACE("T=" + std::to_string(team_size) +
+                   " tuples_per_page=" + std::to_string(tuples_per_page));
+      DMpsmOptions unset;
+      unset.tuples_per_page = tuples_per_page;
+      DMpsmOptions budgeted = unset;
+      budgeted.pool_budget_bytes = uint64_t{8} << 20;
+      const disk::DMpsmPoolShape shape = unset.PoolShape(team_size);
+      const disk::DMpsmPoolShape expected = budgeted.PoolShape(team_size);
+      EXPECT_EQ(shape.frames, expected.frames);
+      EXPECT_EQ(shape.staging_capacity, expected.staging_capacity);
+      EXPECT_EQ(shape.readahead, expected.readahead);
+      EXPECT_EQ(shape.page_bytes, expected.page_bytes);
+      if (tuples_per_page == 4096) {
+        EXPECT_LE(shape.bytes(), uint64_t{8} << 20);
+      }
+    }
+  }
 }
 
 }  // namespace

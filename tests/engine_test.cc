@@ -164,16 +164,13 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   m.cost_balanced_splitters = false;
   m.scheduler = SchedulerKind::kStatic;
   m.morsel_tuples = 1u << 12;
-  m.scatter = ScatterKind::kScalar;
   m.simd = simd::SimdKind::kScalar;
   disk::DMpsmOptions& d = options.dmpsm;
   d.tuples_per_page = 1024;
-  d.pool_pages = 32;
   d.pool_budget_bytes = 3u << 20;
   d.directory = "/spill";
   d.io_delay_us = 7;
   d.simd = simd::SimdKind::kScalar;
-  d.scheduler = SchedulerKind::kStealing;
   d.io_backend = io::IoBackendKind::kAuto;
   d.io_queue_depth = 4;
   d.io_batch_pages = 2;
@@ -189,7 +186,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   x.pass1_bits = 10;
   x.pass2_bits = 6;
   x.target_fragment_tuples = 4096;
-  x.scatter = ScatterKind::kScalar;
   x.simd = simd::SimdKind::kScalar;
   Engine engine(topology, options);
 
@@ -208,16 +204,13 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   EXPECT_EQ(plan->mpsm.cost_balanced_splitters, m.cost_balanced_splitters);
   EXPECT_EQ(plan->mpsm.scheduler, m.scheduler);
   EXPECT_EQ(plan->mpsm.morsel_tuples, m.morsel_tuples);
-  EXPECT_EQ(plan->mpsm.scatter, m.scatter);
   EXPECT_EQ(plan->mpsm.simd, m.simd);
 
   EXPECT_EQ(plan->dmpsm.tuples_per_page, d.tuples_per_page);
-  EXPECT_EQ(plan->dmpsm.pool_pages, d.pool_pages);
   EXPECT_EQ(plan->dmpsm.pool_budget_bytes, d.pool_budget_bytes);  // wins
   EXPECT_EQ(plan->dmpsm.directory, d.directory);
   EXPECT_EQ(plan->dmpsm.io_delay_us, d.io_delay_us);
   EXPECT_EQ(plan->dmpsm.simd, d.simd);
-  EXPECT_EQ(plan->dmpsm.scheduler, d.scheduler);
   EXPECT_EQ(plan->dmpsm.io_backend, d.io_backend);
   EXPECT_EQ(plan->dmpsm.io_queue_depth, d.io_queue_depth);
   EXPECT_EQ(plan->dmpsm.io_batch_pages, d.io_batch_pages);
@@ -235,11 +228,10 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   EXPECT_EQ(plan->radix.pass1_bits, x.pass1_bits);
   EXPECT_EQ(plan->radix.pass2_bits, x.pass2_bits);
   EXPECT_EQ(plan->radix.target_fragment_tuples, x.target_fragment_tuples);
-  EXPECT_EQ(plan->radix.scatter, x.scatter);
   EXPECT_EQ(plan->radix.simd, x.simd);
 
   // Unset, the pool budget is half the query's; without a budget it
-  // stays unset (the pool_pages frame shape).
+  // stays unset (kDefaultPoolBudgetBytes).
   EngineOptions unset = options;
   unset.dmpsm.pool_budget_bytes = 0;
   spec.options = &unset;
@@ -360,14 +352,6 @@ TEST(EngineValidationTest, RejectsUndersizedRadixBits) {
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(plan.status().message().find("radix_bits"), std::string::npos);
-}
-
-TEST(EngineValidationTest, RejectsZeroPoolPagesOverride) {
-  disk::DMpsmOptions options;
-  options.pool_pages = 0;
-  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  options.pool_pages = 1;
-  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(EngineValidationTest, RejectsIllegalRadixJoinBits) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "baseline/radix_join.h"
@@ -138,31 +139,6 @@ TEST_P(JoinCorrectnessTest, MaxSumMatchesReference) {
   EXPECT_EQ(result->max_sum.value_or(0), expected);
 }
 
-TEST(BenchmarkQueryTest, DMpsmSchedulesStaticallyLikeTheEngine) {
-  // The harness MpsmOptions steer P-MPSM and B-MPSM only: a D-MPSM
-  // query keeps the session's DMpsmOptions, so it schedules statically
-  // exactly as Engine::Execute runs it, even though MpsmOptions
-  // defaults to stealing.
-  const auto topology = TestTopology();
-  DatasetSpec spec;
-  spec.r_tuples = 6000;
-  spec.multiplicity = 2.0;
-  spec.seed = 17;
-  const auto dataset = workload::Generate(topology, 4, spec);
-
-  engine::EngineOptions engine_options;
-  engine_options.workers = 4;
-  engine::Engine engine(topology, engine_options);
-  auto result = workload::RunBenchmarkQuery(engine::Algorithm::kDMpsm, engine,
-                                            dataset.r, dataset.s);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->plan().algorithm, engine::Algorithm::kDMpsm);
-  EXPECT_EQ(result->plan().dmpsm.scheduler, SchedulerKind::kStatic);
-  EXPECT_EQ(result->max_sum.value_or(0),
-            baseline::ReferenceMaxPayloadSum(dataset.r.ToVector(),
-                                             dataset.s.ToVector()));
-}
-
 std::vector<JoinCase> AllCases() {
   std::vector<JoinCase> cases;
   const Algorithm algorithms[] = {Algorithm::kPMpsm, Algorithm::kBMpsm,
@@ -250,43 +226,42 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------ kernel option matrix (tuning.md)
 
 TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
-  // Every combination of the cache-conscious knobs (scatter kind, simd
-  // scalar/auto — the sorts' digit histograms follow it) and both
-  // schedulers (static and stealing) must produce the reference count
+  // Both schedulers (static and stealing) and simd scalar/auto (the
+  // sorts' digit histograms follow it) must produce the reference count
   // through both P-MPSM and B-MPSM; the fast defaults may differ from
-  // the scalar paths only in speed.
+  // the scalar paths only in speed. The fan-out picks the scatter
+  // kernel: |R| = 12,000 cuts into few sort segments (the scalar
+  // loop), |R| = 2^18 into more than 100 (write combining), as does
+  // the radix join's 2^7-way first pass.
   const auto topology = TestTopology();
-  DatasetSpec spec;
-  spec.r_tuples = 12000;
-  spec.multiplicity = 1.5;
-  spec.key_domain = 30000;
-  spec.s_mode = SKeyMode::kIndependent;
-  spec.seed = 4242;
   const uint32_t team_size = 4;
-  const auto dataset = workload::Generate(topology, team_size, spec);
+  for (const size_t r_tuples : {size_t{12000}, size_t{1} << 18}) {
+    DatasetSpec spec;
+    spec.r_tuples = r_tuples;
+    spec.multiplicity = 1.5;
+    spec.key_domain = r_tuples * 5 / 2;
+    spec.s_mode = SKeyMode::kIndependent;
+    spec.seed = 4242;
+    const auto dataset = workload::Generate(topology, team_size, spec);
 
-  CountFactory reference(1);
-  const uint64_t expected =
-      baseline::ReferenceJoin(dataset.r.ToVector(), dataset.s.ToVector(),
-                              JoinKind::kInner,
-                              reference.ConsumerForWorker(0));
+    CountFactory reference(1);
+    const uint64_t expected =
+        baseline::ReferenceJoin(dataset.r.ToVector(), dataset.s.ToVector(),
+                                JoinKind::kInner,
+                                reference.ConsumerForWorker(0));
 
-  for (SchedulerKind scheduler :
-       {SchedulerKind::kStatic, SchedulerKind::kStealing}) {
-    for (ScatterKind scatter :
-         {ScatterKind::kScalar, ScatterKind::kWriteCombining,
-          ScatterKind::kAuto}) {
+    for (SchedulerKind scheduler :
+         {SchedulerKind::kStatic, SchedulerKind::kStealing}) {
       for (simd::SimdKind simd_kind :
            {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
         MpsmOptions options;
         options.scheduler = scheduler;
-        options.scatter = scatter;
         options.simd = simd_kind;
         options.morsel_tuples = 1024;  // small enough to slice at test size
 
         const auto label = [&] {
-          return std::string(SchedulerKindName(scheduler)) + "/" +
-                 ScatterKindName(scatter) + "/" +
+          return std::to_string(r_tuples) + "/" +
+                 SchedulerKindName(scheduler) + "/" +
                  simd::SimdKindName(simd_kind);
         };
         {
@@ -307,6 +282,15 @@ TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
         }
       }
     }
+
+    baseline::RadixJoinOptions radix_options;
+    radix_options.pass1_bits = 7;
+    WorkerTeam team(topology, team_size);
+    CountFactory counts(team_size);
+    const auto info = baseline::RadixHashJoin(radix_options)
+                          .Execute(team, dataset.r, dataset.s, counts);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(counts.Result(), expected) << "radix " << r_tuples;
   }
 }
 

@@ -383,39 +383,33 @@ TEST(PMpsmOptionsTest, EquiHeightFactorSweepAgrees) {
 }
 
 TEST(PMpsmCountersTest, ScatterWritesExactlyR) {
-  const auto topology = Topo();
-  workload::DatasetSpec spec;
-  spec.r_tuples = 30000;
-  spec.multiplicity = 1.0;
-  const auto dataset = workload::Generate(topology, 8, spec);
-  WorkerTeam team(topology, 8);
-
   // The scalar scatter is charged at the random-write rate, write
   // combining at the sequential rate (docs/tuning.md); either way the
-  // phase writes exactly |R| tuples.
-  {
-    MpsmOptions options;
-    options.scatter = ScatterKind::kScalar;
+  // phase writes exactly |R| tuples. The fan-out picks the kernel: on
+  // 8 workers 30,000 tuples cut into 22 sort segments (scalar), 2^18
+  // into 136 (write combining, at 100 or more).
+  struct Case {
+    size_t r_tuples;
+    bool write_combining;
+  };
+  const auto topology = Topo();
+  WorkerTeam team(topology, 8);
+  for (const Case c : {Case{30000, false}, Case{size_t{1} << 18, true}}) {
+    SCOPED_TRACE("|R|=" + std::to_string(c.r_tuples));
+    workload::DatasetSpec spec;
+    spec.r_tuples = c.r_tuples;
+    spec.multiplicity = 1.0;
+    const auto dataset = workload::Generate(topology, 8, spec);
     CountFactory counts(8);
-    auto info = PMpsmJoin(options).Execute(team, dataset.r, dataset.s,
-                                           counts);
+    auto info = PMpsmJoin().Execute(team, dataset.r, dataset.s, counts);
     ASSERT_TRUE(info.ok());
     const auto& partition = info->aggregate.phase_counters[kPhasePartition];
-    EXPECT_EQ(partition.bytes_written_local_rand +
-                  partition.bytes_written_remote_rand,
-              dataset.r.size() * sizeof(Tuple));
-  }
-  {
-    MpsmOptions options;
-    options.scatter = ScatterKind::kWriteCombining;
-    CountFactory counts(8);
-    auto info = PMpsmJoin(options).Execute(team, dataset.r, dataset.s,
-                                           counts);
-    ASSERT_TRUE(info.ok());
-    const auto& partition = info->aggregate.phase_counters[kPhasePartition];
-    EXPECT_EQ(partition.bytes_written_local_seq +
-                  partition.bytes_written_remote_seq,
-              dataset.r.size() * sizeof(Tuple));
+    const uint64_t written =
+        c.write_combining ? partition.bytes_written_local_seq +
+                                partition.bytes_written_remote_seq
+                          : partition.bytes_written_local_rand +
+                                partition.bytes_written_remote_rand;
+    EXPECT_EQ(written, dataset.r.size() * sizeof(Tuple));
   }
 }
 

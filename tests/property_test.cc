@@ -79,7 +79,7 @@ TEST_P(SeededPropertyTest, AllAlgorithmsAgreeOnCountAndMax) {
   check("d-mpsm", [&](ConsumerFactory& f) {
     disk::DMpsmOptions options;
     options.tuples_per_page = 128;
-    options.pool_pages = 3;
+    options.pool_budget_bytes = 12 * disk::PageStore::PageBytes(128);
     return disk::DMpsmJoin(options).Execute(team, dataset.r, dataset.s, f);
   });
   check("wisconsin", [&](ConsumerFactory& f) {

@@ -44,6 +44,12 @@ using recovery::RunRecord;
 constexpr size_t kTuplesPerPage = 64;
 constexpr uint32_t kTeam = 4;
 
+/// A 52-frame buffer pool: the inputs below spool into several times
+/// as many pages.
+uint64_t PoolBudgetBytes() {
+  return 52 * disk::PageStore::PageBytes(kTuplesPerPage);
+}
+
 /// Unique scratch directory per test: manifests are named by query
 /// fingerprint, and parallel test processes would otherwise collide on
 /// a shared /tmp.
@@ -344,7 +350,7 @@ DMpsmOptions JournaledOptions(const RecoveryManager& manager,
                               const std::string& dir) {
   DMpsmOptions options;
   options.tuples_per_page = kTuplesPerPage;
-  options.pool_pages = 4;
+  options.pool_budget_bytes = PoolBudgetBytes();
   options.directory = dir;
   options.recovery.journal = true;
   options.recovery.journal_path = manager.JournalPath(fp);
@@ -568,7 +574,7 @@ TEST(EngineRecoveryTest, ExecuteThenResumeSkipsCompletedWork) {
   options.workers = kTeam;
   options.force_algorithm = engine::Algorithm::kDMpsm;
   options.dmpsm.tuples_per_page = kTuplesPerPage;
-  options.dmpsm.pool_pages = 4;
+  options.dmpsm.pool_budget_bytes = PoolBudgetBytes();
   options.dmpsm.directory = dir.path;
   options.recovery.enabled = true;
   options.recovery.dir = dir.path;
@@ -619,7 +625,7 @@ TEST(ServiceRecoveryTest, ResubmissionResumesAndCountsIt) {
   options.lanes = 1;
   options.engine.workers = kTeam;
   options.engine.dmpsm.tuples_per_page = kTuplesPerPage;
-  options.engine.dmpsm.pool_pages = 4;
+  options.engine.dmpsm.pool_budget_bytes = PoolBudgetBytes();
   options.engine.dmpsm.directory = dir.path;
   options.engine.recovery.enabled = true;
   options.engine.recovery.dir = dir.path;

@@ -142,9 +142,9 @@ TEST(ServiceAdmissionTest, OverBudgetInnerJoinDownBudgetsToSpill) {
 }
 
 TEST(ServiceAdmissionTest, UnbudgetedSpillReservesItsWholePool) {
-  // Without a pool budget the spill path allocates pool_pages staging
-  // frames plus per-worker readahead and flush headroom. Admission
-  // must reserve exactly those frames.
+  // Without a pool budget the spill path allocates the frames of
+  // kDefaultPoolBudgetBytes. Admission must reserve exactly those
+  // frames.
   const auto topology = Topo();
   constexpr uint32_t kWorkers = 8;
   workload::DatasetSpec data;
