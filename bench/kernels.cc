@@ -1,6 +1,11 @@
 // google-benchmark micro-kernels for the primitives every MPSM phase is
 // built from: sorting, merge join, histograms, scatter, search, CDF —
 // plus the phase-scheduler A/B (static vs stealing) on a skewed join.
+//
+// Rows whose work runs on other threads (worker teams, I/O and
+// flusher threads, service lanes) call UseRealTime(): google-benchmark
+// otherwise sizes and reports them by the main thread's CPU time,
+// which there is a small fraction of the wall time.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -110,6 +115,52 @@ void BM_SortCopyInto(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SortCopyInto)->Arg(1 << 21);
+
+// Phase 1's kernel on Figure 16's skew: one worker's S chunk of the
+// inmem-skew shape, keys drawn 80:20 toward the low end of a domain of
+// 2.5 times the chunk size (the top 8 used key bits put 80% of the
+// chunk into 32 buckets of about 52K tuples each).
+void BM_SortCopyIntoSkew(benchmark::State& state) {
+  const size_t n = state.range(0);
+  Xoshiro256 rng(2);
+  std::vector<Tuple> chunk(n);
+  for (auto& t : chunk) {
+    t = Tuple{workload::DrawKey(workload::KeyDistribution::kSkewLowEnd,
+                                n * 5 / 2, rng),
+              rng.Next()};
+  }
+  std::vector<Tuple> run(n);
+  for (auto _ : state) {
+    sort::SortCopyInto(chunk.data(), n, run.data());
+    benchmark::DoNotOptimize(run.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SortCopyIntoSkew)->Arg(1 << 21);
+
+// Phase 3's kernel: one P-MPSM sort segment, n keys in a known range
+// of 2^22 keys, finished by LSD passes over key - low. Each iteration
+// copies the 32 KiB input back in before sorting it in place.
+void BM_SortKeyRange(benchmark::State& state) {
+  const size_t n = state.range(0);
+  constexpr uint32_t kBits = 22;
+  const uint64_t low = uint64_t{3} << kBits;
+  Xoshiro256 rng(3);
+  std::vector<Tuple> input(n);
+  for (auto& t : input) {
+    t = Tuple{low + rng.NextBounded(uint64_t{1} << kBits), rng.Next()};
+  }
+  std::vector<Tuple> data(n);
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), data.begin());
+    sort::SortKeyRange(data.data(), n, low, kBits);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SortKeyRange)->Arg(2048);
 
 // Merge kernel rows on one workload: the paper's plain loop
 // (MergeJoinRunPair, no prefetch) vs the join phase's kernel
@@ -379,12 +430,14 @@ void PMpsmSkewBench(benchmark::State& state, SchedulerKind scheduler) {
 void BM_PMpsmSkewJoinStatic(benchmark::State& state) {
   PMpsmSkewBench(state, SchedulerKind::kStatic);
 }
-BENCHMARK(BM_PMpsmSkewJoinStatic)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PMpsmSkewJoinStatic)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PMpsmSkewJoinStealing(benchmark::State& state) {
   PMpsmSkewBench(state, SchedulerKind::kStealing);
 }
-BENCHMARK(BM_PMpsmSkewJoinStealing)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PMpsmSkewJoinStealing)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Engine-path overhead A/B: the same P-MPSM join once through the
 // direct variant class and once through the engine front door (plan +
@@ -439,12 +492,12 @@ void PMpsmEnginePathBench(benchmark::State& state, bool through_engine) {
 void BM_PMpsmJoinDirect(benchmark::State& state) {
   PMpsmEnginePathBench(state, /*through_engine=*/false);
 }
-BENCHMARK(BM_PMpsmJoinDirect)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PMpsmJoinDirect)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PMpsmJoinEngine(benchmark::State& state) {
   PMpsmEnginePathBench(state, /*through_engine=*/true);
 }
-BENCHMARK(BM_PMpsmJoinEngine)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PMpsmJoinEngine)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The direct P-MPSM join sized to the host: 4 workers on the probed
 // topology, |R| = 2^20 and |S| = 2^22, one team reused across
@@ -471,7 +524,7 @@ void BM_PMpsmJoinHost(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           (dataset.r.size() + dataset.s.size()));
 }
-BENCHMARK(BM_PMpsmJoinHost)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PMpsmJoinHost)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Tracing overhead A/B (docs/observability.md): the identical
 // engine-path P-MPSM join with tracing off (the default — every
@@ -519,12 +572,12 @@ void TraceOverheadBench(benchmark::State& state, bool trace) {
 void BM_TraceOverheadOff(benchmark::State& state) {
   TraceOverheadBench(state, /*trace=*/false);
 }
-BENCHMARK(BM_TraceOverheadOff)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceOverheadOff)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_TraceOverheadOn(benchmark::State& state) {
   TraceOverheadBench(state, /*trace=*/true);
 }
-BENCHMARK(BM_TraceOverheadOn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceOverheadOn)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Metrics hot path: one Histogram::Record (bucket index from a bit
 // scan + three relaxed fetch_adds) — the cost every io stall, query
@@ -592,12 +645,12 @@ void RunCacheJoinBench(benchmark::State& state, bool warm) {
 void BM_RunCacheColdJoin(benchmark::State& state) {
   RunCacheJoinBench(state, /*warm=*/false);
 }
-BENCHMARK(BM_RunCacheColdJoin)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunCacheColdJoin)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_RunCacheWarmJoin(benchmark::State& state) {
   RunCacheJoinBench(state, /*warm=*/true);
 }
-BENCHMARK(BM_RunCacheWarmJoin)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunCacheWarmJoin)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Freshness A/B after a 1% ingest: merge the delta runs on read
 // against the cached base (what the cache does) vs re-sort the grown
@@ -660,12 +713,16 @@ void RunCacheDeltaBench(benchmark::State& state, bool merge_on_read) {
 void BM_RunCacheDeltaMergeJoin(benchmark::State& state) {
   RunCacheDeltaBench(state, /*merge_on_read=*/true);
 }
-BENCHMARK(BM_RunCacheDeltaMergeJoin)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunCacheDeltaMergeJoin)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_RunCacheDeltaResortJoin(benchmark::State& state) {
   RunCacheDeltaBench(state, /*merge_on_read=*/false);
 }
-BENCHMARK(BM_RunCacheDeltaResortJoin)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunCacheDeltaResortJoin)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Write-side cost: sorting + logging one delta batch (arg = log2
 // batch tuples) — the price paid at ingest time so reads can merge.
@@ -747,12 +804,12 @@ void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
 void BM_DMpsmIoThreadpool(benchmark::State& state) {
   DMpsmIoBench(state, io::IoBackendKind::kThreadpool);
 }
-BENCHMARK(BM_DMpsmIoThreadpool)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DMpsmIoThreadpool)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_DMpsmIoUring(benchmark::State& state) {
   DMpsmIoBench(state, io::IoBackendKind::kUring);
 }
-BENCHMARK(BM_DMpsmIoUring)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DMpsmIoUring)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Crash-recovery journaling overhead A/B (docs/recovery.md): the same
 // spilling join with the durable manifest off vs on. On pays one
@@ -809,12 +866,12 @@ void DMpsmJournalBench(benchmark::State& state, bool journal) {
 void BM_DMpsmJournalOff(benchmark::State& state) {
   DMpsmJournalBench(state, /*journal=*/false);
 }
-BENCHMARK(BM_DMpsmJournalOff)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DMpsmJournalOff)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_DMpsmJournalOn(benchmark::State& state) {
   DMpsmJournalBench(state, /*journal=*/true);
 }
-BENCHMARK(BM_DMpsmJournalOn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DMpsmJournalOn)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Buffer pool frame micro-costs (docs/storage.md): one pin+decode+
 // unpin round trip when the page is resident (hit: pure frame-table
@@ -898,7 +955,7 @@ void BM_BufferPoolHit(benchmark::State& state) {
       static_cast<double>(stats.hits) / (stats.hits + stats.misses);
   state.SetItemsProcessed(state.iterations() * tuples.size());
 }
-BENCHMARK(BM_BufferPoolHit);
+BENCHMARK(BM_BufferPoolHit)->UseRealTime();
 
 void BM_BufferPoolMiss(benchmark::State& state) {
   // 4 frames cycling over 64 pages: every pin evicts and reads.
@@ -924,7 +981,7 @@ void BM_BufferPoolMiss(benchmark::State& state) {
   state.counters["evictions"] = static_cast<double>(stats.evictions);
   state.SetItemsProcessed(state.iterations() * tuples.size());
 }
-BENCHMARK(BM_BufferPoolMiss);
+BENCHMARK(BM_BufferPoolMiss)->UseRealTime();
 
 void BM_BufferPoolWriteback(benchmark::State& state) {
   // Foreground AppendPage cost while the flusher retires frames in
@@ -947,7 +1004,7 @@ void BM_BufferPoolWriteback(benchmark::State& state) {
   state.counters["append_stall_ms"] = stats.append_stall_ns / 1e6;
   state.SetItemsProcessed(state.iterations() * tuples.size());
 }
-BENCHMARK(BM_BufferPoolWriteback);
+BENCHMARK(BM_BufferPoolWriteback)->UseRealTime();
 
 // Spool writes on the synthetic device (docs/storage.md): a D-MPSM
 // join whose run spooling rides the pool's write-back cache.
@@ -990,7 +1047,7 @@ void BM_DMpsmSpoolWriteback(benchmark::State& state) {
                           (dataset.r.size() + dataset.s.size()));
 }
 
-BENCHMARK(BM_DMpsmSpoolWriteback)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DMpsmSpoolWriteback)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CdfEstimateRank(benchmark::State& state) {
   auto data = RandomTuples(1 << 20);
@@ -1127,7 +1184,8 @@ BENCHMARK(BM_ServiceThroughputSerial)
     ->Arg(8)
     ->Arg(64)
     ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ServiceThroughputService(benchmark::State& state) {
   ServiceThroughputBench(state, /*through_service=*/true);
@@ -1137,7 +1195,8 @@ BENCHMARK(BM_ServiceThroughputService)
     ->Arg(8)
     ->Arg(64)
     ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ServiceThroughputCached(benchmark::State& state) {
   ServiceThroughputBench(state, /*through_service=*/true, /*cached=*/true);
@@ -1147,7 +1206,8 @@ BENCHMARK(BM_ServiceThroughputCached)
     ->Arg(8)
     ->Arg(64)
     ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace mpsm

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "simd/histogram_kernels.h"
 #include "sort/radix_introsort.h"
 
 namespace mpsm {
@@ -49,19 +48,13 @@ Run GenerateRunInto(const Chunk& chunk, numa::Arena& arena,
   run.size = chunk.size;
   run.node = arena.node();
   run.data = arena.AllocateArray<Tuple>(chunk.size);
-  uint64_t min_key = 0;
-  uint64_t max_key = 0;
-  simd::KeyMinMax(chunk.data, chunk.size, &min_key, &max_key,
-                  sort_config.simd);
-  const uint32_t shift = sort::RadixShiftForMaxKey(max_key);
   state->bounds[task] = sort::MsdRadixPartitionCopy(
-      chunk.data, chunk.size, shift, run.data, sort_config.simd);
-  state->shift[task] = shift;
+      chunk.data, chunk.size, run.data, &state->shift[task],
+      sort_config.simd);
   state->split[task] = 1;
-  // Same modeled traffic as the fused whole-chunk sort (the extra
-  // min/max sweep is a wall-clock artifact, like the fusion itself);
-  // the one 256-way pass fixes 8 key bits, so charge 8 n*log units —
-  // the bucket morsels charge the rest.
+  // Same modeled traffic as the fused whole-chunk sort; the one
+  // 256-way pass fixes 8 key bits, so charge 8 n*log units — the
+  // bucket morsels charge the rest.
   counters.CountRead(chunk.node == worker_node, /*sequential=*/true,
                      chunk.size * sizeof(Tuple));
   counters.CountWrite(run.node == worker_node, /*sequential=*/true,

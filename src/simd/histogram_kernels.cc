@@ -17,11 +17,14 @@ namespace mpsm::simd {
 
 namespace {
 
-void RadixDigitHistogramScalar(const Tuple* data, size_t n, uint32_t shift,
-                               uint64_t* histogram) {
+uint64_t RadixDigitHistogramScalar(const Tuple* data, size_t n,
+                                   uint32_t shift, uint64_t* histogram) {
+  uint64_t key_or = 0;
   for (size_t i = 0; i < n; ++i) {
     ++histogram[(data[i].key >> shift) & 0xFF];
+    key_or |= data[i].key;
   }
+  return key_or;
 }
 
 uint32_t ClusterOf(uint64_t key, uint64_t min_key, uint32_t shift,
@@ -96,15 +99,17 @@ inline __m256i Mullo64Avx2(__m256i a, __m256i c) {
 }
 
 MPSM_SIMD_TARGET("avx2")
-void RadixDigitHistogramAvx2(const Tuple* data, size_t n, uint32_t shift,
-                             uint64_t* histogram) {
+uint64_t RadixDigitHistogramAvx2(const Tuple* data, size_t n, uint32_t shift,
+                                 uint64_t* histogram) {
   const __m128i count = _mm_cvtsi32_si128(static_cast<int>(shift));
   const __m256i mask = _mm256_set1_epi64x(0xFF);
+  __m256i key_or = _mm256_setzero_si256();
   alignas(32) uint64_t digits[8];
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m256i a, b;
     LoadKeys8Avx2(data + i, &a, &b);
+    key_or = _mm256_or_si256(key_or, _mm256_or_si256(a, b));
     _mm256_store_si256(
         reinterpret_cast<__m256i*>(digits),
         _mm256_and_si256(_mm256_srl_epi64(a, count), mask));
@@ -113,7 +118,10 @@ void RadixDigitHistogramAvx2(const Tuple* data, size_t n, uint32_t shift,
         _mm256_and_si256(_mm256_srl_epi64(b, count), mask));
     for (int d = 0; d < 8; ++d) ++histogram[digits[d]];
   }
-  RadixDigitHistogramScalar(data + i, n - i, shift, histogram);
+  alignas(32) uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), key_or);
+  return lanes[0] | lanes[1] | lanes[2] | lanes[3] |
+         RadixDigitHistogramScalar(data + i, n - i, shift, histogram);
 }
 
 MPSM_SIMD_TARGET("avx2")
@@ -255,22 +263,25 @@ inline __m512i Mullo64Avx512(__m512i a, __m512i c) {
 }
 
 MPSM_SIMD_TARGET("avx512f")
-void RadixDigitHistogramAvx512(const Tuple* data, size_t n, uint32_t shift,
-                               uint64_t* histogram) {
+uint64_t RadixDigitHistogramAvx512(const Tuple* data, size_t n,
+                                   uint32_t shift, uint64_t* histogram) {
   const __m128i count = _mm_cvtsi32_si128(static_cast<int>(shift));
   const __m512i mask = _mm512_set1_epi64(0xFF);
+  __m512i key_or = _mm512_setzero_si512();
   alignas(64) uint64_t digits[16];
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     __m512i a, b;
     LoadKeys16Avx512(data + i, &a, &b);
+    key_or = _mm512_or_si512(key_or, _mm512_or_si512(a, b));
     _mm512_store_si512(digits,
                        _mm512_and_si512(_mm512_srl_epi64(a, count), mask));
     _mm512_store_si512(digits + 8,
                        _mm512_and_si512(_mm512_srl_epi64(b, count), mask));
     for (int d = 0; d < 16; ++d) ++histogram[digits[d]];
   }
-  RadixDigitHistogramScalar(data + i, n - i, shift, histogram);
+  return _mm512_reduce_or_epi64(key_or) |
+         RadixDigitHistogramScalar(data + i, n - i, shift, histogram);
 }
 
 MPSM_SIMD_TARGET("avx512f")
@@ -359,19 +370,17 @@ void KeyMinMaxAvx512(const Tuple* data, size_t n, uint64_t* min_key,
 
 }  // namespace
 
-void RadixDigitHistogram(const Tuple* data, size_t n, uint32_t shift,
-                         uint64_t* histogram, SimdKind kind) {
+uint64_t RadixDigitHistogram(const Tuple* data, size_t n, uint32_t shift,
+                             uint64_t* histogram, SimdKind kind) {
   switch (Resolve(kind)) {
 #if MPSM_SIMD_X86
     case SimdKind::kAvx512:
-      RadixDigitHistogramAvx512(data, n, shift, histogram);
-      return;
+      return RadixDigitHistogramAvx512(data, n, shift, histogram);
     case SimdKind::kAvx2:
-      RadixDigitHistogramAvx2(data, n, shift, histogram);
-      return;
+      return RadixDigitHistogramAvx2(data, n, shift, histogram);
 #endif
     default:
-      RadixDigitHistogramScalar(data, n, shift, histogram);
+      return RadixDigitHistogramScalar(data, n, shift, histogram);
   }
 }
 

@@ -22,9 +22,11 @@ namespace mpsm::simd {
 
 /// histogram[(key >> shift) & 0xFF] += 1 per tuple (the 8-bit MSD
 /// radix pass of src/sort/). `histogram` must have 256 zero-initialized
-/// (or accumulating) slots; shift <= 63.
-void RadixDigitHistogram(const Tuple* data, size_t n, uint32_t shift,
-                         uint64_t* histogram, SimdKind kind);
+/// (or accumulating) slots; shift <= 63. Returns the bitwise OR of the
+/// n keys (0 when n == 0), whose bit width is the largest key's, so the
+/// pass that needs the top digit's shift sweeps the keys once.
+uint64_t RadixDigitHistogram(const Tuple* data, size_t n, uint32_t shift,
+                             uint64_t* histogram, SimdKind kind);
 
 /// histogram[cluster(key)] += 1 per tuple under the KeyNormalizer
 /// mapping of src/partition/: cluster = key <= min_key ? 0 :

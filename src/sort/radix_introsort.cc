@@ -118,13 +118,16 @@ uint32_t RadixShiftForMaxKey(uint64_t max_key) {
 
 namespace {
 
-// Bucket boundaries of the 8-bit digit at `shift`: bucket b occupies
-// [bounds[b], bounds[b+1]).
-std::array<size_t, kRadixBuckets + 1> DigitBounds(const Tuple* data, size_t n,
-                                                  uint32_t shift,
-                                                  simd::SimdKind simd) {
-  std::array<uint64_t, kRadixBuckets> histogram{};
-  simd::RadixDigitHistogram(data, n, shift, histogram.data(), simd);
+// Keys whose OR guesses the shift of the top digit before the
+// histogram sweep of MsdRadixPartitionCopy.
+constexpr size_t kShiftGuessKeys = 1024;
+
+using DigitHistogram = std::array<uint64_t, kRadixBuckets>;
+
+// Bucket boundaries from the counts of an 8-bit digit: bucket b
+// occupies [bounds[b], bounds[b+1]).
+std::array<size_t, kRadixBuckets + 1> PrefixBounds(
+    const DigitHistogram& histogram) {
   std::array<size_t, kRadixBuckets + 1> bounds{};
   size_t offset = 0;
   for (uint32_t b = 0; b < kRadixBuckets; ++b) {
@@ -140,7 +143,9 @@ std::array<size_t, kRadixBuckets + 1> DigitBounds(const Tuple* data, size_t n,
 std::array<size_t, kRadixBuckets + 1> MsdRadixPartition(Tuple* data, size_t n,
                                                         uint32_t shift,
                                                         simd::SimdKind simd) {
-  const auto bounds = DigitBounds(data, n, shift, simd);
+  DigitHistogram histogram{};
+  simd::RadixDigitHistogram(data, n, shift, histogram.data(), simd);
+  const auto bounds = PrefixBounds(histogram);
 
   // American-flag in-place permutation: heads advance as elements land.
   std::array<size_t, kRadixBuckets> head;
@@ -182,9 +187,23 @@ void RadixIntroSort(Tuple* data, size_t n) {
 }
 
 std::array<size_t, kRadixBuckets + 1> MsdRadixPartitionCopy(
-    const Tuple* src, size_t n, uint32_t shift, Tuple* dst,
+    const Tuple* src, size_t n, Tuple* dst, uint32_t* shift,
     simd::SimdKind simd) {
-  const auto bounds = DigitBounds(src, n, shift, simd);
+  uint64_t guess = 0;
+  for (size_t i = 0; i < std::min(n, kShiftGuessKeys); ++i) {
+    guess |= src[i].key;
+  }
+  *shift = RadixShiftForMaxKey(guess);
+  DigitHistogram histogram{};
+  const uint64_t key_or =
+      simd::RadixDigitHistogram(src, n, *shift, histogram.data(), simd);
+  if (RadixShiftForMaxKey(key_or) != *shift) {
+    // A later key is wider than the first ones: count at its shift.
+    *shift = RadixShiftForMaxKey(key_or);
+    histogram.fill(0);
+    simd::RadixDigitHistogram(src, n, *shift, histogram.data(), simd);
+  }
+  const auto bounds = PrefixBounds(histogram);
 
   // The copy doubles as the scatter: each source tuple lands directly
   // in its bucket's range of dst.
@@ -194,8 +213,8 @@ std::array<size_t, kRadixBuckets + 1> MsdRadixPartitionCopy(
   std::copy(bounds.begin(), bounds.begin() + kRadixBuckets, cursor.begin());
   ScatterChunkWith(
       ScatterKind::kAuto, src, n,
-      [shift](uint64_t key) {
-        return static_cast<uint32_t>((key >> shift) & 0xFF);
+      [key_shift = *shift](uint64_t key) {
+        return static_cast<uint32_t>((key >> key_shift) & 0xFF);
       },
       dest.data(), cursor.data(), kRadixBuckets);
   return bounds;
@@ -206,6 +225,58 @@ namespace {
 // Buckets of at most this many tuples are insertion-sorted: building
 // and summing 256-entry histograms costs more than the sort.
 constexpr size_t kLsdInsertionMax = 64;
+
+// Digit counts of one LSD pass. 32 bits hold them: the LSD finish
+// takes at most repartition_threshold <= UINT32_MAX tuples (Validate).
+using LsdCounts = std::array<uint32_t, kRadixBuckets>;
+
+// Adds the counts of digits 0..passes-1 of rank(key) over data[0..n)
+// to counts[0..passes) in one read. The pass count is a template
+// argument, so the per-key loop over the digits unrolls.
+template <uint32_t kPasses = 8, typename Rank>
+void CountLsdDigits(const Tuple* data, size_t n, uint32_t passes,
+                    const Rank& rank, LsdCounts* counts) {
+  if constexpr (kPasses > 1) {
+    if (passes < kPasses) {
+      CountLsdDigits<kPasses - 1>(data, n, passes, rank, counts);
+      return;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = rank(data[i].key);
+    for (uint32_t p = 0; p < kPasses; ++p) {
+      ++counts[p][(key >> (8 * p)) & 0xFF];
+    }
+  }
+}
+
+// One stable LSD pass: each tuple of src[0..n), in order, goes to
+// dst[offset[d]++] for d its digit of rank(key) at digit_shift.
+// Unrolled by four, so the loads and digits of later tuples overlap
+// the stores of earlier ones.
+template <typename Rank>
+void LsdScatter(const Tuple* src, size_t n, uint32_t digit_shift,
+                const Rank& rank, uint32_t* offset, Tuple* dst) {
+  const auto digit = [&](const Tuple& t) {
+    return static_cast<uint32_t>(rank(t.key) >> digit_shift) & 0xFF;
+  };
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const Tuple t0 = src[i];
+    const Tuple t1 = src[i + 1];
+    const Tuple t2 = src[i + 2];
+    const Tuple t3 = src[i + 3];
+    const uint32_t d0 = digit(t0);
+    const uint32_t d1 = digit(t1);
+    const uint32_t d2 = digit(t2);
+    const uint32_t d3 = digit(t3);
+    dst[offset[d0]++] = t0;
+    dst[offset[d1]++] = t1;
+    dst[offset[d2]++] = t2;
+    dst[offset[d3]++] = t3;
+  }
+  for (; i < n; ++i) dst[offset[digit(src[i])]++] = src[i];
+}
 
 // Sorts data[0..n) on bits [0, bits) of rank(key), which orders the
 // keys as key does and fits in those bits: key itself for a bucket
@@ -222,33 +293,39 @@ void LsdFinish(Tuple* data, size_t n, uint32_t bits, const Rank& rank,
     return;
   }
   const uint32_t passes = (bits + 7) / 8;
-  std::array<std::array<size_t, kRadixBuckets>, 8> offsets;
-  for (uint32_t p = 0; p < passes; ++p) offsets[p].fill(0);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t key = rank(data[i].key);
-    for (uint32_t p = 0; p < passes; ++p) {
-      ++offsets[p][(key >> (8 * p)) & 0xFF];
-    }
-  }
+  std::array<LsdCounts, 8> counts;
+  for (uint32_t p = 0; p < passes; ++p) counts[p].fill(0);
+  CountLsdDigits(data, n, passes, rank, counts.data());
 
   Tuple* src = data;
   Tuple* dst = scratch;
   for (uint32_t p = 0; p < passes; ++p) {
     const uint32_t digit_shift = 8 * p;
-    auto& offset = offsets[p];
+    auto& offset = counts[p];
     if (offset[(rank(src[0].key) >> digit_shift) & 0xFF] == n) continue;
-    size_t sum = 0;
-    for (size_t& slot : offset) {
-      const size_t count = slot;
+    uint32_t sum = 0;
+    for (uint32_t& slot : offset) {
+      const uint32_t count = slot;
       slot = sum;
       sum += count;
     }
-    for (size_t i = 0; i < n; ++i) {
-      dst[offset[(rank(src[i].key) >> digit_shift) & 0xFF]++] = src[i];
-    }
+    LsdScatter(src, n, digit_shift, rank, offset.data(), dst);
     std::swap(src, dst);
   }
   if (src != data) std::memcpy(data, src, n * sizeof(Tuple));
+}
+
+// The calling thread's LSD scratch, with room for at least n tuples.
+// Grown on first use and kept, so a worker allocates and faults in its
+// scratch once, not once per bucket sort.
+Tuple* ThreadScratch(size_t n) {
+  thread_local std::unique_ptr<Tuple[]> scratch;
+  thread_local size_t capacity = 0;
+  if (n > capacity) {
+    scratch = std::make_unique_for_overwrite<Tuple[]>(n);
+    capacity = n;
+  }
+  return scratch.get();
 }
 
 // The run sort's policy for one bucket of n tuples whose keys agree on
@@ -256,37 +333,29 @@ void LsdFinish(Tuple* data, size_t n, uint32_t bits, const Rank& rank,
 // finish up to the threshold, else another in-place MSD pass, else
 // introsort. A shift 0 bucket holds one repeated key.
 void FinishBucket(Tuple* data, size_t n, uint32_t shift, uint32_t passes_left,
-                  const RadixSortConfig& config, Tuple* scratch) {
+                  const RadixSortConfig& config) {
   if (n < 2 || shift == 0) return;
   if (n <= config.repartition_threshold) {
-    LsdFinish(data, n, shift, [](uint64_t key) { return key; }, scratch);
+    LsdFinish(data, n, shift, [](uint64_t key) { return key; },
+              ThreadScratch(n));
   } else if (passes_left > 0) {
     const uint32_t next_shift = shift >= 8 ? shift - 8 : 0;
     const auto bounds = MsdRadixPartition(data, n, next_shift, config.simd);
     for (uint32_t b = 0; b < kRadixBuckets; ++b) {
       FinishBucket(data + bounds[b], bounds[b + 1] - bounds[b], next_shift,
-                   passes_left - 1, config, scratch);
+                   passes_left - 1, config);
     }
   } else {
     IntroSort(data, n);
   }
 }
 
-// LSD scratch for the buckets FinishBucket sorts under a bucket of up
-// to `largest` tuples: none of them exceeds the bucket or the threshold.
-std::unique_ptr<Tuple[]> AllocateScratch(size_t largest,
-                                         const RadixSortConfig& config) {
-  return std::make_unique_for_overwrite<Tuple[]>(
-      std::min(largest, config.repartition_threshold));
-}
-
 // SortTuples on data whose keys are all <= max_key: the whole input is
 // one bucket whose keys agree on every bit at or above max_key's width.
 void SortBelowMaxKey(Tuple* data, size_t n, uint64_t max_key,
                      const RadixSortConfig& config) {
-  const auto scratch = AllocateScratch(n, config);
   FinishBucket(data, n, bits::BitWidth(max_key),
-               std::max(config.max_passes, 1u), config, scratch.get());
+               std::max(config.max_passes, 1u), config);
 }
 
 }  // namespace
@@ -298,25 +367,26 @@ void SortMsdBuckets(Tuple* data,
   if (shift == 0) return;  // one repeated key per bucket
   // The pass that formed these buckets used one of the budget.
   const uint32_t passes_left = std::max(config.max_passes, 1u) - 1;
+  // Grow the scratch once, to the largest bucket the LSD passes take.
   size_t largest = 0;
   for (uint32_t b = bucket_begin; b < bucket_end; ++b) {
     largest = std::max(largest, bounds[b + 1] - bounds[b]);
   }
-  const auto scratch = AllocateScratch(largest, config);
+  ThreadScratch(std::min(largest, config.repartition_threshold));
   for (uint32_t b = bucket_begin; b < bucket_end; ++b) {
     FinishBucket(data + bounds[b], bounds[b + 1] - bounds[b], shift,
-                 passes_left, config, scratch.get());
+                 passes_left, config);
   }
 }
 
 void SortCopyInto(const Tuple* src, size_t n, Tuple* dst,
                   const RadixSortConfig& config, bool src_is_local) {
   if (n == 0) return;
-  uint64_t max_key = 0;
   if (!src_is_local || n <= config.repartition_threshold) {
     // Copy + max-key in one pass, then sort in place on the (local)
     // destination: a remote source crosses the interconnect once (C1),
     // and an input the LSD finish takes whole needs no MSD pass.
+    uint64_t max_key = 0;
     for (size_t i = 0; i < n; ++i) {
       dst[i] = src[i];
       max_key = std::max(max_key, dst[i].key);
@@ -325,10 +395,8 @@ void SortCopyInto(const Tuple* src, size_t n, Tuple* dst,
     return;
   }
 
-  uint64_t min_key = 0;
-  simd::KeyMinMax(src, n, &min_key, &max_key, config.simd);
-  const uint32_t shift = RadixShiftForMaxKey(max_key);
-  const auto bounds = MsdRadixPartitionCopy(src, n, shift, dst, config.simd);
+  uint32_t shift = 0;
+  const auto bounds = MsdRadixPartitionCopy(src, n, dst, &shift, config.simd);
   SortMsdBuckets(dst, bounds, 0, kRadixBuckets, shift, config);
 }
 
@@ -347,16 +415,20 @@ void SortKeyRange(Tuple* data, size_t n, uint64_t low, uint32_t bits,
     SortTuples(data, n, config);
     return;
   }
-  const auto scratch = AllocateScratch(n, config);
   LsdFinish(
       data, n, bits, [low](uint64_t key) { return key - low; },
-      scratch.get());
+      ThreadScratch(n));
 }
 
 Status RadixSortConfig::Validate() const {
   if (repartition_threshold == 0) {
     return Status::InvalidArgument(
         "sort_config.repartition_threshold must be >= 1");
+  }
+  if (repartition_threshold > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "sort_config.repartition_threshold must be <= 2^32 - 1 (the LSD "
+        "finish counts digits in 32 bits)");
   }
   if (max_passes == 0) {
     return Status::InvalidArgument(

@@ -15,8 +15,9 @@
 // run sort: what every join turns its chunks and partitions into runs
 // with. It keeps the paper's 256-way MSD first pass, out of place
 // through the write-combining scatter where the sort copies anyway,
-// and finishes each bucket that fits in L2 with 8-bit LSD passes over
-// the key bits below its digit (Polychroniou & Ross, SIGMOD 2014).
+// and finishes each bucket of up to repartition_threshold tuples with
+// 8-bit LSD passes over the key bits below its digit (Polychroniou &
+// Ross, SIGMOD 2014), through one scratch buffer per thread.
 // P-MPSM's phase 2 scatter already does that first pass for phase 3,
 // which only finishes its segments (SortKeyRange). The in-place
 // American-flag MSD pass (MsdRadixPartition) serves the paper's
@@ -46,10 +47,14 @@ inline constexpr size_t kInsertionThreshold = 16;
 /// Tuning knobs of the run sort.
 struct RadixSortConfig {
   /// Buckets of at most this many tuples are finished by LSD passes
-  /// through a scratch buffer of the same size; larger buckets take
-  /// another MSD pass. The default, 2^15 tuples (512 KiB), keeps a
-  /// bucket plus its scratch within half of a 2 MiB L2.
-  size_t repartition_threshold = size_t{1} << 15;
+  /// through the calling thread's scratch buffer, grown to the largest
+  /// such bucket; larger buckets take another MSD pass. The default,
+  /// 2^17 tuples (2 MiB: a bucket fills a 2 MiB L2, its scratch spills
+  /// to L3), takes Figure 16's skewed buckets of about 52K tuples
+  /// whole, where splitting them in place cost more than the LSD
+  /// passes it saves (docs/tuning.md §2). At most UINT32_MAX: the LSD
+  /// passes count digits in 32 bits.
+  size_t repartition_threshold = size_t{1} << 17;
 
   /// Hard cap on the number of 8-bit MSD passes (LSD passes are not
   /// counted); a bucket still above the threshold when they run out is
@@ -103,15 +108,19 @@ std::array<size_t, kRadixBuckets + 1> MsdRadixPartition(
     Tuple* data, size_t n, uint32_t shift,
     simd::SimdKind simd = simd::SimdKind::kAuto);
 
-/// Out-of-place MSD pass that fuses a copy into the partitioning
-/// (the §2.3 amortization): dst[0..n) receives src's tuples grouped by
-/// the 8-bit digit at `shift`, replacing the separate copy-then-permute
-/// passes of copy + MsdRadixPartition. The scatter runs through
-/// ScatterChunkWith(ScatterKind::kAuto) (partition/prefix_scatter.h),
-/// which write-combines at this fan-out. src and dst must not overlap.
-/// Returns the same 257-entry boundary array.
+/// Out-of-place MSD pass on the top 8 used key bits that fuses a copy
+/// into the partitioning (the §2.3 amortization): dst[0..n) receives
+/// src's tuples grouped by the 8-bit digit at *shift, replacing the
+/// separate copy-then-permute passes of copy + MsdRadixPartition. It
+/// stores in *shift RadixShiftForMaxKey of the largest key without a
+/// sweep to find that key: the shift is guessed from the first 1024
+/// keys, the digit-histogram sweep ORs every key, and the histogram is
+/// counted again only when the OR is wider than the guess. The scatter
+/// runs through ScatterChunkWith(ScatterKind::kAuto)
+/// (partition/prefix_scatter.h), which write-combines at this fan-out.
+/// src and dst must not overlap. Returns the 257-entry boundary array.
 std::array<size_t, kRadixBuckets + 1> MsdRadixPartitionCopy(
-    const Tuple* src, size_t n, uint32_t shift, Tuple* dst,
+    const Tuple* src, size_t n, Tuple* dst, uint32_t* shift,
     simd::SimdKind simd = simd::SimdKind::kAuto);
 
 /// Finishes buckets [bucket_begin, bucket_end) of an MSD pass at
@@ -133,11 +142,11 @@ void SortMsdBuckets(Tuple* data,
 /// whole. No overlap allowed.
 ///
 /// `src_is_local` steers the fusion around commandment C1 (touch
-/// remote data once): a local source is swept three times
-/// (max-key, histogram, scatter via MsdRadixPartitionCopy — cheaper
-/// than copy-then-permute); a remote source is read exactly once by a
-/// fused copy+max-key pass, with the run sort running in place on the
-/// local destination.
+/// remote data once): a local source is swept twice (histogram + key
+/// OR, then the scatter of MsdRadixPartitionCopy — cheaper than
+/// copy-then-permute), three times when the shift guess misses; a
+/// remote source is read exactly once by a fused copy+max-key pass,
+/// with the run sort running in place on the local destination.
 void SortCopyInto(const Tuple* src, size_t n, Tuple* dst,
                   const RadixSortConfig& config = {},
                   bool src_is_local = true);

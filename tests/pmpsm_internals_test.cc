@@ -13,6 +13,7 @@
 #include "core/p_mpsm.h"
 #include "numa/topology.h"
 #include "parallel/counters.h"
+#include "sort/radix_introsort.h"
 #include "util/bits.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -219,12 +220,13 @@ TEST(PMpsmDiagnosticsTest, SegmentsTilePartitionsInKeyOrder) {
   }
 }
 
-// One key holds more R tuples than the LSD threshold (2^15), so its
-// segment takes SortTuples' MSD path.
+// One key holds more R tuples than the LSD bound, so its segment takes
+// SortTuples' MSD path.
 TEST(PMpsmSegmentSortTest, OversizedSegmentMatchesReference) {
+  const size_t bound = sort::RadixSortConfig{}.repartition_threshold;
   Xoshiro256 rng(61);
   std::vector<Tuple> r;
-  for (uint64_t i = 0; i < 40000; ++i) r.push_back(Tuple{777, i});
+  for (uint64_t i = 0; i < bound + 8000; ++i) r.push_back(Tuple{777, i});
   for (uint64_t i = 0; i < 30000; ++i) {
     r.push_back(Tuple{rng.NextBounded(1 << 20), i});
   }
@@ -239,7 +241,7 @@ TEST(PMpsmSegmentSortTest, OversizedSegmentMatchesReference) {
       ExpectJoinMatchesReference(r, s, JoinKind::kInner);
   EXPECT_GT(*std::max_element(diagnostics.segment_sizes.begin(),
                               diagnostics.segment_sizes.end()),
-            uint64_t{1} << 15);
+            bound);
 }
 
 // R spans the whole key domain, 0 and UINT64_MAX included, with most

@@ -267,6 +267,23 @@ TEST_P(SimdKindSweep, RadixDigitHistogramMatchesScalar) {
   }
 }
 
+TEST_P(SimdKindSweep, RadixDigitHistogramOrsEveryKey) {
+  // One set bit per key, so a lane or tail tuple the OR skips shows.
+  for (const size_t n : {size_t{7}, size_t{8}, size_t{100}, size_t{4097}}) {
+    std::vector<Tuple> data(n);
+    uint64_t expected = 0;
+    for (size_t i = 0; i < n; ++i) {
+      data[i] = Tuple{uint64_t{1} << (i * 7 % 64), i};
+      expected |= data[i].key;
+    }
+    std::vector<uint64_t> histogram(256, 0);
+    EXPECT_EQ(simd::RadixDigitHistogram(data.data(), n, 0, histogram.data(),
+                                        GetParam()),
+              expected)
+        << "n=" << n;
+  }
+}
+
 TEST_P(SimdKindSweep, ClusterHistogramMatchesScalar) {
   for (const size_t n : {size_t{0}, size_t{9}, size_t{100}, size_t{4097}}) {
     const auto data = SortedTuples(n, uint64_t{1} << 40, n + 11);

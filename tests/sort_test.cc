@@ -8,8 +8,12 @@
 #include <tuple>
 #include <vector>
 
+#include "core/run_generation.h"
+#include "numa/arena.h"
+#include "simd/caps.h"
 #include "sort/radix_introsort.h"
 #include "util/rng.h"
+#include "workload/generator.h"
 
 namespace mpsm::sort {
 namespace {
@@ -44,6 +48,10 @@ const char* DistName(Dist d) {
 }
 
 constexpr uint64_t kKey21Max = (uint64_t{1} << 21) + 5;
+
+// The default LSD bound: buckets of at most this many tuples are
+// LSD-sorted whole, larger ones split by another MSD pass first.
+const size_t kBound = RadixSortConfig{}.repartition_threshold;
 
 std::vector<Tuple> MakeData(Dist dist, size_t n, uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -178,8 +186,9 @@ INSTANTIATE_TEST_SUITE_P(
                                      Dist::kFewDistinct, Dist::kSkewLow,
                                      Dist::kOrganPipe, Dist::kHighBitsOnly,
                                      Dist::kFullRange64, Dist::kKey21),
-                     // 32768 and 32769: at and one above the default
-                     // repartition threshold (LSD whole vs MSD first).
+                     // Up to 65536: whole inputs under the LSD bound;
+                     // RunSortKindTest takes kBound - 1, kBound and
+                     // kBound + 1.
                      testing::Values<size_t>(0, 1, 2, 15, 16, 17, 100, 1000,
                                              32768, 32769, 65536)),
     [](const testing::TestParamInfo<std::tuple<Dist, size_t>>& info) {
@@ -263,14 +272,15 @@ TEST(MsdRadixPartitionTest, CopyMatchesInPlaceIntoUnalignedDestination) {
   // runs its head fix-up. Sentinels on both sides catch stray writes.
   const size_t n = 50000;
   const auto src = MakeData(Dist::kUniform, n, 19);
-  const uint32_t shift = RadixShiftForMaxKey(uint64_t{1} << 32);
-  auto in_place = src;
-  const auto expected = MsdRadixPartition(in_place.data(), n, shift);
-
   const Tuple sentinel{~0ull, ~0ull};
   std::vector<Tuple> buffer(n + 2, sentinel);
-  const auto bounds = MsdRadixPartitionCopy(src.data(), n, shift,
-                                            buffer.data() + 1);
+  uint32_t shift = 0;
+  const auto bounds =
+      MsdRadixPartitionCopy(src.data(), n, buffer.data() + 1, &shift);
+  // 50000 keys below 2^32: the largest has all 32 bits.
+  EXPECT_EQ(shift, 24u);
+  auto in_place = src;
+  const auto expected = MsdRadixPartition(in_place.data(), n, shift);
   EXPECT_EQ(bounds, expected);
   EXPECT_EQ(buffer.front(), sentinel);
   EXPECT_EQ(buffer.back(), sentinel);
@@ -355,8 +365,9 @@ TEST(SortCopyIntoTest, MatchesCopyThenSortAcrossKindsAndLocality) {
 }
 
 TEST(SortCopyIntoTest, ConcurrentSortsWithDifferentBucketSizes) {
-  // Two threads sort at once, buckets of ~512 against ~4096 tuples:
-  // each call's LSD scratch must be its own and sized for its buckets.
+  // Two threads sort at once, a 2^17-tuple input LSD-sorted whole
+  // against buckets of ~4096 tuples: each thread's LSD scratch must be
+  // its own and grow to what that thread sorts.
   const auto small = MakeData(Dist::kUniform, size_t{1} << 17, 83);
   const auto large = MakeData(Dist::kUniform, size_t{1} << 20, 89);
   auto check = [](const std::vector<Tuple>& src, std::vector<Tuple>* dst,
@@ -414,8 +425,8 @@ void ExpectKeyRangeSorts(uint64_t low, uint32_t bits, size_t n,
 }
 
 // Sizes on both sides of the insertion cutoff (64) and of the LSD
-// threshold (2^15); widths from one key to the full 64 bits; ranges at
-// 0, at an unaligned low key and ending at UINT64_MAX.
+// bound; widths from one key to the full 64 bits; ranges at 0, at an
+// unaligned low key and ending at UINT64_MAX.
 TEST(SortKeyRangeTest, SortsEveryWidthSizeAndOffset) {
   for (const uint32_t bits : {0u, 1u, 8u, 9u, 21u, 64u}) {
     const uint64_t mask =
@@ -424,7 +435,7 @@ TEST(SortKeyRangeTest, SortsEveryWidthSizeAndOffset) {
          {uint64_t{0}, (uint64_t{1} << 20) - 5, UINT64_MAX - mask}) {
       if (low > UINT64_MAX - mask) continue;  // range would wrap
       for (const size_t n : {size_t{0}, size_t{1}, size_t{64}, size_t{65},
-                             size_t{1} << 15, (size_t{1} << 15) + 1}) {
+                             kBound, kBound + 1}) {
         ExpectKeyRangeSorts(low, bits, n, /*all_equal=*/false);
       }
     }
@@ -432,10 +443,127 @@ TEST(SortKeyRangeTest, SortsEveryWidthSizeAndOffset) {
 }
 
 TEST(SortKeyRangeTest, AllEqualKeys) {
-  for (const size_t n : {size_t{65}, size_t{1} << 15, (size_t{1} << 15) + 1}) {
+  for (const size_t n : {size_t{65}, kBound, kBound + 1}) {
     ExpectKeyRangeSorts((uint64_t{1} << 20) - 5, 21, n, /*all_equal=*/true);
     ExpectKeyRangeSorts(UINT64_MAX, 0, n, /*all_equal=*/true);
   }
+}
+
+// ------------------------------------- the LSD bound, in every SimdKind
+
+class RunSortKindTest : public testing::TestWithParam<simd::SimdKind> {
+ protected:
+  RadixSortConfig Config() const { return RadixSortConfig{.simd = GetParam()}; }
+};
+
+TEST_P(RunSortKindTest, WholeInputsAroundTheBound) {
+  // At most kBound tuples: LSD passes over the whole input; one more:
+  // an in-place MSD pass first.
+  for (const size_t n : {kBound - 1, kBound, kBound + 1}) {
+    const auto original = MakeData(Dist::kUniform, n, n);
+    auto data = original;
+    SortTuples(data.data(), n, Config());
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    ExpectSortedPermutation(original, data);
+  }
+}
+
+TEST_P(RunSortKindTest, BucketsAroundTheBound) {
+  // The top digit of 32-bit keys puts the m keys below 2^24 into
+  // bucket 0 of the fused first pass; 4096 keys of at least 2^31 fill
+  // buckets 128-255.
+  for (const size_t m : {kBound - 1, kBound, kBound + 1}) {
+    const size_t n = m + 4096;
+    auto src = MakeData(Dist::kUniform, n, m);
+    for (size_t i = 0; i < n; ++i) {
+      src[i].key = i < m ? src[i].key >> 8
+                         : (uint64_t{1} << 31) | (src[i].key >> 1);
+    }
+    std::vector<Tuple> dst(n);
+    SortCopyInto(src.data(), n, dst.data(), Config());
+    SCOPED_TRACE(testing::Message() << "bucket of " << m);
+    ExpectSortedPermutation(src, dst);
+  }
+}
+
+// Figure 16's S chunk, scaled so its 32 hot buckets hold about 39K
+// tuples each: above the old 2^15 bound, under the current one.
+std::vector<Tuple> SkewedChunk() {
+  const size_t n = size_t{3} << 19;
+  Xoshiro256 rng(5);
+  std::vector<Tuple> chunk(n);
+  for (size_t i = 0; i < n; ++i) {
+    chunk[i] = Tuple{workload::DrawKey(workload::KeyDistribution::kSkewLowEnd,
+                                       n * 5 / 2, rng),
+                     i};
+  }
+  return chunk;
+}
+
+TEST_P(RunSortKindTest, SkewedChunkThroughSortCopyInto) {
+  const auto chunk = SkewedChunk();
+  std::vector<Tuple> run(chunk.size());
+  SortCopyInto(chunk.data(), chunk.size(), run.data(), Config());
+  ExpectSortedPermutation(chunk, run);
+}
+
+TEST_P(RunSortKindTest, SkewedChunkThroughTheStealingSplit) {
+  // GenerateRunInto's fused copy + first pass, then the bucket sorts
+  // in morsels of 2^14 tuples, as the stealing scheduler runs them.
+  auto chunk_data = SkewedChunk();
+  const Chunk chunk{chunk_data.data(), chunk_data.size(), 0};
+  numa::Arena arena(0);
+  PerfCounters counters;
+  RunGenState state;
+  state.Resize(1);
+  const mpsm::Run run =
+      GenerateRunInto(chunk, arena, 0, counters, Config(),
+                      /*split_threshold=*/1, &state, /*task=*/0);
+  ASSERT_EQ(state.split[0], 1);
+  for (const Morsel& morsel : BucketSortMorsels(state, size_t{1} << 14)) {
+    SortRunBuckets(run, state, morsel, Config(), counters);
+  }
+  ExpectSortedPermutation(chunk_data,
+                          std::vector<Tuple>(run.data, run.data + run.size));
+}
+
+TEST_P(RunSortKindTest, FirstKeysMissTheShiftGuess) {
+  // The first 1024 keys are below 2^8 and the last one is 2^40, so the
+  // shift guessed from the first keys is 0 and the pass must count its
+  // histogram again at shift 33.
+  const size_t n = kBound + 4096;
+  auto src = MakeData(Dist::kUniform, n, 97);
+  for (size_t i = 0; i < 1024; ++i) src[i].key &= 0xFF;
+  src[n - 1].key = uint64_t{1} << 40;
+
+  std::vector<Tuple> partitioned(n);
+  uint32_t shift = 0;
+  const auto bounds = MsdRadixPartitionCopy(src.data(), n, partitioned.data(),
+                                            &shift, GetParam());
+  EXPECT_EQ(shift, 33u);
+  auto in_place = src;
+  EXPECT_EQ(bounds, MsdRadixPartition(in_place.data(), n, 33, GetParam()));
+
+  std::vector<Tuple> run(n);
+  SortCopyInto(src.data(), n, run.data(), Config());
+  ExpectSortedPermutation(src, run);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, RunSortKindTest, testing::ValuesIn(simd::SupportedKinds()),
+    [](const testing::TestParamInfo<simd::SimdKind>& info) {
+      return std::string(simd::SimdKindName(info.param));
+    });
+
+TEST(RadixSortConfigTest, ValidateRejectsThresholdsAbove32BitCounts) {
+  RadixSortConfig config;
+  EXPECT_TRUE(config.Validate().ok());
+  config.repartition_threshold = UINT32_MAX;
+  EXPECT_TRUE(config.Validate().ok());
+  config.repartition_threshold = size_t{UINT32_MAX} + 1;
+  EXPECT_FALSE(config.Validate().ok());
+  config.repartition_threshold = 0;
+  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(IsSortedByKeyTest, DetectsOrder) {

@@ -8,8 +8,10 @@ aggregate rows, as BENCH_kernels.json does (docs/tuning.md has the
 command that writes one). A row moved when its median real time
 differs between the files by more than its cv, the larger of the two
 files' cvs. Each moved row prints with both medians and the ratio
-NEW / OLD; rows present in only one file are listed too. The exit
-status is 1 when any row moved, else 0.
+NEW / OLD; rows present in only one file are listed too. A row keeps
+its name when it switches to real time (google-benchmark appends
+"/real_time" to the names of UseRealTime() rows). The exit status is 1
+when any row moved, else 0.
 """
 
 import json
@@ -27,7 +29,8 @@ def load_rows(path):
         kind = bench.get("aggregate_name")
         if kind not in ("median", "cv"):
             continue
-        row = rows.setdefault(bench["run_name"], {})
+        name = bench["run_name"].removesuffix("/real_time")
+        row = rows.setdefault(name, {})
         if kind == "median":
             row["median_ns"] = bench["real_time"] * NS_PER_UNIT[
                 bench.get("time_unit", "ns")]
