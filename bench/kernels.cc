@@ -162,26 +162,34 @@ void BM_SortKeyRange(benchmark::State& state) {
 }
 BENCHMARK(BM_SortKeyRange)->Arg(2048);
 
-// Merge kernel rows on one workload: the paper's plain loop
-// (MergeJoinRunPair, no prefetch) vs the join phase's kernel
-// (MergeJoinRunPairWith: prefetch pipeline + the `simd` advance).
-void MergeJoinBench(benchmark::State& state, bool pipelined,
-                    simd::SimdKind simd_kind = simd::SimdKind::kScalar) {
-  if (simd::Resolve(simd_kind) != simd_kind) {
+// Merge kernel rows on the paper's foreign-key shape: |S| = 4|R| and
+// every S key is drawn from R's keys, so each R tuple meets about four
+// S tuples. BM_MergeJoinKernel times the paper's plain loop
+// (MergeJoinRunPair); BM_Merge{Scalar,Avx2,Avx512} time the join
+// phase's kernel (MergeJoinRunPairWith: the prefetch pipeline and the
+// per-ISA advance, docs/simd.md) over the same sizes. Unsupported kinds
+// skip with an error so the JSON row says why.
+void MergeJoinBench(benchmark::State& state,
+                    std::optional<simd::SimdKind> simd_kind) {
+  if (simd_kind.has_value() && simd::Resolve(*simd_kind) != *simd_kind) {
     state.SkipWithError("simd kind unsupported on this host");
     return;
   }
   auto r = RandomTuples(state.range(0), 1);
-  auto s = RandomTuples(state.range(0) * 4, 2);
+  std::vector<Tuple> s(4 * r.size());
+  Xoshiro256 rng(2);
+  for (auto& t : s) {
+    t = Tuple{r[rng.NextBounded(r.size())].key, rng.Next() & 0xFFFFFFFF};
+  }
   sort::RadixIntroSort(r.data(), r.size());
   sort::RadixIntroSort(s.data(), s.size());
   for (auto _ : state) {
     uint64_t matches = 0;
     const auto on_match = [&](size_t, const Tuple&, const Tuple*,
                               size_t count) { matches += count; };
-    if (pipelined) {
-      MergeJoinRunPairWith(simd_kind, r.data(), r.size(), s.data(), s.size(),
-                           on_match);
+    if (simd_kind.has_value()) {
+      MergeJoinRunPairWith(*simd_kind, r.data(), r.size(), s.data(),
+                           s.size(), on_match);
     } else {
       MergeJoinRunPair(r.data(), r.size(), s.data(), s.size(), on_match);
     }
@@ -191,32 +199,24 @@ void MergeJoinBench(benchmark::State& state, bool pipelined,
 }
 
 void BM_MergeJoinKernel(benchmark::State& state) {
-  MergeJoinBench(state, /*pipelined=*/false);
+  MergeJoinBench(state, std::nullopt);
 }
 BENCHMARK(BM_MergeJoinKernel)->Arg(1 << 16)->Arg(1 << 19)->Arg(1 << 21);
 
-void BM_MergeJoinKernelPrefetch(benchmark::State& state) {
-  MergeJoinBench(state, /*pipelined=*/true);
-}
-BENCHMARK(BM_MergeJoinKernelPrefetch)->Arg(1 << 16)->Arg(1 << 19)->Arg(1 << 21);
-
-// SIMD family for the merge compare (docs/simd.md): same workload and
-// prefetch pipeline, only the advance kernel varies. Unsupported kinds
-// skip with an error so the JSON row says why.
 void BM_MergeScalar(benchmark::State& state) {
-  MergeJoinBench(state, /*pipelined=*/true, simd::SimdKind::kScalar);
+  MergeJoinBench(state, simd::SimdKind::kScalar);
 }
-BENCHMARK(BM_MergeScalar)->Arg(1 << 20)->Arg(1 << 21);
+BENCHMARK(BM_MergeScalar)->Arg(1 << 16)->Arg(1 << 19)->Arg(1 << 21);
 
 void BM_MergeAvx2(benchmark::State& state) {
-  MergeJoinBench(state, /*pipelined=*/true, simd::SimdKind::kAvx2);
+  MergeJoinBench(state, simd::SimdKind::kAvx2);
 }
-BENCHMARK(BM_MergeAvx2)->Arg(1 << 20)->Arg(1 << 21);
+BENCHMARK(BM_MergeAvx2)->Arg(1 << 16)->Arg(1 << 19)->Arg(1 << 21);
 
 void BM_MergeAvx512(benchmark::State& state) {
-  MergeJoinBench(state, /*pipelined=*/true, simd::SimdKind::kAvx512);
+  MergeJoinBench(state, simd::SimdKind::kAvx512);
 }
-BENCHMARK(BM_MergeAvx512)->Arg(1 << 20)->Arg(1 << 21);
+BENCHMARK(BM_MergeAvx512)->Arg(1 << 16)->Arg(1 << 19)->Arg(1 << 21);
 
 void BM_RadixHistogram(benchmark::State& state) {
   const auto data = RandomTuples(1 << 20);

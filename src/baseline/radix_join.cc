@@ -70,34 +70,9 @@ void FragmentHashJoin(Slice r, Slice s, JoinConsumer& consumer,
 
 }  // namespace
 
-Status RadixJoinOptions::Validate() const {
-  if (pass1_bits == 0 && pass2_bits != 0) {
-    return Status::InvalidArgument(
-        "pass2_bits requires explicit pass1_bits (pass1_bits == 0 "
-        "selects auto for both passes)");
-  }
-  // 2^(B1+B2) fragment headers: beyond 24 total bits the partition
-  // metadata dwarfs the data being joined.
-  if (pass1_bits > 16) {
-    return Status::InvalidArgument("pass1_bits must be <= 16");
-  }
-  if (pass1_bits + pass2_bits > 24) {
-    return Status::InvalidArgument("pass1_bits + pass2_bits must be <= 24");
-  }
-  if (target_fragment_tuples == 0) {
-    return Status::InvalidArgument("target_fragment_tuples must be >= 1");
-  }
-  return Status::OK();
-}
-
-std::pair<uint32_t, uint32_t> RadixHashJoin::EffectiveBits(
-    size_t r_size) const {
-  if (options_.pass1_bits != 0) {
-    return {options_.pass1_bits, options_.pass2_bits};
-  }
+std::pair<uint32_t, uint32_t> RadixHashJoin::EffectiveBits(size_t r_size) {
   const uint64_t fragments =
-      bits::CeilDiv(std::max<size_t>(r_size, 1),
-                    options_.target_fragment_tuples);
+      bits::CeilDiv(std::max<size_t>(r_size, 1), kTargetFragmentTuples);
   uint32_t total = bits::Log2Ceil(std::max<uint64_t>(fragments, 2));
   total = std::min(total, 22u);
   // TLB-friendly first pass: at most 11 bits (2048 open write streams).
@@ -154,7 +129,7 @@ Result<JoinRunInfo> RadixHashJoin::Execute(WorkerTeam& team,
           std::vector<uint64_t> h(p1, 0);
           simd::HashDigitHistogram(chunk.data, chunk.size, kHashMultiplier,
                                    /*bit_offset=*/0, pass1_bits, h.data(),
-                                   options_.simd);
+                                   simd::SimdKind::kAuto);
           counters.CountRead(chunk.node == ctx.node, /*sequential=*/true,
                              chunk.size * sizeof(Tuple));
           return h;
@@ -274,7 +249,7 @@ Result<JoinRunInfo> RadixHashJoin::Execute(WorkerTeam& team,
             std::vector<uint64_t> h(p2, 0);
             simd::HashDigitHistogram(part.data, part.size, kHashMultiplier,
                                      pass1_bits, pass2_bits, h.data(),
-                                     options_.simd);
+                                     simd::SimdKind::kAuto);
             sub_offset[0] = 0;
             for (uint32_t b = 0; b < p2; ++b) {
               sub_offset[b + 1] = sub_offset[b] + h[b];

@@ -106,13 +106,12 @@ bool RunCache::ComposeDeltas(
   return expected == target_version + 1;
 }
 
-CachedView RunCache::Lookup(const Relation& rel, uint32_t num_chunks,
-                            uint32_t num_bounds) {
+CachedView RunCache::Lookup(const Relation& rel, uint32_t num_chunks) {
   CachedView out;
   if (rel.id() == 0) return out;
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t target = rel.version();
-  const EntryKey key{rel.id(), num_chunks, num_bounds};
+  const EntryKey key{rel.id(), num_chunks};
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
@@ -146,24 +145,23 @@ CachedView RunCache::Lookup(const Relation& rel, uint32_t num_chunks,
   out.version = target;
   out.view.runs = entry.runs->runs;
   out.view.histograms = entry.runs->histograms;
-  out.view.num_bounds = entry.num_bounds;
   out.view.team_size = entry.runs->team_size;
   for (const auto& segment : out.deltas) {
     const Run run = segment->AsRun();
     out.view.runs.push_back(run);
     out.view.histograms.push_back(
-        BuildEquiHeightHistogram(run, entry.num_bounds));
+        BuildEquiHeightHistogram(run, kEquiHeightFactor * num_chunks));
     out.delta_tuples += run.size;
   }
   return out;
 }
 
-RunCache::PeekInfo RunCache::Peek(const Relation& rel, uint32_t num_chunks,
-                                  uint32_t num_bounds) const {
+RunCache::PeekInfo RunCache::Peek(const Relation& rel,
+                                  uint32_t num_chunks) const {
   PeekInfo info;
   if (rel.id() == 0) return info;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(EntryKey{rel.id(), num_chunks, num_bounds});
+  const auto it = entries_.find(EntryKey{rel.id(), num_chunks});
   if (it == entries_.end()) return info;
   static const DeltaLog kEmptyLog;
   const auto log_it = logs_.find(rel.id());
@@ -180,7 +178,7 @@ RunCache::PeekInfo RunCache::Peek(const Relation& rel, uint32_t num_chunks,
 }
 
 bool RunCache::Install(uint64_t relation_id, uint32_t num_chunks,
-                       uint32_t num_bounds, uint64_t covers_version,
+                       uint64_t covers_version,
                        std::shared_ptr<const PublicRuns> runs) {
   if (relation_id == 0 || runs == nullptr) return false;
   const uint64_t bytes = runs->bytes();
@@ -188,7 +186,7 @@ bool RunCache::Install(uint64_t relation_id, uint32_t num_chunks,
   if (options_.capacity_bytes != 0 && bytes > options_.capacity_bytes) {
     return false;
   }
-  const EntryKey key{relation_id, num_chunks, num_bounds};
+  const EntryKey key{relation_id, num_chunks};
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     base_bytes_ -= it->second.bytes;
@@ -196,7 +194,6 @@ bool RunCache::Install(uint64_t relation_id, uint32_t num_chunks,
   }
   Entry entry;
   entry.num_chunks = num_chunks;
-  entry.num_bounds = num_bounds;
   entry.covers_version = covers_version;
   entry.bytes = bytes;
   entry.lru_tick = ++lru_clock_;
@@ -234,7 +231,7 @@ std::shared_ptr<const Relation> RunCache::MaterializedView(
   std::unique_lock<std::mutex> lock(mu_);
   const uint64_t target = rel.version();
   if (version_out != nullptr) *version_out = target;
-  const EntryKey key{rel.id(), num_chunks, 0};
+  const EntryKey key{rel.id(), num_chunks};
   auto memo = materialized_.find(key);
   if (memo != materialized_.end() && memo->second.version == target) {
     return memo->second.relation;

@@ -11,11 +11,10 @@
 // already joins every private run against every public run. Re-sorting
 // O(N log N) becomes merging O(delta).
 //
-// Keying. An entry is identified by (relation id, chunk count,
-// histogram bounds). The sorted-run *content* is canonical — every
-// sort pass budget / ISA / scheduler produces the same bytes — so kernel
-// knobs deliberately do not fragment the key; only the equi-height
-// bound count changes the histograms a view carries.
+// Keying. An entry is identified by (relation id, chunk count). The
+// sorted-run *content* is canonical — every sort pass budget / ISA /
+// scheduler produces the same bytes — and the histograms carry the
+// fixed f*T bounds per run, so nothing else fragments the key.
 //
 // Versioning. Relation::version() is the content epoch. Ingest bumps
 // it and logs a delta segment covering exactly the new version; an
@@ -121,11 +120,8 @@ class RunCache {
 
   // --------------------------------------------------------- lookup
   /// Coherent view for rel at its current version, or an invalid view.
-  /// Touches LRU and counts a hit/miss. `num_bounds` must match the
-  /// value the entry was installed with (the engine derives both from
-  /// equi_height_factor * team_size).
-  CachedView Lookup(const Relation& rel, uint32_t num_chunks,
-                    uint32_t num_bounds);
+  /// Touches LRU and counts a hit/miss.
+  CachedView Lookup(const Relation& rel, uint32_t num_chunks);
 
   /// Metadata-only probe (no LRU touch, no hit/miss accounting): would
   /// Lookup succeed, and how much delta would the view merge? Feeds
@@ -136,8 +132,7 @@ class RunCache {
     uint64_t delta_tuples = 0;
     uint32_t delta_runs = 0;
   };
-  PeekInfo Peek(const Relation& rel, uint32_t num_chunks,
-                uint32_t num_bounds) const;
+  PeekInfo Peek(const Relation& rel, uint32_t num_chunks) const;
 
   /// Installs freshly built runs for relation `relation_id` as of
   /// `covers_version` (capture rel.version() *before* building the
@@ -145,7 +140,7 @@ class RunCache {
   /// Evicts LRU entries to fit; returns false when the entry alone
   /// exceeds capacity and was not retained.
   bool Install(uint64_t relation_id, uint32_t num_chunks,
-               uint32_t num_bounds, uint64_t covers_version,
+               uint64_t covers_version,
                std::shared_ptr<const PublicRuns> runs);
 
   // ------------------------------------------------------ delta state
@@ -195,7 +190,6 @@ class RunCache {
  private:
   struct Entry {
     uint32_t num_chunks = 0;
-    uint32_t num_bounds = 0;
     uint64_t covers_version = 0;
     uint64_t bytes = 0;
     uint64_t lru_tick = 0;
@@ -204,17 +198,15 @@ class RunCache {
   struct EntryKey {
     uint64_t relation_id = 0;
     uint32_t num_chunks = 0;
-    uint32_t num_bounds = 0;
     bool operator==(const EntryKey& o) const {
-      return relation_id == o.relation_id && num_chunks == o.num_chunks &&
-             num_bounds == o.num_bounds;
+      return relation_id == o.relation_id && num_chunks == o.num_chunks;
     }
   };
   struct EntryKeyHash {
     size_t operator()(const EntryKey& k) const {
       uint64_t h = k.relation_id * 0x9e3779b97f4a7c15ull;
-      h ^= (uint64_t{k.num_chunks} << 32 | k.num_bounds) +
-           0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+      h ^= uint64_t{k.num_chunks} + 0x9e3779b97f4a7c15ull + (h << 6) +
+           (h >> 2);
       return static_cast<size_t>(h);
     }
   };
@@ -251,7 +243,7 @@ class RunCache {
   mutable std::mutex mu_;
   std::unordered_map<EntryKey, Entry, EntryKeyHash> entries_;
   std::unordered_map<uint64_t, DeltaLog> logs_;
-  /// Memoized Materialize results, keyed like entries (num_bounds 0).
+  /// Memoized Materialize results, keyed like entries.
   std::unordered_map<EntryKey, Materialized, EntryKeyHash> materialized_;
   uint64_t lru_clock_ = 0;
   uint64_t base_bytes_ = 0;

@@ -28,11 +28,9 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   for (uint32_t w = 0; w < num_workers; ++w) team.ArenaOf(w).Reset();
 
   const MpsmOptions options = options_;
-  const sort::RadixSortConfig sort_config{.simd = options.simd};
   RunJoinOptions join_options;
   join_options.kind = options.kind;
   join_options.search = options.start_search;
-  join_options.simd = options.simd;
 
   PhasePipeline pipeline(team.topology(), num_workers, options.scheduler);
   const auto arena_of = [&team](uint32_t w) -> numa::Arena& {
@@ -49,16 +47,14 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   RunGenState s_gen;
   AddRunGenerationPhases(pipeline, kPhaseSortPublic, s_public, arena_of,
                          s_runs, s_gen, /*histograms=*/nullptr,
-                         /*num_bounds=*/0, options.scheduler,
-                         sort_config, options.morsel_tuples);
+                         options.scheduler);
 
   // Phase 3 slot: sort the private chunks (B-MPSM has no partition
   // phase; the kPhasePartition slot stays empty).
   RunGenState r_gen;
   AddRunGenerationPhases(pipeline, kPhaseSortPrivate, r_private, arena_of,
                          r_runs, r_gen, /*histograms=*/nullptr,
-                         /*num_bounds=*/0, options.scheduler,
-                         sort_config, options.morsel_tuples);
+                         options.scheduler);
 
   // Phase 4: merge join the private runs against all public runs, one
   // morsel per (private run i, public run j, slice of i) with the
@@ -68,9 +64,8 @@ Result<JoinRunInfo> BMpsmJoin::Execute(WorkerTeam& team,
   pipeline.AddPhase(
       kPhaseJoin,
       [&] {
-        return MergeJoinMorsels(
-            r_runs, num_workers, options.kind,
-            MorselSlice(options.scheduler, options.morsel_tuples));
+        return MergeJoinMorsels(r_runs, num_workers, options.kind,
+                                MorselSlice(options.scheduler));
       },
       [&](WorkerContext& ctx, const Morsel& morsel) {
         ExecuteMergeJoinMorsel(morsel, r_runs, s_runs, join_options,

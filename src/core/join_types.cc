@@ -23,14 +23,6 @@ Status MpsmOptions::Validate(uint32_t team_size) const {
   if (radix_bits > 24) {
     return Status::InvalidArgument("radix_bits must be <= 24");
   }
-  if (equi_height_factor == 0) {
-    return Status::InvalidArgument(
-        "equi_height_factor must be >= 1 (f*T CDF bounds per worker)");
-  }
-  if (morsel_tuples == 0) {
-    return Status::InvalidArgument(
-        "morsel_tuples must be >= 1 (tuples per stealable morsel)");
-  }
   return Status::OK();
 }
 

@@ -6,7 +6,6 @@
 
 #include "parallel/scheduler_kind.h"
 #include "partition/splitters.h"
-#include "simd/simd_kind.h"
 #include "util/status.h"
 
 namespace mpsm {
@@ -48,10 +47,6 @@ struct MpsmOptions {
   /// extra precision is almost free).
   uint32_t radix_bits = 0;
 
-  /// Oversampling factor f: each worker contributes f*T equi-height
-  /// bounds to the global CDF (§4.1).
-  uint32_t equi_height_factor = 4;
-
   /// How workers locate the join start within each public run.
   StartSearch start_search = StartSearch::kInterpolation;
 
@@ -61,29 +56,15 @@ struct MpsmOptions {
 
   // ------------------------------------------------ phase orchestration
   /// How phase work is distributed over the team: the paper's static
-  /// per-worker scripts, or morsel-driven NUMA-aware work stealing so
-  /// idle workers absorb stragglers' run generation, phase-3 sorts and
+  /// per-worker scripts, or morsel-driven NUMA-aware work stealing over
+  /// kMorselTuples-tuple morsels (parallel/task_scheduler.h) so idle
+  /// workers absorb stragglers' run generation, phase-3 sorts and
   /// phase-4 merges (docs/scheduler.md). Identical join output either
   /// way. Stealing is the default since run generation was sliced
   /// below chunk granularity (a claim race can no longer hand one
   /// worker two whole chunk sorts); kStatic remains the paper-fidelity
   /// A/B knob.
   SchedulerKind scheduler = SchedulerKind::kStealing;
-
-  /// Target tuples per stealable morsel (scatter blocks, sort buckets,
-  /// merge ranges; >= 1). Smaller morsels balance better but add claim
-  /// overhead; 2^14 tuples = 256 KiB keeps a morsel around one L2.
-  /// Static scheduling ignores it: its morsels are whole tasks.
-  uint32_t morsel_tuples = 1u << 14;
-
-  // ------------------------------------------- cache-conscious kernels
-  /// Vector ISA of the merge-advance, key-range and radix-histogram
-  /// kernels, the run sorts' digit histograms included (docs/simd.md;
-  /// the sorts otherwise run the default sort::RadixSortConfig). kAuto
-  /// resolves to the widest ISA this build and CPU support; kScalar
-  /// keeps the paper's one-key-per-compare loops as the A/B baseline.
-  /// The merge-start search is scalar under every kind.
-  simd::SimdKind simd = simd::SimdKind::kAuto;
 
   /// Checks every knob against its legal range for a team of
   /// `team_size` workers. The engine front door calls this before

@@ -54,7 +54,7 @@ uint64_t JoinPrivateAgainstRuns(const Run& ri, const RunSet& s_runs,
 
   // One kind resolution per driver call: the resolved kind selects the
   // merge loops.
-  const simd::SimdKind simd_kind = simd::Resolve(options.simd);
+  const simd::SimdKind simd_kind = simd::Resolve(simd::SimdKind::kAuto);
 
   uint64_t output = 0;
   const uint32_t num_runs = static_cast<uint32_t>(s_runs.size());

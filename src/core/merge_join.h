@@ -247,15 +247,12 @@ MergeScan MergeJoinRunPairWith(simd::SimdKind simd, const Tuple* r, size_t nr,
 struct RunJoinOptions {
   JoinKind kind = JoinKind::kInner;
   StartSearch search = StartSearch::kInterpolation;
-
-  /// Vector ISA of the merge-advance kernels (docs/simd.md); kScalar
-  /// selects the one-key-per-compare loop. The start search is scalar
-  /// under every kind.
-  simd::SimdKind simd = simd::SimdKind::kAuto;
 };
 
 /// Joins private run `ri` against every run in `s_runs`, starting with
 /// run `first_run` and wrapping around (staggering remote accesses).
+/// The merge advance runs at the process's vector ISA
+/// (simd::Resolve(kAuto), docs/simd.md); the start search is scalar.
 ///
 /// Counts memory traffic into `counters` (nullable) classifying each S
 /// run as local/remote against `worker_node`. Returns the number of

@@ -41,7 +41,7 @@ struct SharedState {
 
   // The private input sliced into scatter blocks; one plan row each.
   // A static block is a whole chunk (the paper's layout: row w ==
-  // worker w); stealing slices to ~morsel_tuples, at least
+  // worker w); stealing slices to ~kMorselTuples, at least
   // kFlushesPerSegment staging flushes per segment.
   std::vector<ScatterBlock> blocks;
 
@@ -197,13 +197,10 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         "shared public runs were built for a different team size");
   }
   const uint32_t radix_bits = EffectiveRadixBits(num_workers);
-  const uint32_t num_bounds =
-      std::max(1u, options_.equi_height_factor * num_workers);
   const MpsmOptions options = options_;
-  const sort::RadixSortConfig sort_config{.simd = options.simd};
   // Every phase runs one morsel plan; the scheduler picks the slice
   // (whole tasks under static) and the dispatch.
-  const uint64_t slice = MorselSlice(options.scheduler, options.morsel_tuples);
+  const uint64_t slice = MorselSlice(options.scheduler);
 
   SharedState shared;
   shared.s_runs.resize(num_workers);
@@ -261,8 +258,8 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
     AddRunGenerationPhases(
         pipeline, kPhaseSortPublic, s_public,
         [&team](uint32_t w) -> numa::Arena& { return team.ArenaOf(w); },
-        shared.s_runs, shared.s_gen, &shared.s_histograms, num_bounds,
-        options.scheduler, sort_config, options.morsel_tuples);
+        shared.s_runs, shared.s_gen, &shared.s_histograms,
+        options.scheduler);
   }
 
   // ---------------------------------------------------- phase 2
@@ -274,7 +271,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         const Chunk& chunk = r_private.chunk(block.chunk);
         const uint64_t size = block.end - block.begin;
         shared.block_ranges[morsel.task] =
-            ScanKeyRange(chunk.data + block.begin, size, options.simd);
+            ScanKeyRange(chunk.data + block.begin, size);
         shared.block_has_data[morsel.task] = size > 0;
         ctx.Counters(kPhasePartition)
             .CountRead(chunk.node == ctx.node, /*sequential=*/true,
@@ -305,8 +302,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
         const Chunk& chunk = r_private.chunk(block.chunk);
         const uint64_t size = block.end - block.begin;
         shared.block_histograms[morsel.task] = BuildRadixHistogram(
-            chunk.data + block.begin, size, shared.normalizer,
-            options.simd);
+            chunk.data + block.begin, size, shared.normalizer);
         ctx.Counters(kPhasePartition)
             .CountRead(chunk.node == ctx.node, /*sequential=*/true,
                        size * sizeof(Tuple));
@@ -463,7 +459,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   // partition, segments concatenated in key order, is a sorted run. A
   // morsel is a run of consecutive segments of one partition: under
   // static scheduling the whole partition on its worker (the paper's
-  // script), under stealing ~morsel_tuples, so idle workers absorb a
+  // script), under stealing ~kMorselTuples, so idle workers absorb a
   // hot partition's sort. Each segment charges n log2 |partition|:
   // together what sorting the partition whole charges. Lazy: the
   // segment layout comes from the 2.3a serial step.
@@ -476,8 +472,7 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
           const uint64_t n = shared.plan.partition_sizes[s];
           const auto [low, bits] =
               SegmentKeyRange(shared, static_cast<uint32_t>(s));
-          sort::SortKeyRange(shared.segment_data[s], n, low, bits,
-                             sort_config);
+          sort::SortKeyRange(shared.segment_data[s], n, low, bits);
           counters.CountSortSlice(n, partition_size);
         }
       },
@@ -492,7 +487,6 @@ Result<JoinRunInfo> PMpsmJoin::Execute(WorkerTeam& team,
   RunJoinOptions join_options;
   join_options.kind = options.kind;
   join_options.search = options.start_search;
-  join_options.simd = options.simd;
   pipeline.AddPhase(
       kPhaseJoin,
       [&] {

@@ -1,28 +1,21 @@
 #include "core/public_runs.h"
 
-#include <algorithm>
-
 #include "core/run_generation.h"
 #include "parallel/task_scheduler.h"
 
 namespace mpsm {
 
 Result<PublicRuns> BuildPublicRuns(WorkerTeam& team, const Relation& s_public,
-                                   const MpsmOptions& options,
-                                   uint32_t num_bounds) {
+                                   const MpsmOptions& options) {
   const uint32_t num_workers = team.size();
   if (s_public.num_chunks() != num_workers) {
     return Status::InvalidArgument(
         "public relation must be chunked into team.size() chunks");
   }
-  if (num_bounds == 0) {
-    num_bounds = std::max(1u, options.equi_height_factor * num_workers);
-  }
 
   PublicRuns out;
   out.runs.resize(num_workers);
   out.histograms.resize(num_workers);
-  out.num_bounds = num_bounds;
   out.team_size = num_workers;
   out.arenas.reserve(num_workers);
   for (uint32_t w = 0; w < num_workers; ++w) {
@@ -35,8 +28,7 @@ Result<PublicRuns> BuildPublicRuns(WorkerTeam& team, const Relation& s_public,
   AddRunGenerationPhases(
       pipeline, kPhaseSortPublic, s_public,
       [&out](uint32_t w) -> numa::Arena& { return *out.arenas[w]; }, out.runs,
-      state, &out.histograms, num_bounds, options.scheduler,
-      sort::RadixSortConfig{.simd = options.simd}, options.morsel_tuples);
+      state, &out.histograms, options.scheduler);
   pipeline.Run(team);
   return out;
 }

@@ -31,9 +31,8 @@ namespace mpsm {
 /// joins may read it.
 struct PublicRuns {
   RunSet runs;
+  /// f*T equi-height bounds per run (partition/equi_height.h).
   std::vector<EquiHeightHistogram> histograms;
-  /// Equi-height bounds per histogram (f*T at build time).
-  uint32_t num_bounds = 0;
   /// Team size the base runs were built on. `runs` may hold *more*
   /// than team_size entries — a run-cache view appends sorted delta
   /// runs after the per-worker base runs (docs/cache.md) — but never
@@ -53,12 +52,10 @@ struct PublicRuns {
 };
 
 /// Sorts `s_public` (chunked into team.size() chunks) into a PublicRuns
-/// usable by any PMpsmJoin on a team of the same size. `num_bounds`
-/// == 0 derives the paper's f*T from options.equi_height_factor. Uses
-/// the same run-generation phases as a normal join (sliced stealing
-/// under SchedulerKind::kStealing).
+/// usable by any PMpsmJoin on a team of the same size. Uses the same
+/// run-generation phases as a normal join (sliced stealing under
+/// SchedulerKind::kStealing).
 Result<PublicRuns> BuildPublicRuns(WorkerTeam& team, const Relation& s_public,
-                                   const MpsmOptions& options = {},
-                                   uint32_t num_bounds = 0);
+                                   const MpsmOptions& options = {});
 
 }  // namespace mpsm

@@ -1,7 +1,5 @@
 #include "core/run_generation.h"
 
-#include <algorithm>
-
 #include "sort/radix_introsort.h"
 
 namespace mpsm {
@@ -104,32 +102,27 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
                             const std::function<numa::Arena&(uint32_t)>& arena_of,
                             RunSet& runs, RunGenState& state,
                             std::vector<EquiHeightHistogram>* histograms,
-                            uint32_t num_bounds, SchedulerKind scheduler,
-                            const sort::RadixSortConfig& sort_config,
-                            uint64_t morsel_tuples) {
+                            SchedulerKind scheduler) {
   const uint32_t num_chunks = input.num_chunks();
+  const uint32_t num_bounds = kEquiHeightFactor * num_chunks;
   state.Resize(num_chunks);
   const bool stealing = scheduler == SchedulerKind::kStealing;
 
   // Only split chunks whose bucket sorts amount to more than one
   // morsel; below that the split costs a barrier without spreading any
   // work.
-  const uint64_t split_threshold =
-      stealing ? std::max<uint64_t>(2 * morsel_tuples,
-                                    2 * sort::kRadixBuckets)
-               : 0;
+  const uint64_t split_threshold = stealing ? 2 * kMorselTuples : 0;
 
   const auto arenas = arena_of;  // copy: the reference param dies at return
   pipeline.AddPhase(
       slot, [num_chunks] { return ChunkMorsels(num_chunks); },
       [&input, &runs, &state, arenas, histograms, num_bounds, slot,
-       sort_config, split_threshold,
-       stealing](WorkerContext& ctx, const Morsel& morsel) {
+       split_threshold, stealing](WorkerContext& ctx, const Morsel& morsel) {
         const uint32_t w = morsel.task;
         PerfCounters& counters = ctx.Counters(slot);
         runs[w] = GenerateRunInto(input.chunk(w), arenas(w), ctx.node,
-                                  counters, sort_config, split_threshold,
-                                  &state, w);
+                                  counters, sort::RadixSortConfig{},
+                                  split_threshold, &state, w);
         // Static mode keeps the paper's fused script: the run is fully
         // sorted here, so the histogram rides along for free (§4.1).
         // Stealing mode defers it until the bucket sorts finished.
@@ -143,13 +136,10 @@ void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
   if (stealing) {
     pipeline.AddPhase(
         slot,
-        [&state, morsel_tuples] {
-          return BucketSortMorsels(state, morsel_tuples);
-        },
-        [&runs, &state, slot, sort_config](WorkerContext& ctx,
-                                           const Morsel& morsel) {
-          SortRunBuckets(runs[morsel.task], state, morsel, sort_config,
-                         ctx.Counters(slot));
+        [&state] { return BucketSortMorsels(state, kMorselTuples); },
+        [&runs, &state, slot](WorkerContext& ctx, const Morsel& morsel) {
+          SortRunBuckets(runs[morsel.task], state, morsel,
+                         sort::RadixSortConfig{}, ctx.Counters(slot));
         },
         PhasePipeline::PhaseOptions{.eager = false});
     if (histograms != nullptr) {

@@ -82,19 +82,17 @@ void SortRunBuckets(const Run& run, const RunGenState& state,
 /// Appends the run-generation steps for `input` to `pipeline`: one
 /// morsel per chunk generating runs[w] from input.chunk(w) out of
 /// arena_of(w), plus — in stealing mode — the stealable bucket-sort
-/// continuation and (when `histograms` is non-null) a final per-chunk
-/// step building `num_bounds` equi-height bounds from each finished
-/// run. `state` and all referenced containers must outlive the
-/// pipeline's Run. Under stealing a chunk above 2 * morsel_tuples (at
-/// least 2 * kRadixBuckets) is split; static mode keeps the paper's
-/// fused one-morsel-per-chunk script.
+/// continuation. When `histograms` is non-null, each finished run also
+/// yields f*T equi-height bounds (kEquiHeightFactor times the chunk
+/// count). `state` and all referenced containers must outlive the
+/// pipeline's Run. Under stealing a chunk above 2 * kMorselTuples is
+/// split; static mode keeps the paper's fused one-morsel-per-chunk
+/// script.
 void AddRunGenerationPhases(PhasePipeline& pipeline, JoinPhase slot,
                             const Relation& input,
                             const std::function<numa::Arena&(uint32_t)>& arena_of,
                             RunSet& runs, RunGenState& state,
                             std::vector<EquiHeightHistogram>* histograms,
-                            uint32_t num_bounds, SchedulerKind scheduler,
-                            const sort::RadixSortConfig& sort_config,
-                            uint64_t morsel_tuples);
+                            SchedulerKind scheduler);
 
 }  // namespace mpsm

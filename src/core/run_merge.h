@@ -5,7 +5,8 @@
 // within the worker's key partition, and partitions are ordered by
 // key). A cheap T-way merge therefore restores a totally sorted stream
 // per partition — enabling sort-based aggregation, merge-group-by and
-// order-preserving parents without a full sort.
+// order-preserving parents without a full sort. The run cache merges
+// delta runs with it (cache/run_cache.h).
 //
 // The merger is a classic loser tree (tournament tree): O(log k)
 // comparisons per produced element for k runs.
@@ -48,34 +49,5 @@ class LoserTreeMerger {
 
 /// Merges sorted runs into one sorted vector (convenience).
 std::vector<Tuple> MergeRuns(std::vector<Run> runs);
-
-/// Sort-based group-by over a sequence of sorted runs: for every
-/// distinct key, `emit(key, count, payload_sum, payload_max)` fires
-/// exactly once, in ascending key order — the "early aggregation"
-/// consumers downstream of MPSM can use.
-template <typename Emit>
-void SortedGroupBy(std::vector<Run> runs, Emit&& emit) {
-  LoserTreeMerger merger(std::move(runs));
-  if (!merger.HasNext()) return;
-  Tuple current = merger.Next();
-  uint64_t count = 1;
-  uint64_t sum = current.payload;
-  uint64_t max = current.payload;
-  while (merger.HasNext()) {
-    const Tuple t = merger.Next();
-    if (t.key == current.key) {
-      ++count;
-      sum += t.payload;
-      max = t.payload > max ? t.payload : max;
-    } else {
-      emit(current.key, count, sum, max);
-      current = t;
-      count = 1;
-      sum = t.payload;
-      max = t.payload;
-    }
-  }
-  emit(current.key, count, sum, max);
-}
 
 }  // namespace mpsm

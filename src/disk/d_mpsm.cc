@@ -64,14 +64,13 @@ obs::Counter& RunsReattachedCounter() {
 /// Pages go through the pool's write-back cache (AppendPage: encode
 /// into a frame, flush in the background); `spool_stall_ns`
 /// accumulates the wall time this worker spent blocked spooling.
-/// `simd` steers the sort's digit histograms.
 /// `content_checksum` (optional) receives fnv1a over the run's sorted
 /// tuple bytes — the recovery manifest's per-run checksum.
 Status SortAndSpool(const Chunk& chunk, uint32_t run_id,
                     numa::NodeId worker_node, PageStore& store,
                     bufferpool::BufferPool& pool, PerfCounters& counters,
                     PageIndex* index, SpooledRun* run_out,
-                    simd::SimdKind simd, uint64_t* spool_stall_ns,
+                    uint64_t* spool_stall_ns,
                     uint64_t* content_checksum = nullptr) {
   // The materializing copy is fused into the sort's first MSD pass
   // (§2.3 amortization, SortCopyInto); counters keep charging copy +
@@ -80,7 +79,7 @@ Status SortAndSpool(const Chunk& chunk, uint32_t run_id,
   // before it is read.
   auto sorted = std::make_unique_for_overwrite<Tuple[]>(chunk.size);
   sort::SortCopyInto(chunk.data, chunk.size, sorted.get(),
-                     sort::RadixSortConfig{.simd = simd},
+                     sort::RadixSortConfig{},
                      /*src_is_local=*/chunk.node == worker_node);
   counters.CountSort(chunk.size);
   counters.CountRead(chunk.node == worker_node, /*sequential=*/true,
@@ -280,13 +279,6 @@ Status DMpsmOptions::Validate() const {
   if (directory.empty()) {
     return Status::InvalidArgument("directory must be non-empty");
   }
-  // The io knobs share IoSchedulerOptions' legality rules; validating
-  // through it keeps one source of truth.
-  io::IoSchedulerOptions io_options;
-  io_options.backend = io_backend;
-  io_options.queue_depth = io_queue_depth;
-  io_options.batch_pages = io_batch_pages;
-  MPSM_RETURN_NOT_OK(io_options.Validate());
   if (recovery.journal &&
       (recovery.journal_path.empty() || recovery.spool_path.empty())) {
     return Status::InvalidArgument(
@@ -306,10 +298,8 @@ DMpsmPoolShape DMpsmOptions::PoolShape(uint32_t team_size) const {
   shape.page_bytes = PageStore::PageBytes(tuples_per_page);
   shape.frames = std::max<size_t>(budget / shape.page_bytes,
                                   size_t{team_size} + 2);
-  const size_t max_readahead =
-      std::clamp<size_t>(io_batch_pages, 1, io::kMaxIovPerRead);
-  shape.readahead = std::clamp<size_t>(shape.frames / (2 * team_size), 1,
-                                       max_readahead);
+  shape.readahead =
+      std::clamp<size_t>(shape.frames / (2 * team_size), 1, kIoBatchPages);
   shape.staging_capacity = std::max<size_t>(
       1, shape.frames - team_size * shape.readahead - 2);
   return shape;
@@ -356,8 +346,8 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   // process.
   io::IoSchedulerOptions io_options;
   io_options.backend = options_.io_backend;
-  io_options.queue_depth = options_.io_queue_depth;
-  io_options.batch_pages = options_.io_batch_pages;
+  io_options.queue_depth = kIoQueueDepth;
+  io_options.batch_pages = kIoBatchPages;
   // Queues 0/1 feed the buffer pool; journaling adds a third for the
   // run-commit fdatasync barrier.
   io_options.completion_queues = journaling ? 3 : 2;
@@ -376,7 +366,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   bufferpool::BufferPoolOptions pool_options;
   pool_options.frames = shape.frames;
   pool_options.client_queues = 1 + num_workers;
-  pool_options.flush_batch_pages = options_.io_batch_pages;
+  pool_options.flush_batch_pages = kIoBatchPages;
   MPSM_ASSIGN_OR_RETURN(
       auto pool,
       bufferpool::BufferPool::Create(&store, io_scheduler.get(),
@@ -560,7 +550,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         worker_status[w] = SortAndSpool(
             s_public.chunk(w), w, ctx.node, store, *pool,
             ctx.Counters(kPhaseSortPublic), &index_parts[w], nullptr,
-            options_.simd, &spool_stall[w],
+            &spool_stall[w],
             (journal && options_.recovery.checksum_runs) ? &checksum
                                                           : nullptr);
         if (journal && worker_status[w].ok()) {
@@ -606,8 +596,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         Status st = SortAndSpool(
             r_private.chunk(w), w, ctx.node, store, *pool,
             ctx.Counters(kPhaseSortPrivate),
-            journal ? &private_part : nullptr, &r_runs[w],
-            options_.simd, &spool_stall[w],
+            journal ? &private_part : nullptr, &r_runs[w], &spool_stall[w],
             (journal && options_.recovery.checksum_runs) ? &checksum
                                                           : nullptr);
         if (journal && st.ok()) {
@@ -629,7 +618,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   // public page against the private window. The prefetch thread stages
   // the public pages, and the private window keeps readahead in flight
   // while the worker merges (docs/io.md).
-  const simd::SimdKind merge_simd = simd::Resolve(options_.simd);
+  const simd::SimdKind merge_simd = simd::Resolve(simd::SimdKind::kAuto);
   phases.AddPhase(
       kPhaseJoin, [&] { return ChunkMorsels(num_workers); },
       [&](WorkerContext& ctx, const Morsel& morsel) {

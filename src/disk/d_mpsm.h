@@ -22,7 +22,6 @@
 #include "io/io_scheduler.h"
 #include "parallel/worker_team.h"
 #include "recovery/recovery_manager.h"
-#include "simd/simd_kind.h"
 #include "storage/relation.h"
 #include "util/status.h"
 
@@ -76,10 +75,20 @@ struct DMpsmRecoveryOptions {
 /// unset.
 inline constexpr uint64_t kDefaultPoolBudgetBytes = uint64_t{8} << 20;
 
+/// Most vectored reads in flight at the I/O backend at once
+/// (io::IoSchedulerOptions::queue_depth of every execution).
+inline constexpr size_t kIoQueueDepth = 16;
+
+/// Most adjacent pages coalesced into one vectored read or write-back,
+/// and the per-worker private-window readahead cap
+/// (io::IoSchedulerOptions::batch_pages of every execution).
+inline constexpr size_t kIoBatchPages = 8;
+static_assert(kIoBatchPages <= io::kMaxIovPerRead);
+
 /// One execution's buffer pool: budget / page_bytes frames, floored at
 /// team_size + 2 (a pin or append per worker plus a flush/load slot
 /// pair) so the pool can always make progress. Each worker's readahead
-/// takes up to a 2T-th of the frames (at most io_batch_pages), and the
+/// takes up to a 2T-th of the frames (at most kIoBatchPages), and the
 /// staging ring gets the rest but two.
 struct DMpsmPoolShape {
   size_t frames = 0;
@@ -110,23 +119,10 @@ struct DMpsmOptions {
   std::string directory = "/tmp";
   uint32_t io_delay_us = 0;
 
-  /// Vector ISA of the page merge-join kernel and of the spooling
-  /// sorts' digit histograms (docs/simd.md); the sorts otherwise run
-  /// the default sort::RadixSortConfig.
-  simd::SimdKind simd = simd::SimdKind::kAuto;
-
   /// Async page-I/O engine for staging-pool and private-window fetches
   /// (docs/io.md). kAuto picks io_uring when the kernel supports it,
   /// else the threadpool.
   io::IoBackendKind io_backend = io::IoBackendKind::kThreadpool;
-
-  /// Most vectored reads in flight at the backend at once (>= 1).
-  size_t io_queue_depth = 16;
-
-  /// Most adjacent pages coalesced into one vectored read, and the
-  /// per-worker private-window readahead depth
-  /// (1 <= io_batch_pages <= io::kMaxIovPerRead).
-  size_t io_batch_pages = 8;
 
   /// Crash-safe restartability (docs/recovery.md): durable manifest,
   /// persistent spool, resume state.

@@ -83,23 +83,13 @@ Result<uint64_t> Engine::Ingest(Relation& rel, const Tuple* tuples,
   return run_cache_->Ingest(rel, tuples, n);
 }
 
-/// Equi-height bound count the engine installs/looks up cached runs
-/// with — the same f*T a fresh P-MPSM phase 1 would derive.
-static uint32_t CacheNumBounds(uint32_t equi_height_factor,
-                               uint32_t team_size) {
-  return std::max(1u, equi_height_factor * team_size);
-}
-
 std::optional<CachedRunsHint> Engine::CachedRunsHintFor(
-    const JoinSpec& spec, const EngineOptions& options,
-    uint32_t team_size) const {
+    const JoinSpec& spec, uint32_t team_size) const {
   if (run_cache_ == nullptr || spec.shared_public_runs != nullptr ||
       spec.s == nullptr) {
     return std::nullopt;
   }
-  const auto peek = run_cache_->Peek(
-      *spec.s, team_size,
-      CacheNumBounds(options.mpsm.equi_height_factor, team_size));
+  const auto peek = run_cache_->Peek(*spec.s, team_size);
   if (!peek.hit) return std::nullopt;
   return CachedRunsHint{peek.delta_tuples, peek.delta_runs};
 }
@@ -107,7 +97,7 @@ std::optional<CachedRunsHint> Engine::CachedRunsHintFor(
 Result<JoinPlan> Engine::Plan(const JoinSpec& spec) const {
   const EngineOptions& options = spec.options ? *spec.options : options_;
   const uint32_t team_size = TeamSizeFor(spec);
-  const auto hint = CachedRunsHintFor(spec, options, team_size);
+  const auto hint = CachedRunsHintFor(spec, team_size);
   return Planner(&topology_, &options)
       .Plan(spec, team_size, hint ? &*hint : nullptr);
 }
@@ -184,7 +174,7 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
 
   WallTimer plan_timer;
   {
-    const auto hint = CachedRunsHintFor(spec, options, team_size);
+    const auto hint = CachedRunsHintFor(spec, team_size);
     obs::TraceSpan plan_span(obs::kCatPlan, "plan");
     MPSM_ASSIGN_OR_RETURN(report.plan,
                           Planner(&topology_, &options)
@@ -194,7 +184,7 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
   report.plan_seconds = plan_timer.ElapsedSeconds();
   ++stats_.plans_created;
   stats_.plan_seconds_total += report.plan_seconds;
-  report.simd_used = simd::Resolve(PlanSimdKnob(report.plan));
+  report.simd_used = KernelSimdKind(report.plan.algorithm);
 
   if (spec.shared_public_runs != nullptr &&
       report.plan.algorithm != Algorithm::kPMpsm) {
@@ -213,14 +203,12 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
   std::shared_ptr<const Relation> s_view;   // pins a materialized S
   if (run_cache_ != nullptr && shared_runs == nullptr &&
       report.plan.algorithm == Algorithm::kPMpsm) {
-    const uint32_t cache_bounds =
-        CacheNumBounds(report.plan.mpsm.equi_height_factor, team_size);
     if (report.plan.cached_runs.use) {
       // Stale-plan hazard: an Ingest, eviction, or external version
       // bump between Plan and Execute invalidates the priced view.
       // Re-validate here; the failover is the cold path's fresh sort,
       // never stale runs.
-      cached_view = run_cache_->Lookup(*spec.s, team_size, cache_bounds);
+      cached_view = run_cache_->Lookup(*spec.s, team_size);
       if (cached_view.valid()) {
         shared_runs = &cached_view.view;
         report.run_source = cached_view.delta_tuples > 0
@@ -251,15 +239,13 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
         }
       }
       auto runs = std::make_shared<PublicRuns>();
-      MPSM_ASSIGN_OR_RETURN(
-          *runs, BuildPublicRuns(TeamFor(team_size), *s_input,
-                                 report.plan.mpsm, cache_bounds));
+      MPSM_ASSIGN_OR_RETURN(*runs, BuildPublicRuns(TeamFor(team_size),
+                                                   *s_input, report.plan.mpsm));
       built = std::move(runs);
       shared_runs = built.get();
       report.run_source = RunSource::kFreshSort;
       if (spec.s->id() != 0 &&
-          run_cache_->Install(spec.s->id(), team_size, cache_bounds,
-                              covers, built)) {
+          run_cache_->Install(spec.s->id(), team_size, covers, built)) {
         ++stats_.cache_installs;
       }
     }
@@ -333,8 +319,8 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
       break;
     }
     case Algorithm::kRadix:
-      info = baseline::RadixHashJoin(report.plan.radix)
-                 .Execute(team, *run_spec.r, *run_spec.s, *spec.consumers);
+      info = baseline::RadixHashJoin().Execute(team, *run_spec.r, *run_spec.s,
+                                               *spec.consumers);
       break;
     case Algorithm::kWisconsin:
       info = baseline::WisconsinHashJoin().Execute(

@@ -23,8 +23,8 @@
 // The variant classes (PMpsmJoin, DMpsmJoin, ...) remain available as
 // the internal layer for tests and kernel benches; examples, the
 // query harness, and the figure benches all go through the engine.
-// EngineOptions holds the variants' own option structs (mpsm, dmpsm,
-// radix), so a knob set on a session is the knob the variant reads.
+// EngineOptions holds the variants' own option structs (mpsm, dmpsm),
+// so a knob set on a session is the knob the variant reads.
 // API tour: docs/engine.md.
 #pragma once
 
@@ -84,9 +84,9 @@ struct JoinReport {
   /// Sum of measured_phase_seconds (== info.critical_path_seconds).
   double measured_seconds = 0;
 
-  /// Concrete vector ISA the kernels ran on (the chosen algorithm's
-  /// simd knob after simd::Resolve — kAuto and unsupported kinds made
-  /// visible; kScalar for the wisconsin baseline).
+  /// Concrete vector ISA the kernels ran on (KernelSimdKind of the
+  /// chosen algorithm: the host's widest kind, or MPSM_SIMD's; kScalar
+  /// for the wisconsin baseline).
   simd::SimdKind simd_used = simd::SimdKind::kScalar;
 
   /// Planner overhead for this query, in seconds.
@@ -227,11 +227,10 @@ class Engine {
   /// required size changed.
   WorkerTeam& TeamFor(uint32_t team_size);
 
-  /// What the run cache would serve for spec.s (Peek at the f*T bounds
-  /// a fresh P-MPSM phase 1 derives); nullopt without a cache, with
-  /// caller-shared runs, or on a miss. Plan and Execute price with it.
+  /// What the run cache would serve for spec.s (Peek at this team
+  /// size); nullopt without a cache, with caller-shared runs, or on a
+  /// miss. Plan and Execute price with it.
   std::optional<CachedRunsHint> CachedRunsHintFor(const JoinSpec& spec,
-                                                  const EngineOptions& options,
                                                   uint32_t team_size) const;
 
   numa::Topology topology_;

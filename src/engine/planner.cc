@@ -39,10 +39,10 @@ struct PhaseEstimate {
 };
 
 /// The merge-compare CPU term for a phase-4 sweep over `merge_keys`
-/// keys per worker: scalar cost divided by the resolved vector width.
-double MergeCompareNs(const sim::MachineModel& machine, double merge_keys,
-                      simd::SimdKind simd) {
-  const double keys_per_compare = simd::KeysPerCompare(simd::Resolve(simd));
+/// keys per worker: scalar cost divided by the kernels' vector width.
+double MergeCompareNs(const sim::MachineModel& machine, double merge_keys) {
+  const double keys_per_compare =
+      simd::KeysPerCompare(simd::Resolve(simd::SimdKind::kAuto));
   return merge_keys * machine.ns_per_merge_key / keys_per_compare;
 }
 
@@ -216,8 +216,7 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
                    rf);
       }
       // Merge-loop CPU at the machine's vector width.
-      p4.cpu_extra_ns =
-          MergeCompareNs(machine, nr + ns + delta_share, mpsm.simd);
+      p4.cpu_extra_ns = MergeCompareNs(machine, nr + ns + delta_share);
       // Cost-balanced splitters absorb most key skew (Figure 16);
       // equi-height splitting leaves the full imbalance.
       p4.imbalance =
@@ -235,7 +234,7 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
                             static_cast<uint64_t>(nr * kTupleBytes));
       CountSplit(p4.counters, /*write=*/false, /*sequential=*/true,
                  s_total * kTupleBytes, rf);
-      p4.cpu_extra_ns = MergeCompareNs(machine, nr + s_total, mpsm.simd);
+      p4.cpu_extra_ns = MergeCompareNs(machine, nr + s_total);
       // Skew-immune: every worker scans everything regardless.
       break;
     }
@@ -251,7 +250,7 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
       p3.CountWrite(true, true, static_cast<uint64_t>(nr * kTupleBytes));
       // Spool writes hit the device too: the buffer pool's async
       // write-back overlaps them with the sort compute at queue depth.
-      const double depth_bw = machine.IoBytesPerSec(dmpsm.io_queue_depth);
+      const double depth_bw = machine.IoBytesPerSec(disk::kIoQueueDepth);
       phases[kPhaseSortPublic].io_seconds =
           static_cast<double>(in.s_tuples) * kTupleBytes / depth_bw;
       phases[kPhaseSortPrivate].io_seconds =
@@ -276,14 +275,12 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
       const double hit_rate =
           std::min(0.95, pool_bytes / std::max(io_bytes, 1.0));
       p4.io_seconds = io_bytes * (1.0 - hit_rate) / depth_bw;
-      // Submission CPU: one vectored read per io_batch_pages pages of
+      // Submission CPU: one vectored read per kIoBatchPages pages of
       // this worker's share.
       const double worker_pages = (nr + ns) * kTupleBytes / page_bytes;
       p4.counters.io_submits = static_cast<uint64_t>(
-          worker_pages / static_cast<double>(
-                             std::max<size_t>(dmpsm.io_batch_pages, 1)) +
-          1);
-      p4.cpu_extra_ns = MergeCompareNs(machine, nr + ns, dmpsm.simd);
+          worker_pages / static_cast<double>(disk::kIoBatchPages) + 1);
+      p4.cpu_extra_ns = MergeCompareNs(machine, nr + ns);
       break;
     }
     case Algorithm::kRadix: {
@@ -378,14 +375,12 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
     // (kDefaultPoolBudgetBytes).
     plan.dmpsm.pool_budget_bytes = budget / 2;
   }
-  plan.radix = options.radix;
 
   // Front-door validation: every variant's knob set must be legal, even
   // for the variants the planner ends up not choosing — a bad knob is
   // a caller bug regardless of today's plan.
   MPSM_RETURN_NOT_OK(plan.mpsm.Validate(team_size));
   MPSM_RETURN_NOT_OK(plan.dmpsm.Validate());
-  MPSM_RETURN_NOT_OK(plan.radix.Validate());
 
   PlannerInputs& in = plan.inputs;
   in.r_tuples = spec.r->size();
@@ -529,19 +524,10 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
   return plan;
 }
 
-simd::SimdKind PlanSimdKnob(const JoinPlan& plan) {
-  switch (plan.algorithm) {
-    case Algorithm::kPMpsm:
-    case Algorithm::kBMpsm:
-      return plan.mpsm.simd;
-    case Algorithm::kDMpsm:
-      return plan.dmpsm.simd;
-    case Algorithm::kRadix:
-      return plan.radix.simd;
-    case Algorithm::kWisconsin:
-      return simd::SimdKind::kScalar;
-  }
-  return simd::SimdKind::kScalar;
+simd::SimdKind KernelSimdKind(Algorithm algorithm) {
+  return algorithm == Algorithm::kWisconsin
+             ? simd::SimdKind::kScalar
+             : simd::Resolve(simd::SimdKind::kAuto);
 }
 
 std::string JoinPlan::ToString() const {
@@ -572,13 +558,10 @@ std::string JoinPlan::ToString() const {
                 inputs.team_size, inputs.numa_nodes,
                 inputs.numa_nodes == 1 ? "" : "s");
   out += line;
-  const simd::SimdKind simd_knob = PlanSimdKnob(*this);
-  const simd::SimdKind simd_resolved = simd::Resolve(simd_knob);
-  std::snprintf(line, sizeof(line),
-                "  simd: %s (requested %s, %u keys/compare)\n",
-                simd::SimdKindName(simd_resolved),
-                simd::SimdKindName(simd_knob),
-                simd::KeysPerCompare(simd_resolved));
+  const simd::SimdKind simd_kind = KernelSimdKind(algorithm);
+  std::snprintf(line, sizeof(line), "  simd: %s (%u keys/compare)\n",
+                simd::SimdKindName(simd_kind),
+                simd::KeysPerCompare(simd_kind));
   out += line;
   std::snprintf(
       line, sizeof(line),

@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/radix_join.h"
 #include "core/consumers.h"
 #include "core/join_types.h"
 #include "disk/d_mpsm.h"
@@ -136,8 +135,6 @@ struct EngineOptions {
   /// The D-MPSM spill path. An unset (0) pool_budget_bytes becomes
   /// half the query's memory budget when one is set.
   disk::DMpsmOptions dmpsm;
-  /// The radix hash join.
-  baseline::RadixJoinOptions radix;
 
   /// Crash-safe restartable spilling joins (docs/recovery.md).
   RecoveryOverrides recovery;
@@ -245,10 +242,10 @@ struct JoinPlan {
 
   /// EngineOptions' variant structs with kind and pool budget filled
   /// in; the struct matching `algorithm` is the one Execute uses
-  /// (kPMpsm/kBMpsm -> mpsm, kDMpsm -> dmpsm, ...).
+  /// (kPMpsm/kBMpsm -> mpsm, kDMpsm -> dmpsm; the hash baselines have
+  /// none).
   MpsmOptions mpsm;
   disk::DMpsmOptions dmpsm;
-  baseline::RadixJoinOptions radix;
 
   /// Cached-merge vs fresh-sort pricing (only when the engine found a
   /// coherent run-cache view of S at plan time, docs/cache.md). The
@@ -283,10 +280,11 @@ struct JoinPlan {
   std::string ToString(const ExplainAnalyze& analyze) const;
 };
 
-/// The simd knob of the plan's chosen algorithm (kScalar for the
-/// wisconsin baseline, which has no vector kernels). Resolve it with
-/// simd::Resolve for the kind that will actually execute.
-simd::SimdKind PlanSimdKnob(const JoinPlan& plan);
+/// The vector ISA `algorithm`'s kernels run at: simd::Resolve(kAuto),
+/// i.e. the host's widest kind unless MPSM_SIMD names another
+/// (docs/simd.md); kScalar for the wisconsin baseline, which has no
+/// vector kernels.
+simd::SimdKind KernelSimdKind(Algorithm algorithm);
 
 /// What the engine's run cache would serve for S (cache::RunCache::Peek
 /// distilled to the planner-relevant numbers). The planner stays
@@ -318,9 +316,10 @@ class Planner {
 
   /// Modeled cost of `algorithm` under `inputs` on `machine`;
   /// exposed for tests and the decision-table doc generator. `dmpsm`
-  /// supplies the spill path's I/O shape (queue depth, page size, pool):
-  /// device I/O runs at depth-scaled bandwidth, overlapped with each
-  /// phase's compute (max, not sum).
+  /// supplies the spill path's page size and pool; device I/O runs at
+  /// the bandwidth of disk::kIoQueueDepth reads in flight, overlapped
+  /// with each phase's compute (max, not sum). The phase-4 merge is
+  /// priced at the kernels' vector width (KernelSimdKind).
   static CandidateCost EstimateCost(Algorithm algorithm,
                                     const PlannerInputs& inputs,
                                     const sim::MachineModel& machine,

@@ -13,11 +13,11 @@ namespace mpsm::io {
 
 Status IoSchedulerOptions::Validate() const {
   if (queue_depth == 0) {
-    return Status::InvalidArgument("io_queue_depth must be >= 1");
+    return Status::InvalidArgument("queue_depth must be >= 1");
   }
   if (batch_pages == 0 || batch_pages > kMaxIovPerRead) {
     return Status::InvalidArgument(
-        "io_batch_pages must be in [1, " +
+        "batch_pages must be in [1, " +
         std::to_string(kMaxIovPerRead) + "]");
   }
   if (completion_queues == 0) {

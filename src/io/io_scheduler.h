@@ -37,8 +37,8 @@
 
 namespace mpsm::io {
 
-/// Scheduler tuning; Validate() is called by every front door that
-/// embeds these knobs (DMpsmOptions, EngineOptions).
+/// Scheduler tuning; Create validates it. D-MPSM runs the backend it
+/// is given at disk::kIoQueueDepth and disk::kIoBatchPages.
 struct IoSchedulerOptions {
   /// Which engine performs the reads.
   IoBackendKind backend = IoBackendKind::kThreadpool;

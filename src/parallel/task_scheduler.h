@@ -166,11 +166,17 @@ std::vector<std::pair<uint64_t, uint64_t>> SliceRanges(uint64_t total,
 /// canonical morsel list for per-chunk phases (task == home == index).
 std::vector<Morsel> ChunkMorsels(uint32_t num_chunks);
 
-/// The slice a phase cuts its tasks into: `morsel_tuples` under
+/// Target tuples per stealable morsel (scatter blocks, sort buckets,
+/// merge ranges): 2^14 tuples = 256 KiB keeps a morsel around one L2.
+/// One fixed size, as in morsel-driven engines (Leis et al., SIGMOD
+/// 2014).
+inline constexpr uint64_t kMorselTuples = uint64_t{1} << 14;
+
+/// The slice a phase cuts its tasks into: kMorselTuples under
 /// stealing, the whole task under static scheduling. The paper's
 /// per-worker scripts are the morsel plan with whole-task morsels.
-inline uint64_t MorselSlice(SchedulerKind kind, uint64_t morsel_tuples) {
-  return kind == SchedulerKind::kStealing ? morsel_tuples : UINT64_MAX;
+inline uint64_t MorselSlice(SchedulerKind kind) {
+  return kind == SchedulerKind::kStealing ? kMorselTuples : UINT64_MAX;
 }
 
 }  // namespace mpsm

@@ -20,9 +20,12 @@ struct EquiHeightHistogram {
   uint64_t run_size = 0;
 };
 
-/// Extracts `num_bounds` equi-height bounds from a sorted run. The
-/// paper proposes f*T bounds per worker (oversampling factor f) for
-/// better CDF precision. Empty runs yield an empty histogram.
+/// The paper's oversampling factor f: each of T workers extracts f*T
+/// bounds from its run for better CDF precision (§4.1).
+inline constexpr uint32_t kEquiHeightFactor = 4;
+
+/// Extracts `num_bounds` equi-height bounds from a sorted run (f*T in
+/// every join). Empty runs yield an empty histogram.
 EquiHeightHistogram BuildEquiHeightHistogram(const Run& run,
                                              uint32_t num_bounds);
 

@@ -339,7 +339,7 @@ std::vector<JoinService::StatePtr> JoinService::TryAdmitLocked(
   // group. Mates skip their own planning: Execute plans them with
   // Algorithm::kPMpsm forced, and their reservation is the private
   // side only (the public runs are shared with the head).
-  if (options_.shared_sort && !head->down_budgeted &&
+  if (!head->down_budgeted &&
       head->plan.algorithm == engine::Algorithm::kPMpsm &&
       head->spec.shared_public_runs == nullptr &&
       head->spec.options == nullptr && head->spec.memory_budget_bytes == 0) {

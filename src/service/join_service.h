@@ -65,11 +65,9 @@ struct ServiceOptions {
   /// footprint against it.
   uint64_t memory_budget_bytes = 0;
 
-  /// Coalesce compatible queued queries over one public input into a
-  /// shared-sort batch (docs/service.md).
-  bool shared_sort = true;
-
-  /// Most queries per shared-sort batch (>= 1).
+  /// Most queries per shared-sort batch, coalesced from compatible
+  /// queued queries over one public input (docs/service.md). 1 runs
+  /// every query on its own.
   uint32_t max_batch = 8;
 
   /// Capacity of the cross-query run cache shared by every lane

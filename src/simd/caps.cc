@@ -19,8 +19,8 @@ const Caps& DetectCaps() {
 }
 
 SimdKind Resolve(SimdKind kind) {
-  // CI / debugging escape hatch: MPSM_SIMD=scalar forces every kernel
-  // to its scalar path without touching any knob (read once, cached).
+  // The one switch of the joins' kind: MPSM_SIMD=scalar forces every
+  // kernel to its scalar path (read once, cached).
   static const std::optional<SimdKind> env_kind = [] {
     const auto value = GetEnv("MPSM_SIMD");
     return value.has_value() ? ParseSimdKind(*value) : std::nullopt;

@@ -4,13 +4,12 @@
 // decide which kernels exist in the binary (x86 + a compiler that
 // supports per-function target attributes, so no global -mavx2 is
 // required), and a cached runtime CPUID probe decides which of them
-// this machine can actually execute. simd::Resolve maps the SimdKind
-// knob onto that intersection: kAuto picks the widest supported kind,
-// and an explicit kind on a host without it degrades to the widest
-// *narrower* kind instead of faulting (an A/B harness asking for
-// avx512 on an avx2 box measures avx2, it does not SIGILL — the
-// resolved kind is surfaced in JoinPlan/JoinReport so the downgrade is
-// visible).
+// this machine can actually execute. simd::Resolve maps a requested
+// SimdKind onto that intersection: kAuto picks the widest supported
+// kind, and an explicit kind on a host without it degrades to the
+// widest *narrower* kind instead of faulting (a kernel row asking for
+// avx512 on an avx2 box measures avx2, it does not SIGILL). The joins
+// request kAuto; JoinPlan/JoinReport print the kind they ran at.
 #pragma once
 
 #include <vector>
@@ -33,8 +32,8 @@ const Caps& DetectCaps();
 /// widest supported kind, an unsupported explicit kind degrades to the
 /// widest supported narrower one (kScalar always executes). The
 /// MPSM_SIMD environment variable, when set to a kind name, overrides
-/// the requested kind before resolution (CI forces "scalar" through it
-/// without touching every knob).
+/// the requested kind before resolution: it is the one switch of the
+/// joins' kind (CI forces "scalar" and "avx2" through it).
 SimdKind Resolve(SimdKind kind);
 
 /// Keys compared per vector register for a *resolved* kind (1, 4, 8):

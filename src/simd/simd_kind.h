@@ -1,7 +1,7 @@
-// SimdKind enum, split from the kernel headers so option structs can
-// name the knob without pulling in the dispatch machinery (CPUID
-// probes, intrinsics) — same pattern as io/io_backend_kind.h and
-// partition/scatter_kind.h.
+// SimdKind enum, split from the kernel headers so the sort config and
+// the kernel entry points can name a kind without pulling in the
+// dispatch machinery (CPUID probes, intrinsics) — same pattern as
+// io/io_backend_kind.h and partition/scatter_kind.h.
 #pragma once
 
 #include <cstdint>

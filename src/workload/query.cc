@@ -12,7 +12,8 @@ Result<QueryResult> RunBenchmarkQuery(Algorithm algorithm,
                                       const Relation& r, const Relation& s,
                                       const MpsmOptions& options) {
   // Per-query override: `options` replaces the session's P-/B-MPSM
-  // knobs; D-MPSM and the hash baselines keep the session's own.
+  // knobs; D-MPSM keeps the session's own, and the hash baselines
+  // have none.
   engine::EngineOptions query_options = engine.options();
   query_options.mpsm = options;
 

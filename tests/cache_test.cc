@@ -30,8 +30,6 @@ namespace {
 numa::Topology Topo() { return numa::Topology::Simulated(2, 4); }
 
 constexpr uint32_t kChunks = 4;
-/// The engine derives cache histogram bounds as equi_height_factor * T.
-constexpr uint32_t kBounds = 4 * kChunks;
 
 workload::Dataset MakeDataset(const numa::Topology& topology, size_t r_tuples,
                               uint64_t seed, double multiplicity = 1.5) {
@@ -235,7 +233,7 @@ TEST(RunCacheEngineTest, ExternalBumpFailsOverToFreshSort) {
   // so the entry can no longer compose a coherent view. The cached
   // report must never appear; the query re-sorts and reinstalls.
   dataset.s.BumpVersion();
-  auto view = cache.Lookup(dataset.s, kChunks, kBounds);
+  auto view = cache.Lookup(dataset.s, kChunks);
   EXPECT_FALSE(view.valid());
   EXPECT_EQ(cache.stats().stale_invalidations, 1u);
 
@@ -389,14 +387,14 @@ TEST(RunCacheTest, CompactionTiersTheDeltaLog) {
     ASSERT_TRUE(engine.Ingest(dataset.s, batch).ok());
     s_mirror.insert(s_mirror.end(), batch.begin(), batch.end());
   }
-  EXPECT_EQ(cache.Peek(dataset.s, kChunks, kBounds).delta_runs, 8u);
+  EXPECT_EQ(cache.Peek(dataset.s, kChunks).delta_runs, 8u);
 
   // Eight contiguous L0 segments above the entry's install point: one
   // tiered merge collapses them into a single L1 segment.
   EXPECT_EQ(cache.CompactPending(nullptr), 1u);
   EXPECT_EQ(cache.stats().compactions, 1u);
   EXPECT_EQ(cache.stats().compacted_segments, 8u);
-  const auto peek = cache.Peek(dataset.s, kChunks, kBounds);
+  const auto peek = cache.Peek(dataset.s, kChunks);
   ASSERT_TRUE(peek.hit);  // the entry still composes across the merge
   EXPECT_EQ(peek.delta_runs, 1u);
   EXPECT_EQ(peek.delta_tuples, 800u);
@@ -426,13 +424,13 @@ TEST(RunCacheTest, CompactionNeverCrossesALiveInstallPoint) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(engine.Ingest(dataset.s, RandomBatch(rng, 50, 40000)).ok());
   }
-  // A second entry installed mid-log (same base runs under a different
-  // bound count): its install point fences the log. Merging across it
+  // A second entry installed mid-log (same base runs under a second
+  // chunk count): its install point fences the log. Merging across it
   // would straddle the boundary and invalidate a warm entry.
-  auto view = cache.Lookup(dataset.s, kChunks, kBounds);
+  auto view = cache.Lookup(dataset.s, kChunks);
   ASSERT_TRUE(view.valid());
-  ASSERT_TRUE(cache.Install(dataset.s.id(), kChunks, kBounds + 1,
-                            dataset.s.version(), view.base));
+  ASSERT_TRUE(cache.Install(dataset.s.id(), kChunks + 1, dataset.s.version(),
+                            view.base));
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(engine.Ingest(dataset.s, RandomBatch(rng, 50, 40000)).ok());
   }
@@ -440,11 +438,11 @@ TEST(RunCacheTest, CompactionNeverCrossesALiveInstallPoint) {
   // Two fenced stretches of four L0 segments -> two jobs; with a team
   // they run as stealable guest-safe morsels.
   EXPECT_EQ(cache.CompactPending(&engine.EnsureTeam(kChunks)), 2u);
-  const auto first = cache.Peek(dataset.s, kChunks, kBounds);
+  const auto first = cache.Peek(dataset.s, kChunks);
   ASSERT_TRUE(first.hit);
   EXPECT_EQ(first.delta_runs, 2u);
   EXPECT_EQ(first.delta_tuples, 400u);
-  const auto second = cache.Peek(dataset.s, kChunks, kBounds + 1);
+  const auto second = cache.Peek(dataset.s, kChunks + 1);
   ASSERT_TRUE(second.hit);
   EXPECT_EQ(second.delta_runs, 1u);
   EXPECT_EQ(second.delta_tuples, 200u);

@@ -256,40 +256,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-TEST(DMpsmTest, KernelKnobsMatchReference) {
-  // The disk variant's simd knob (docs/simd.md) must not change the
-  // join result: scalar end to end (sort histograms and page merge)
-  // and the widest kind.
-  const auto topology = numa::Topology::Simulated(2, 8);
-  workload::DatasetSpec spec;
-  spec.r_tuples = 5000;
-  spec.multiplicity = 2.0;
-  spec.key_domain = 16000;
-  spec.seed = 91;
-  const uint32_t team_size = 4;
-  const auto dataset = workload::Generate(topology, team_size, spec);
-
-  CountFactory reference(1);
-  const uint64_t expected = baseline::ReferenceJoin(
-      dataset.r.ToVector(), dataset.s.ToVector(), JoinKind::kInner,
-      reference.ConsumerForWorker(0));
-
-  for (simd::SimdKind simd :
-       {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
-    DMpsmOptions options;
-    options.tuples_per_page = 128;
-    options.pool_budget_bytes = 16 * PageStore::PageBytes(128);
-    options.simd = simd;
-
-    WorkerTeam team(topology, team_size);
-    CountFactory counts(team_size);
-    const auto info =
-        DMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
-    ASSERT_TRUE(info.ok()) << info.status().ToString();
-    EXPECT_EQ(counts.Result(), expected) << simd::SimdKindName(simd);
-  }
-}
-
 TEST(DMpsmTest, MaxSumMatchesReference) {
   const auto topology = numa::Topology::Simulated(2, 4);
   workload::DatasetSpec spec;

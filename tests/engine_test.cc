@@ -117,36 +117,8 @@ TEST(PlannerGoldenTest, TinyInputsChooseWisconsin) {
   EXPECT_NE(plan->rationale.find("tiny"), std::string::npos);
 }
 
-TEST(PlannerGoldenTest, DeeperIoQueuePricesDMpsmCheaper) {
-  // The machine model charges the spill device at depth-scaled
-  // bandwidth, overlapped with each phase's compute. These inputs are
-  // device-bound, so the deeper queue's higher bandwidth lowers the
-  // join phase, where the page reads happen, and the total.
-  PlannerInputs in;
-  in.r_tuples = uint64_t{1} << 24;
-  in.s_tuples = uint64_t{1} << 26;
-  in.team_size = 32;
-  in.numa_nodes = 4;
-  const auto machine = sim::MachineModel::HyPer1();
-  const MpsmOptions mpsm;
-
-  disk::DMpsmOptions shallow;
-  shallow.io_backend = io::IoBackendKind::kThreadpool;
-  shallow.io_queue_depth = 1;
-  disk::DMpsmOptions deep = shallow;
-  deep.io_queue_depth = 16;
-
-  const auto shallow_cost =
-      Planner::EstimateCost(Algorithm::kDMpsm, in, machine, mpsm, shallow);
-  const auto deep_cost =
-      Planner::EstimateCost(Algorithm::kDMpsm, in, machine, mpsm, deep);
-  EXPECT_LT(deep_cost.total_seconds, shallow_cost.total_seconds);
-  EXPECT_LT(deep_cost.phase_seconds[kPhaseJoin],
-            shallow_cost.phase_seconds[kPhaseJoin]);
-}
-
 TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
-  // Every field of the three variant structs is set away from its
+  // Every field of the two variant structs is set away from its
   // default, and the plan must carry each value through. Two fields
   // are the planner's: mpsm.kind comes from JoinSpec::kind, and an
   // unset dmpsm.pool_budget_bytes becomes half the query budget.
@@ -159,21 +131,15 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   MpsmOptions& m = options.mpsm;
   m.kind = JoinKind::kLeftAnti;
   m.radix_bits = 12;
-  m.equi_height_factor = 8;
   m.start_search = StartSearch::kBinary;
   m.cost_balanced_splitters = false;
   m.scheduler = SchedulerKind::kStatic;
-  m.morsel_tuples = 1u << 12;
-  m.simd = simd::SimdKind::kScalar;
   disk::DMpsmOptions& d = options.dmpsm;
   d.tuples_per_page = 1024;
   d.pool_budget_bytes = 3u << 20;
   d.directory = "/spill";
   d.io_delay_us = 7;
-  d.simd = simd::SimdKind::kScalar;
   d.io_backend = io::IoBackendKind::kAuto;
-  d.io_queue_depth = 4;
-  d.io_batch_pages = 2;
   d.recovery.journal = true;
   d.recovery.journal_path = "/spill/m.jnl";
   d.recovery.spool_path = "/spill/s.pages";
@@ -182,11 +148,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   d.recovery.checksum_runs = true;
   d.recovery.strict_sync = true;
   d.recovery.kill_after_commits = 5;
-  baseline::RadixJoinOptions& x = options.radix;
-  x.pass1_bits = 10;
-  x.pass2_bits = 6;
-  x.target_fragment_tuples = 4096;
-  x.simd = simd::SimdKind::kScalar;
   Engine engine(topology, options);
 
   JoinSpec spec;
@@ -199,21 +160,15 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
 
   EXPECT_EQ(plan->mpsm.kind, JoinKind::kLeftSemi);
   EXPECT_EQ(plan->mpsm.radix_bits, m.radix_bits);
-  EXPECT_EQ(plan->mpsm.equi_height_factor, m.equi_height_factor);
   EXPECT_EQ(plan->mpsm.start_search, m.start_search);
   EXPECT_EQ(plan->mpsm.cost_balanced_splitters, m.cost_balanced_splitters);
   EXPECT_EQ(plan->mpsm.scheduler, m.scheduler);
-  EXPECT_EQ(plan->mpsm.morsel_tuples, m.morsel_tuples);
-  EXPECT_EQ(plan->mpsm.simd, m.simd);
 
   EXPECT_EQ(plan->dmpsm.tuples_per_page, d.tuples_per_page);
   EXPECT_EQ(plan->dmpsm.pool_budget_bytes, d.pool_budget_bytes);  // wins
   EXPECT_EQ(plan->dmpsm.directory, d.directory);
   EXPECT_EQ(plan->dmpsm.io_delay_us, d.io_delay_us);
-  EXPECT_EQ(plan->dmpsm.simd, d.simd);
   EXPECT_EQ(plan->dmpsm.io_backend, d.io_backend);
-  EXPECT_EQ(plan->dmpsm.io_queue_depth, d.io_queue_depth);
-  EXPECT_EQ(plan->dmpsm.io_batch_pages, d.io_batch_pages);
   EXPECT_EQ(plan->dmpsm.recovery.journal, d.recovery.journal);
   EXPECT_EQ(plan->dmpsm.recovery.journal_path, d.recovery.journal_path);
   EXPECT_EQ(plan->dmpsm.recovery.spool_path, d.recovery.spool_path);
@@ -224,11 +179,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   EXPECT_EQ(plan->dmpsm.recovery.strict_sync, d.recovery.strict_sync);
   EXPECT_EQ(plan->dmpsm.recovery.kill_after_commits,
             d.recovery.kill_after_commits);
-
-  EXPECT_EQ(plan->radix.pass1_bits, x.pass1_bits);
-  EXPECT_EQ(plan->radix.pass2_bits, x.pass2_bits);
-  EXPECT_EQ(plan->radix.target_fragment_tuples, x.target_fragment_tuples);
-  EXPECT_EQ(plan->radix.simd, x.simd);
 
   // Unset, the pool budget is half the query's; without a budget it
   // stays unset (kDefaultPoolBudgetBytes).
@@ -249,7 +199,7 @@ TEST(PlannerGoldenTest, RejectsBadIoKnobsAtTheFrontDoor) {
   const auto dataset = MediumDataset(topology, 8);
   EngineOptions options;
   options.workers = 8;
-  options.dmpsm.io_queue_depth = 0;
+  options.dmpsm.directory = "";  // no spool directory to write pages to
   Engine engine(topology, options);
   JoinSpec spec;
   spec.r = &dataset.r;
@@ -354,22 +304,11 @@ TEST(EngineValidationTest, RejectsUndersizedRadixBits) {
   EXPECT_NE(plan.status().message().find("radix_bits"), std::string::npos);
 }
 
-TEST(EngineValidationTest, RejectsIllegalRadixJoinBits) {
-  baseline::RadixJoinOptions options;
-  options.pass1_bits = 0;
-  options.pass2_bits = 4;  // pass2 without pass1
-  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  options.pass1_bits = 20;  // > 16
-  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  options = {};
-  EXPECT_TRUE(options.Validate().ok());
-}
-
 TEST(EngineValidationTest, RejectsBadMpsmKnobsThroughTheEngine) {
   const auto topology = Topo();
   const auto dataset = MediumDataset(topology, 4);
-  for (auto mutate : {+[](MpsmOptions& o) { o.equi_height_factor = 0; },
-                      +[](MpsmOptions& o) { o.morsel_tuples = 0; }}) {
+  for (auto mutate : {+[](MpsmOptions& o) { o.radix_bits = 1; },  // < log2 T
+                      +[](MpsmOptions& o) { o.radix_bits = 25; }}) {
     EngineOptions options;
     options.workers = 4;
     mutate(options.mpsm);

@@ -577,8 +577,6 @@ TEST_P(DMpsmIoSweepTest, MatchesReferenceWithSaneIoStats) {
   options.tuples_per_page = 64;
   options.pool_budget_bytes = 16 * disk::PageStore::PageBytes(64);
   options.io_backend = backend;
-  options.io_queue_depth = 8;
-  options.io_batch_pages = 4;
   CountFactory counts(team_size);
   disk::DMpsmReport report;
   auto info = disk::DMpsmJoin(options).Execute(team, dataset.r, dataset.s,
@@ -600,7 +598,7 @@ TEST_P(DMpsmIoSweepTest, MatchesReferenceWithSaneIoStats) {
             report.index_entries);
   EXPECT_LE(report.io_sched.pages_read, report.io.pages_written);
   EXPECT_GT(report.io_sched.io_batches, 0u);
-  EXPECT_LE(report.io_sched.peak_inflight_reads, options.io_queue_depth);
+  EXPECT_LE(report.io_sched.peak_inflight_reads, disk::kIoQueueDepth);
   EXPECT_GT(report.io_sched.mean_queue_depth, 0.0);
   EXPECT_EQ(report.io_backend_used, backend);
   EXPECT_LE(report.peak_pool_pages,
@@ -619,10 +617,16 @@ TEST(DMpsmIoOptionsTest, ValidateRejectsBadIoKnobs) {
   spec.r_tuples = 200;
   const auto dataset = workload::Generate(topology, 4, spec);
 
-  for (auto mutate : {+[](disk::DMpsmOptions& o) { o.io_queue_depth = 0; },
-                      +[](disk::DMpsmOptions& o) { o.io_batch_pages = 0; },
+  // Where the spill's pages and manifest go: a spool directory, and
+  // both files' paths when journaling.
+  for (auto mutate : {+[](disk::DMpsmOptions& o) { o.directory = ""; },
                       +[](disk::DMpsmOptions& o) {
-                        o.io_batch_pages = io::kMaxIovPerRead + 1;
+                        o.recovery.journal = true;
+                        o.recovery.spool_path = "/tmp/unused.pages";
+                      },
+                      +[](disk::DMpsmOptions& o) {
+                        o.recovery.journal = true;
+                        o.recovery.journal_path = "/tmp/unused.jnl";
                       }}) {
     disk::DMpsmOptions options;
     mutate(options);

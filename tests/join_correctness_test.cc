@@ -16,6 +16,7 @@
 #include "disk/d_mpsm.h"
 #include "engine/engine.h"
 #include "numa/topology.h"
+#include "parallel/task_scheduler.h"
 #include "workload/generator.h"
 #include "workload/query.h"
 
@@ -226,16 +227,18 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------ kernel option matrix (tuning.md)
 
 TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
-  // Both schedulers (static and stealing) and simd scalar/auto (the
-  // sorts' digit histograms follow it) must produce the reference count
-  // through both P-MPSM and B-MPSM; the fast defaults may differ from
-  // the scalar paths only in speed. The fan-out picks the scatter
-  // kernel: |R| = 12,000 cuts into few sort segments (the scalar
-  // loop), |R| = 2^18 into more than 100 (write combining), as does
-  // the radix join's 2^7-way first pass.
+  // Both schedulers (static and stealing) must produce the reference
+  // count through both P-MPSM and B-MPSM, at the process's SIMD kind
+  // (CI's MPSM_SIMD legs run the scalar and AVX2 kernels). Each size
+  // cuts every chunk into at least two kMorselTuples-tuple morsels
+  // under stealing. The fan-out picks the scatter kernel: |R| = 160,000
+  // cuts into at most 160,000 / 2^11 + T = 82 sort segments (the
+  // scalar loop), |R| = 2^18 into more than 100 (write combining), as
+  // does the radix join's automatic 2^7-way first pass.
   const auto topology = TestTopology();
   const uint32_t team_size = 4;
-  for (const size_t r_tuples : {size_t{12000}, size_t{1} << 18}) {
+  for (const size_t r_tuples : {size_t{160000}, size_t{1} << 18}) {
+    ASSERT_GE(r_tuples / team_size, 2 * kMorselTuples);
     DatasetSpec spec;
     spec.r_tuples = r_tuples;
     spec.multiplicity = 1.5;
@@ -252,46 +255,71 @@ TEST(KernelOptionsTest, AllKernelCombinationsMatchReference) {
 
     for (SchedulerKind scheduler :
          {SchedulerKind::kStatic, SchedulerKind::kStealing}) {
-      for (simd::SimdKind simd_kind :
-           {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
-        MpsmOptions options;
-        options.scheduler = scheduler;
-        options.simd = simd_kind;
-        options.morsel_tuples = 1024;  // small enough to slice at test size
-
-        const auto label = [&] {
-          return std::to_string(r_tuples) + "/" +
-                 SchedulerKindName(scheduler) + "/" +
-                 simd::SimdKindName(simd_kind);
-        };
-        {
-          WorkerTeam team(topology, team_size);
-          CountFactory counts(team_size);
-          const auto info = PMpsmJoin(options).Execute(team, dataset.r,
-                                                       dataset.s, counts);
-          ASSERT_TRUE(info.ok()) << info.status().ToString();
-          EXPECT_EQ(counts.Result(), expected) << "p-mpsm " << label();
-        }
-        {
-          WorkerTeam team(topology, team_size);
-          CountFactory counts(team_size);
-          const auto info = BMpsmJoin(options).Execute(team, dataset.r,
-                                                       dataset.s, counts);
-          ASSERT_TRUE(info.ok()) << info.status().ToString();
-          EXPECT_EQ(counts.Result(), expected) << "b-mpsm " << label();
-        }
+      MpsmOptions options;
+      options.scheduler = scheduler;
+      const auto label = [&] {
+        return std::to_string(r_tuples) + "/" + SchedulerKindName(scheduler);
+      };
+      {
+        WorkerTeam team(topology, team_size);
+        CountFactory counts(team_size);
+        const auto info =
+            PMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
+        ASSERT_TRUE(info.ok()) << info.status().ToString();
+        EXPECT_EQ(counts.Result(), expected) << "p-mpsm " << label();
+      }
+      {
+        WorkerTeam team(topology, team_size);
+        CountFactory counts(team_size);
+        const auto info =
+            BMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
+        ASSERT_TRUE(info.ok()) << info.status().ToString();
+        EXPECT_EQ(counts.Result(), expected) << "b-mpsm " << label();
       }
     }
 
-    baseline::RadixJoinOptions radix_options;
-    radix_options.pass1_bits = 7;
     WorkerTeam team(topology, team_size);
     CountFactory counts(team_size);
-    const auto info = baseline::RadixHashJoin(radix_options)
-                          .Execute(team, dataset.r, dataset.s, counts);
+    const auto info =
+        baseline::RadixHashJoin().Execute(team, dataset.r, dataset.s, counts);
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     EXPECT_EQ(counts.Result(), expected) << "radix " << r_tuples;
   }
+  EXPECT_EQ(baseline::RadixHashJoin::EffectiveBits(size_t{1} << 18),
+            std::make_pair(7u, 0u));
+}
+
+TEST(RadixJoinTest, SecondPassMatchesReference) {
+  // Automatic bits add a second partitioning pass only above
+  // kTargetFragmentTuples * 2^11 = 2^22 build tuples: just above it,
+  // pass 1 takes 11 bits and pass 2 one. A small probe side keeps the
+  // test quick.
+  const auto topology = TestTopology();
+  const uint32_t team_size = 4;
+  const size_t r_tuples = (size_t{1} << 22) + 4096;
+  ASSERT_EQ(baseline::RadixHashJoin::EffectiveBits(r_tuples),
+            std::make_pair(11u, 1u));
+  DatasetSpec spec;
+  spec.r_tuples = r_tuples;
+  spec.multiplicity = 1.0 / 256;
+  spec.seed = 2222;
+  const auto dataset = workload::Generate(topology, team_size, spec);
+
+  WorkerTeam team(topology, team_size);
+  CountFactory counts(team_size);
+  const auto info =
+      baseline::RadixHashJoin().Execute(team, dataset.r, dataset.s, counts);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  // The second pass charges its copies to the phase-3 slot.
+  EXPECT_GT(info->aggregate.phase_counters[kPhaseSortPrivate]
+                .bytes_written_local_seq,
+            0u);
+
+  CountFactory reference(1);
+  EXPECT_EQ(counts.Result(),
+            baseline::ReferenceJoin(dataset.r.ToVector(), dataset.s.ToVector(),
+                                    JoinKind::kInner,
+                                    reference.ConsumerForWorker(0)));
 }
 
 // --------------------------------------------- materialized row check

@@ -266,7 +266,7 @@ TEST(ServiceTraceTest, ConcurrentQueriesGetIsolatedTraces) {
   options.lanes = 2;
   options.engine.workers = 4;
   options.engine.trace = true;
-  options.shared_sort = false;  // every query runs + traces on its own
+  options.max_batch = 1;  // every query runs + traces on its own
   service::JoinService service(topology, options);
 
   constexpr int kQueries = 8;

@@ -13,6 +13,7 @@
 #include "core/p_mpsm.h"
 #include "numa/topology.h"
 #include "parallel/counters.h"
+#include "parallel/task_scheduler.h"
 #include "sort/radix_introsort.h"
 #include "util/bits.h"
 #include "util/rng.h"
@@ -364,26 +365,6 @@ TEST(PMpsmOptionsTest, RadixBitSweepAgrees) {
   }
 }
 
-TEST(PMpsmOptionsTest, EquiHeightFactorSweepAgrees) {
-  const auto topology = Topo();
-  workload::DatasetSpec spec;
-  spec.r_tuples = 10000;
-  spec.multiplicity = 2.0;
-  const auto dataset = workload::Generate(topology, 4, spec);
-  WorkerTeam team(topology, 4);
-
-  CountFactory base(4);
-  ASSERT_TRUE(PMpsmJoin().Execute(team, dataset.r, dataset.s, base).ok());
-  for (uint32_t f : {1u, 2u, 16u}) {
-    MpsmOptions options;
-    options.equi_height_factor = f;
-    CountFactory counts(4);
-    ASSERT_TRUE(
-        PMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts).ok());
-    EXPECT_EQ(counts.Result(), base.Result()) << "f=" << f;
-  }
-}
-
 TEST(PMpsmCountersTest, ScatterWritesExactlyR) {
   // The scalar scatter is charged at the random-write rate, write
   // combining at the sequential rate (docs/tuning.md); either way the
@@ -451,13 +432,18 @@ TEST(PMpsmCountersTest, SortWorkCoversBothInputs) {
 
 // Fig-16-style negatively correlated skew with the equi-height
 // strawman splitters: partition sizes are deliberately unbalanced, so
-// the static script leaves one straggler with most of phases 3/4.
+// the static script leaves one straggler with most of phases 3/4. At
+// up to 8 workers every chunk holds at least two kMorselTuples-tuple
+// morsels.
+constexpr size_t kSkewedRTuples = 300000;
+static_assert(kSkewedRTuples / 8 >= 2 * kMorselTuples);
+
 workload::Dataset SkewedDataset(const numa::Topology& topology,
                                 uint32_t team_size) {
   workload::DatasetSpec spec;
-  spec.r_tuples = 60000;
+  spec.r_tuples = kSkewedRTuples;
   spec.multiplicity = 2.0;
-  spec.key_domain = 150000;
+  spec.key_domain = kSkewedRTuples * 5 / 2;
   spec.r_distribution = workload::KeyDistribution::kSkewHighEnd;
   spec.s_distribution = workload::KeyDistribution::kSkewLowEnd;
   spec.s_mode = workload::SKeyMode::kIndependent;
@@ -469,7 +455,6 @@ MpsmOptions SkewOptions(SchedulerKind scheduler) {
   MpsmOptions options;
   options.scheduler = scheduler;
   options.cost_balanced_splitters = false;  // force partition imbalance
-  options.morsel_tuples = 2048;
   return options;
 }
 
@@ -535,12 +520,11 @@ TEST(SchedulerABTest, AllMergeMorselsExecutedExactlyOnce) {
   ASSERT_TRUE(info.ok());
 
   // Expected phase-4 morsels: per non-empty partition i,
-  // ceil(size_i / morsel_tuples) ranges x team_size public runs.
+  // ceil(size_i / kMorselTuples) ranges x team_size public runs.
   uint64_t expected = 0;
   for (uint64_t size : diagnostics.partition_sizes) {
     if (size == 0) continue;
-    const uint64_t ranges =
-        (size + options.morsel_tuples - 1) / options.morsel_tuples;
+    const uint64_t ranges = (size + kMorselTuples - 1) / kMorselTuples;
     expected += ranges * team_size;
   }
   const auto& join_counters =

@@ -1,9 +1,8 @@
-// Loser-tree multiway run merge and sort-based group-by (the §7
-// "exploit the rough sort order" extension).
+// Loser-tree multiway run merge (the §7 "exploit the rough sort order"
+// extension).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "core/run_merge.h"
@@ -92,45 +91,6 @@ TEST(LoserTreeTest, SentinelKeyTuplesSurvive) {
   EXPECT_EQ(merged[0].key, 5u);
   EXPECT_EQ(merged[1].key, ~uint64_t{0});
   EXPECT_EQ(merged[2].key, ~uint64_t{0});
-}
-
-TEST(SortedGroupByTest, MatchesMapBasedAggregation) {
-  for (uint64_t seed = 10; seed < 14; ++seed) {
-    auto storage = MakeSortedRuns(6, 400, seed, /*domain=*/50);
-
-    std::map<uint64_t, std::tuple<uint64_t, uint64_t, uint64_t>> expected;
-    for (const auto& run : storage) {
-      for (const Tuple& t : run) {
-        auto& [count, sum, max] = expected[t.key];
-        ++count;
-        sum += t.payload;
-        max = std::max(max, t.payload);
-      }
-    }
-
-    uint64_t previous_key = 0;
-    bool first = true;
-    size_t groups = 0;
-    SortedGroupBy(AsRuns(storage), [&](uint64_t key, uint64_t count,
-                                       uint64_t sum, uint64_t max) {
-      if (!first) {
-        EXPECT_GT(key, previous_key);  // ascending, distinct
-      }
-      first = false;
-      previous_key = key;
-      ++groups;
-      auto it = expected.find(key);
-      ASSERT_NE(it, expected.end());
-      EXPECT_EQ(count, std::get<0>(it->second));
-      EXPECT_EQ(sum, std::get<1>(it->second));
-      EXPECT_EQ(max, std::get<2>(it->second));
-    });
-    EXPECT_EQ(groups, expected.size());
-  }
-}
-
-TEST(SortedGroupByTest, EmptyInput) {
-  SortedGroupBy({}, [](uint64_t, uint64_t, uint64_t, uint64_t) { FAIL(); });
 }
 
 }  // namespace

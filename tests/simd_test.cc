@@ -350,19 +350,14 @@ TEST_P(SimdKindSweep, MsdRadixPartitionAgreesAcrossKinds) {
   EXPECT_EQ(simd_bounds, scalar_bounds);
 }
 
-// --------------------------------- engine matrix: scalar vs auto A/B
-
-/// Session options whose every algorithm runs its kernels at `kind`.
-engine::EngineOptions OptionsAtSimd(uint32_t workers, simd::SimdKind kind) {
-  engine::EngineOptions options;
-  options.workers = workers;
-  options.mpsm.simd = kind;
-  options.dmpsm.simd = kind;
-  options.radix.simd = kind;
-  return options;
-}
+// ------------------------- engine matrix at the process's SIMD kind
 
 TEST(SimdEngineTest, ScalarAndAutoProduceIdenticalJoinsAcrossMatrix) {
+  // Every vector kernel runs at the process's kind: simd::Resolve(kAuto),
+  // the host's widest unless MPSM_SIMD names another. CI runs this
+  // suite at auto and again under MPSM_SIMD=scalar (and =avx2), so
+  // scalar and auto meet through ReferenceJoin on every algorithm x
+  // JoinKind pair the engine supports.
   const auto topology = numa::Topology::Simulated(4, 8);
   constexpr uint32_t kWorkers = 4;
   workload::DatasetSpec spec;
@@ -373,6 +368,9 @@ TEST(SimdEngineTest, ScalarAndAutoProduceIdenticalJoinsAcrossMatrix) {
   spec.seed = 321;
   const auto dataset = workload::Generate(topology, kWorkers, spec);
 
+  engine::EngineOptions options;
+  options.workers = kWorkers;
+  engine::Engine engine(topology, options);
   for (const engine::Algorithm algorithm :
        {engine::Algorithm::kPMpsm, engine::Algorithm::kBMpsm,
         engine::Algorithm::kDMpsm, engine::Algorithm::kRadix,
@@ -382,108 +380,25 @@ TEST(SimdEngineTest, ScalarAndAutoProduceIdenticalJoinsAcrossMatrix) {
           JoinKind::kLeftOuter}) {
       if (!engine::SupportsKind(algorithm, kind)) continue;
 
-      uint64_t counts[2] = {0, 0};
-      int slot = 0;
-      for (const simd::SimdKind simd_kind :
-           {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
-        engine::Engine engine(topology, OptionsAtSimd(kWorkers, simd_kind));
-        CountFactory consumer(kWorkers);
-        engine::JoinSpec join;
-        join.r = &dataset.r;
-        join.s = &dataset.s;
-        join.kind = kind;
-        join.consumers = &consumer;
-        join.algorithm = algorithm;
-        auto report = engine.Execute(join);
-        ASSERT_TRUE(report.ok()) << report.status().ToString();
-        counts[slot++] = consumer.Result();
-        EXPECT_EQ(report->simd_used,
-                  simd::Resolve(engine::PlanSimdKnob(report->plan)));
-        if (simd_kind == simd::SimdKind::kScalar &&
-            algorithm != engine::Algorithm::kWisconsin) {
-          EXPECT_EQ(report->simd_used, simd::SimdKind::kScalar);
-        }
-      }
-      EXPECT_EQ(counts[0], counts[1])
-          << engine::AlgorithmName(algorithm) << " " << JoinKindName(kind);
+      CountFactory consumer(kWorkers);
+      engine::JoinSpec join;
+      join.r = &dataset.r;
+      join.s = &dataset.s;
+      join.kind = kind;
+      join.consumers = &consumer;
+      join.algorithm = algorithm;
+      auto report = engine.Execute(join);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->simd_used, engine::KernelSimdKind(algorithm));
 
       CountFactory reference(1);
       const uint64_t expected = baseline::ReferenceJoin(
           dataset.r.ToVector(), dataset.s.ToVector(), kind,
           reference.ConsumerForWorker(0));
-      EXPECT_EQ(counts[0], expected)
+      EXPECT_EQ(consumer.Result(), expected)
           << engine::AlgorithmName(algorithm) << " " << JoinKindName(kind);
     }
   }
-}
-
-TEST(SimdEngineTest, ScatterDigitKnobIsAnIdentityAB) {
-  // One P-MPSM query through the engine at simd = scalar and at auto:
-  // the knob swaps the key-range scans, the cluster and sort digit
-  // histograms and the phase-4 merge advance for their scalar loops,
-  // and neither the plan's recorded kind nor the answer may drift.
-  // Phase 2.3's scatter digits do not depend on the knob.
-  const auto topology = numa::Topology::Simulated(2, 4);
-  constexpr uint32_t kWorkers = 4;
-  workload::DatasetSpec spec;
-  spec.r_tuples = 8000;
-  spec.multiplicity = 1.5;
-  spec.key_domain = 32000;
-  spec.s_mode = workload::SKeyMode::kIndependent;
-  spec.seed = 77;
-  const auto dataset = workload::Generate(topology, kWorkers, spec);
-
-  uint64_t counts[2] = {0, 0};
-  int slot = 0;
-  for (const simd::SimdKind kind :
-       {simd::SimdKind::kScalar, simd::SimdKind::kAuto}) {
-    engine::Engine engine(topology, OptionsAtSimd(kWorkers, kind));
-    CountFactory consumer(kWorkers);
-    engine::JoinSpec join;
-    join.r = &dataset.r;
-    join.s = &dataset.s;
-    join.consumers = &consumer;
-    join.algorithm = engine::Algorithm::kPMpsm;
-    auto report = engine.Execute(join);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->plan.mpsm.simd, kind);
-    counts[slot++] = consumer.Result();
-  }
-  EXPECT_EQ(counts[0], counts[1]);
-
-  CountFactory reference(1);
-  EXPECT_EQ(counts[0],
-            baseline::ReferenceJoin(dataset.r.ToVector(), dataset.s.ToVector(),
-                                    JoinKind::kInner,
-                                    reference.ConsumerForWorker(0)));
-}
-
-TEST(SimdEngineTest, UnsupportedForcedKindStillExecutes) {
-  // Forcing the widest kind must never fault: resolution degrades to
-  // what the host can run (the off-x86 CI safety net).
-  const auto topology = numa::Topology::Simulated(2, 4);
-  workload::DatasetSpec spec;
-  spec.r_tuples = 4000;
-  spec.multiplicity = 2.0;
-  spec.seed = 8;
-  const auto dataset = workload::Generate(topology, 4, spec);
-
-  engine::Engine engine(topology,
-                        OptionsAtSimd(4, simd::SimdKind::kAvx512));
-  CountFactory consumer(4);
-  engine::JoinSpec join;
-  join.r = &dataset.r;
-  join.s = &dataset.s;
-  join.consumers = &consumer;
-  join.algorithm = engine::Algorithm::kPMpsm;
-  auto report = engine.Execute(join);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-
-  CountFactory reference(1);
-  const uint64_t expected = baseline::ReferenceJoin(
-      dataset.r.ToVector(), dataset.s.ToVector(), JoinKind::kInner,
-      reference.ConsumerForWorker(0));
-  EXPECT_EQ(consumer.Result(), expected);
 }
 
 TEST(SimdEngineTest, PlanSurfacesTheResolvedKind) {
@@ -494,47 +409,60 @@ TEST(SimdEngineTest, PlanSurfacesTheResolvedKind) {
   spec.seed = 7;
   const auto dataset = workload::Generate(topology, 8, spec);
 
-  engine::Engine engine(topology, OptionsAtSimd(8, simd::SimdKind::kScalar));
+  engine::EngineOptions options;
+  options.workers = 8;
+  engine::Engine engine(topology, options);
   engine::JoinSpec join;
   join.r = &dataset.r;
   join.s = &dataset.s;
   auto plan = engine.Plan(join);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(engine::PlanSimdKnob(*plan), simd::SimdKind::kScalar);
-  EXPECT_NE(plan->ToString().find("simd: scalar"), std::string::npos)
+  ASSERT_NE(plan->algorithm, engine::Algorithm::kWisconsin);
+  EXPECT_EQ(engine::KernelSimdKind(plan->algorithm),
+            simd::Resolve(simd::SimdKind::kAuto));
+  const std::string line =
+      std::string("simd: ") +
+      simd::SimdKindName(simd::Resolve(simd::SimdKind::kAuto));
+  EXPECT_NE(plan->ToString().find(line), std::string::npos)
       << plan->ToString();
+  EXPECT_EQ(engine::KernelSimdKind(engine::Algorithm::kWisconsin),
+            simd::SimdKind::kScalar);
 }
 
 TEST(SimdPlannerTest, WiderKindsPriceThePhase4MergeCheaper) {
+  // The phase-4 merge term (the phase's cost minus its cost under a
+  // model without it) is the scalar term divided by the kernels'
+  // width, so a wider kind prices the merge cheaper.
   engine::PlannerInputs in;
   in.r_tuples = uint64_t{1} << 24;
   in.s_tuples = uint64_t{1} << 26;
   in.team_size = 32;
   in.numa_nodes = 4;
   const auto machine = sim::MachineModel::HyPer1();
+  auto no_merge = machine;
+  no_merge.ns_per_merge_key = 0;
+  const MpsmOptions mpsm;
   const disk::DMpsmOptions dmpsm;
 
-  MpsmOptions scalar_options;
-  scalar_options.simd = simd::SimdKind::kScalar;
-  MpsmOptions wide_options;
-  // Resolve() may degrade on the host, so compare scalar against the
-  // widest kind the host actually has.
-  wide_options.simd = simd::Resolve(simd::SimdKind::kAuto);
-
-  const auto scalar_cost = engine::Planner::EstimateCost(
-      engine::Algorithm::kPMpsm, in, machine, scalar_options, dmpsm);
-  const auto wide_cost = engine::Planner::EstimateCost(
-      engine::Algorithm::kPMpsm, in, machine, wide_options, dmpsm);
-  if (wide_options.simd == simd::SimdKind::kScalar) {
-    EXPECT_DOUBLE_EQ(wide_cost.phase_seconds[kPhaseJoin],
-                     scalar_cost.phase_seconds[kPhaseJoin]);
-  } else {
-    EXPECT_LT(wide_cost.phase_seconds[kPhaseJoin],
-              scalar_cost.phase_seconds[kPhaseJoin]);
-    // Phases without a merge loop are untouched by the knob.
-    EXPECT_DOUBLE_EQ(wide_cost.phase_seconds[kPhaseSortPublic],
-                     scalar_cost.phase_seconds[kPhaseSortPublic]);
+  const auto cost = engine::Planner::EstimateCost(
+      engine::Algorithm::kPMpsm, in, machine, mpsm, dmpsm);
+  const auto base = engine::Planner::EstimateCost(
+      engine::Algorithm::kPMpsm, in, no_merge, mpsm, dmpsm);
+  const double merge_seconds =
+      cost.phase_seconds[kPhaseJoin] - base.phase_seconds[kPhaseJoin];
+  const double per_worker_keys =
+      static_cast<double>(in.r_tuples + in.s_tuples) / in.team_size;
+  const double scalar_seconds =
+      per_worker_keys * machine.ns_per_merge_key * 1e-9;
+  const uint32_t width =
+      simd::KeysPerCompare(simd::Resolve(simd::SimdKind::kAuto));
+  EXPECT_NEAR(merge_seconds * width, scalar_seconds, scalar_seconds * 1e-9);
+  if (width > 1) {
+    EXPECT_LT(merge_seconds, scalar_seconds);
   }
+  // Phases without a merge loop do not price it.
+  EXPECT_DOUBLE_EQ(cost.phase_seconds[kPhaseSortPublic],
+                   base.phase_seconds[kPhaseSortPublic]);
 }
 
 }  // namespace
