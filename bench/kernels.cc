@@ -36,6 +36,7 @@
 #include "partition/key_normalizer.h"
 #include "partition/prefix_scatter.h"
 #include "partition/radix_histogram.h"
+#include "recovery/recovery_manager.h"
 #include "service/join_service.h"
 #include "sim/machine_model.h"
 #include "simd/caps.h"
@@ -745,20 +746,18 @@ void BM_RunCacheIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_RunCacheIngest)->Arg(12)->Arg(16);
 
-// Spill-path I/O backend rows on the lowmem join: D-MPSM's static
-// walk over a 64-frame pool with a synthetic 100 us/page device
-// (PageStoreOptions::io_delay_us burns inside the threadpool backend's
-// reads). The prefetch thread and the private windows' readahead keep
-// reads in flight while workers merge (docs/io.md) — io_stall_ms is
-// the wait they could not hide. The uring backend rides the real page
-// cache (no synthetic delay is injectable into the kernel), so its row
-// tracks raw subsystem overhead instead. MPSM_IO_BENCH_LOG2 scales |R|
-// (default 2^15; CI smoke uses less).
-void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
-  if (backend == io::IoBackendKind::kUring && !io::UringSupported()) {
-    state.SkipWithError("io_uring unavailable on this host");
-    return;
-  }
+// Spill-path I/O rows on the lowmem join: D-MPSM's static walk over a
+// 64-frame pool, one row per device. The threadpool row runs a
+// synthetic 100 us/page device (PageStoreOptions::io_delay_us burns
+// inside the threadpool backend's reads, the one engine that models
+// it); the page-cache row runs no delay on the engine D-MPSM picks for
+// this host (io_uring where the kernel accepts it; the row's label
+// names it), so it tracks raw subsystem overhead. The prefetch thread
+// and the private windows' readahead keep reads in flight while
+// workers merge (docs/io.md) — io_stall_ms is the wait they could not
+// hide. MPSM_IO_BENCH_LOG2 scales |R| (default 2^15; CI smoke uses
+// less).
+void DMpsmIoBench(benchmark::State& state, uint32_t io_delay_us) {
   const auto topology = numa::Topology::Probe();
   const uint32_t team_size = 4;
   workload::DatasetSpec spec;
@@ -771,9 +770,9 @@ void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
   disk::DMpsmOptions options;
   options.tuples_per_page = 512;
   options.pool_budget_bytes = 64 * disk::PageStore::PageBytes(512);
-  options.io_backend = backend;
-  if (backend != io::IoBackendKind::kUring) options.io_delay_us = 100;
+  options.io_delay_us = io_delay_us;
 
+  io::IoBackendKind used = io::IoBackendKind::kThreadpool;
   double stall_ms = 0;
   double mean_depth = 0;
   double batches = 0;
@@ -792,7 +791,9 @@ void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
     mean_depth = report.io_sched.mean_queue_depth;
     batches = static_cast<double>(report.io_sched.io_batches);
     pages = static_cast<double>(report.io_sched.pages_read);
+    used = report.io_backend_used;
   }
+  state.SetLabel(io::IoBackendKindName(used));
   state.counters["io_stall_ms"] = stall_ms;
   state.counters["mean_queue_depth"] = mean_depth;
   state.counters["io_batches"] = batches;
@@ -802,14 +803,14 @@ void DMpsmIoBench(benchmark::State& state, io::IoBackendKind backend) {
 }
 
 void BM_DMpsmIoThreadpool(benchmark::State& state) {
-  DMpsmIoBench(state, io::IoBackendKind::kThreadpool);
+  DMpsmIoBench(state, /*io_delay_us=*/100);
 }
 BENCHMARK(BM_DMpsmIoThreadpool)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_DMpsmIoUring(benchmark::State& state) {
-  DMpsmIoBench(state, io::IoBackendKind::kUring);
+void BM_DMpsmIoPageCache(benchmark::State& state) {
+  DMpsmIoBench(state, /*io_delay_us=*/0);
 }
-BENCHMARK(BM_DMpsmIoUring)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_DMpsmIoPageCache)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Crash-recovery journaling overhead A/B (docs/recovery.md): the same
 // spilling join with the durable manifest off vs on. On pays one
@@ -830,26 +831,27 @@ void DMpsmJournalBench(benchmark::State& state, bool journal) {
   disk::DMpsmOptions options;
   options.tuples_per_page = 512;
   options.pool_budget_bytes = 64 * disk::PageStore::PageBytes(512);
-  options.io_backend = io::IoBackendKind::kThreadpool;
   options.io_delay_us = 100;
   char dir_template[] = "/tmp/mpsm_bench_journal_XXXXXX";
+  std::optional<recovery::QueryJournal> manifest;
   if (journal) {
     if (::mkdtemp(dir_template) == nullptr) {
       state.SkipWithError("mkdtemp failed");
       return;
     }
     options.directory = dir_template;
-    options.recovery.journal = true;
-    options.recovery.journal_path = std::string(dir_template) + "/m.jnl";
-    options.recovery.spool_path = std::string(dir_template) + "/s.pages";
+    manifest.emplace();
+    manifest->journal_path = std::string(dir_template) + "/m.jnl";
+    manifest->spool_path = std::string(dir_template) + "/s.pages";
   }
 
   double commits = 0;
   for (auto _ : state) {
     CountFactory counts(team_size);
     disk::DMpsmReport report;
-    auto info = disk::DMpsmJoin(options).Execute(team, dataset.r,
-                                                 dataset.s, counts, &report);
+    auto info = disk::DMpsmJoin(options).Execute(
+        team, dataset.r, dataset.s, counts, &report,
+        manifest ? &*manifest : nullptr);
     if (!info.ok()) {
       state.SkipWithError("join failed");
       return;
@@ -1023,7 +1025,6 @@ void BM_DMpsmSpoolWriteback(benchmark::State& state) {
   disk::DMpsmOptions options;
   options.tuples_per_page = 512;
   options.pool_budget_bytes = 64 * disk::PageStore::PageBytes(512);
-  options.io_backend = io::IoBackendKind::kThreadpool;
   options.io_delay_us = 100;
 
   double spool_stall_ms = 0;

@@ -17,11 +17,15 @@
 // (public runs, private runs, chunk completions). Exit 0 only when
 // every resume was exact and at least one skipped completed chunks.
 //
+// The spill path runs the I/O engine D-MPSM derives for this host
+// (io_uring where the kernel accepts it, else the threadpool); each
+// resume line names it.
+//
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/example_crash_resume_join [threadpool|uring|auto]
+//   ./build/example_crash_resume_join
 //
-// tools/crash_harness/run.sh sweeps this binary over the I/O backends.
+// tools/crash_harness/run.sh runs this binary.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -48,7 +52,6 @@ struct Harness {
   numa::Topology topology = numa::Topology::Simulated(2, 8);
   workload::Dataset dataset;
   std::string dir;
-  io::IoBackendKind backend = io::IoBackendKind::kThreadpool;
 
   engine::EngineOptions Options(uint64_t kill_after) const {
     engine::EngineOptions options;
@@ -60,17 +63,15 @@ struct Harness {
     options.dmpsm.tuples_per_page = 64;
     options.dmpsm.pool_budget_bytes = 52 * disk::PageStore::PageBytes(64);
     options.dmpsm.directory = dir;
-    options.dmpsm.io_backend = backend;
     options.recovery.enabled = true;
     options.recovery.dir = dir;
-    options.dmpsm.recovery.kill_after_commits = kill_after;
+    options.recovery.kill_after_commits = kill_after;
     return options;
   }
 };
 
-Harness MakeHarness(io::IoBackendKind backend) {
+Harness MakeHarness() {
   Harness h;
-  h.backend = backend;
   workload::DatasetSpec spec;
   spec.r_tuples = 2000;
   spec.multiplicity = 2.0;
@@ -125,10 +126,11 @@ int ResumeOnce(const Harness& h, uint64_t kill_after) {
   const auto& dmpsm = *report->dmpsm;
   std::printf(
       "  kill after %2llu commits -> resumed=%d runs_reattached=%u "
-      "chunks_skipped=%u new_commits=%llu\n",
+      "chunks_skipped=%u new_commits=%llu io=%s\n",
       static_cast<unsigned long long>(kill_after), dmpsm.resumed ? 1 : 0,
       dmpsm.runs_reattached, dmpsm.chunks_skipped,
-      static_cast<unsigned long long>(dmpsm.journal_commits));
+      static_cast<unsigned long long>(dmpsm.journal_commits),
+      io::IoBackendKindName(dmpsm.io_backend_used));
   if (counts.Result() != expected) {
     std::fprintf(stderr,
                  "  WRONG ANSWER: resumed count %llu != reference %llu\n",
@@ -156,30 +158,16 @@ int Fork(Body body) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  io::IoBackendKind backend = io::IoBackendKind::kThreadpool;
-  if (argc > 1) {
-    const auto parsed = io::ParseIoBackendKind(argv[1]);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "usage: %s [threadpool|uring|auto]\n", argv[0]);
-      return 2;
-    }
-    backend = *parsed;
-  }
-  if (backend == io::IoBackendKind::kUring && !io::UringSupported()) {
-    std::printf("io_uring not supported on this host; skipping\n");
-    return 0;
-  }
-
+int main() {
   char dir_template[] = "/tmp/mpsm_crash_harness_XXXXXX";
   if (::mkdtemp(dir_template) == nullptr) {
     std::perror("mkdtemp");
     return 2;
   }
-  Harness h = MakeHarness(backend);
+  Harness h = MakeHarness();
   h.dir = dir_template;
-  std::printf("crash harness: backend=%s artifacts=%s team=%u\n",
-              io::IoBackendKindName(backend), h.dir.c_str(), kWorkers);
+  std::printf("crash harness: artifacts=%s team=%u\n", h.dir.c_str(),
+              kWorkers);
   std::fflush(stdout);  // children inherit the buffer; don't duplicate it
 
   // A full run on this shape commits 3 records per worker (public run,

@@ -3,11 +3,9 @@
 // spool both inputs to disk as sorted paged runs, then join while
 // keeping only the pages around the current key-domain position
 // resident (Figure 4). The staging pool is sized from the budget and
-// fed by the async batched page-I/O subsystem (docs/io.md).
+// fed by the async batched page-I/O subsystem (docs/io.md), on
+// io_uring where the kernel accepts it and the threadpool elsewhere.
 //
-// MPSM_IO_BACKEND={threadpool,uring,auto} selects the I/O engine
-// (CI runs this example under several); an explicitly requested uring
-// on a host without kernel support falls back to auto with a note.
 // MPSM_POOL_BUDGET_KB pins the spill path's buffer pool to a fixed
 // byte budget (docs/storage.md) — the CI low-memory smoke sets it far
 // below the relation size, forcing clock eviction and async write-back
@@ -21,7 +19,7 @@
 
 #include "core/consumers.h"
 #include "engine/engine.h"
-#include "io/io_backend.h"
+#include "io/io_backend_kind.h"
 #include "util/env.h"
 #include "workload/generator.h"
 
@@ -29,23 +27,6 @@ int main() {
   using namespace mpsm;
 
   engine::EngineOptions engine_options;
-  if (const auto name = GetEnv("MPSM_IO_BACKEND")) {
-    const auto backend = io::ParseIoBackendKind(*name);
-    if (!backend.has_value()) {
-      std::fprintf(stderr, "unknown MPSM_IO_BACKEND '%s'\n", name->c_str());
-      return 1;
-    }
-    if (*backend == io::IoBackendKind::kUring && !io::UringSupported()) {
-      std::printf(
-          "io_uring unavailable on this host; falling back to auto\n");
-      engine_options.dmpsm.io_backend = io::IoBackendKind::kAuto;
-    } else {
-      engine_options.dmpsm.io_backend = *backend;
-    }
-  }
-  std::printf("io backend: %s (uring %s)\n",
-              io::IoBackendKindName(engine_options.dmpsm.io_backend),
-              io::UringSupported() ? "supported" : "unsupported");
 
   // An explicit pool budget overrides the planner's derivation; far
   // smaller than the relation it makes eviction + write-back mandatory.

@@ -470,15 +470,6 @@ void RunCache::InvalidateRelation(uint64_t relation_id) {
   }
 }
 
-void RunCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  materialized_.clear();
-  logs_.clear();
-  base_bytes_ = 0;
-  delta_bytes_ = 0;
-}
-
 uint64_t RunCache::resident_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return base_bytes_ + delta_bytes_;

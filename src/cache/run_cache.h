@@ -179,9 +179,6 @@ class RunCache {
   /// one relation (e.g. the table was dropped or rewritten wholesale).
   void InvalidateRelation(uint64_t relation_id);
 
-  /// Drops everything.
-  void Clear();
-
   // ------------------------------------------------------------ state
   uint64_t resident_bytes() const;
   uint64_t capacity_bytes() const { return options_.capacity_bytes; }

@@ -279,15 +279,6 @@ Status DMpsmOptions::Validate() const {
   if (directory.empty()) {
     return Status::InvalidArgument("directory must be non-empty");
   }
-  if (recovery.journal &&
-      (recovery.journal_path.empty() || recovery.spool_path.empty())) {
-    return Status::InvalidArgument(
-        "recovery.journal requires journal_path and spool_path");
-  }
-  if (recovery.resume != nullptr && !recovery.journal) {
-    return Status::InvalidArgument(
-        "recovery.resume requires recovery.journal");
-  }
   return Status::OK();
 }
 
@@ -309,7 +300,9 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
                                        const Relation& r_private,
                                        const Relation& s_public,
                                        ConsumerFactory& consumers,
-                                       DMpsmReport* report) const {
+                                       DMpsmReport* report,
+                                       const recovery::QueryJournal* journal)
+    const {
   const uint32_t num_workers = team.size();
   if (r_private.num_chunks() != num_workers ||
       s_public.num_chunks() != num_workers) {
@@ -317,12 +310,20 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         "relations must be chunked into team.size() chunks");
   }
   MPSM_RETURN_NOT_OK(options_.Validate());
+  if (journal != nullptr &&
+      (journal->journal_path.empty() || journal->spool_path.empty())) {
+    return Status::InvalidArgument(
+        "a journal needs its journal_path and spool_path");
+  }
 
   // Resume bookkeeping: which durable state a validated manifest lets
   // this execution skip. All empty on a cold start.
-  const bool journaling = options_.recovery.journal;
-  const recovery::ResumeState* resume = options_.recovery.resume;
-  const bool resuming = resume != nullptr && resume->HasWork();
+  const bool journaling = journal != nullptr;
+  const bool strict_sync = journaling && journal->options.strict_sync;
+  const bool checksum_runs = journaling && journal->options.checksum_runs;
+  const recovery::ResumeState* resume =
+      journaling ? &journal->resume : nullptr;
+  const bool resuming = journaling && resume->HasWork();
   std::vector<bool> public_reattached(num_workers, false);
   std::vector<bool> private_reattached(num_workers, false);
   std::vector<bool> chunk_done(num_workers, false);
@@ -333,7 +334,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   store_options.tuples_per_page = options_.tuples_per_page;
   store_options.directory = options_.directory;
   store_options.io_delay_us = options_.io_delay_us;
-  if (journaling) store_options.persist_path = options_.recovery.spool_path;
+  if (journaling) store_options.persist_path = journal->spool_path;
   PageStore store(store_options);
   MPSM_RETURN_NOT_OK(store.Open());
   if (resuming && resume->adopted_pages > 0) {
@@ -341,11 +342,13 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   }
 
   // One async page-I/O scheduler, fully owned by the buffer pool (one
-  // completion queue for frame loads, one for write-backs). A
-  // requested-but-unsupported backend fails the query here — not the
-  // process.
+  // completion queue for frame loads, one for write-backs). A synthetic
+  // device delay needs the threadpool, the one engine that models it;
+  // otherwise io_uring runs wherever the cached probe accepts it.
   io::IoSchedulerOptions io_options;
-  io_options.backend = options_.io_backend;
+  io_options.backend = options_.io_delay_us > 0
+                           ? io::IoBackendKind::kThreadpool
+                           : io::IoBackendKind::kAuto;
   io_options.queue_depth = kIoQueueDepth;
   io_options.batch_pages = kIoBatchPages;
   // Queues 0/1 feed the buffer pool; journaling adds a third for the
@@ -420,21 +423,21 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
 
   // The manifest: fresh on a cold start (truncating any stale file),
   // extended in place on resume.
-  std::unique_ptr<recovery::JoinJournal> journal;
+  std::unique_ptr<recovery::JoinJournal> manifest;
   if (journaling) {
     if (resuming) {
-      MPSM_ASSIGN_OR_RETURN(journal, recovery::JoinJournal::OpenForAppend(
-                                         options_.recovery.journal_path));
+      MPSM_ASSIGN_OR_RETURN(manifest, recovery::JoinJournal::OpenForAppend(
+                                         journal->journal_path));
     } else {
       const recovery::QueryFingerprint fp = recovery::FingerprintFor(
           r_private, s_public, num_workers, options_.tuples_per_page);
-      MPSM_ASSIGN_OR_RETURN(journal,
+      MPSM_ASSIGN_OR_RETURN(manifest,
                             recovery::JoinJournal::Create(
-                                options_.recovery.journal_path, fp,
-                                options_.recovery.strict_sync));
+                                journal->journal_path, fp,
+                                strict_sync));
     }
-    journal->set_kill_after_commits(options_.recovery.kill_after_commits);
-    journal->set_strict_sync(options_.recovery.strict_sync);
+    manifest->set_kill_after_commits(journal->options.kill_after_commits);
+    manifest->set_strict_sync(strict_sync);
   }
 
   // Commits one spooled run: pool write-back barrier for the run's
@@ -464,7 +467,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
       flushed_limit = std::max(flushed_limit, max_page);
       flushed_any = true;
     }
-    if (options_.recovery.strict_sync) {
+    if (strict_sync) {
       const uint64_t token = ++flush_token;
       MPSM_RETURN_NOT_OK(
           io_scheduler->SubmitFlush(token, kJournalFlushQueue));
@@ -480,7 +483,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         MPSM_RETURN_NOT_OK(io_scheduler->Pump(/*block=*/true));
       }
     }
-    return journal->CommitRun(record);
+    return manifest->CommitRun(record);
   };
 
   // Relaxed commits run on a dedicated committer thread so the
@@ -489,8 +492,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   // write waiting at every phase boundary. Strict mode keeps commits
   // inline: its point is that the phase does not advance past an
   // un-durable run.
-  const bool async_commits =
-      journal != nullptr && !options_.recovery.strict_sync;
+  const bool async_commits = manifest != nullptr && !strict_sync;
   std::mutex committer_mu;
   std::condition_variable committer_cv;
   std::deque<std::function<Status()>> commit_queue;
@@ -550,10 +552,8 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         worker_status[w] = SortAndSpool(
             s_public.chunk(w), w, ctx.node, store, *pool,
             ctx.Counters(kPhaseSortPublic), &index_parts[w], nullptr,
-            &spool_stall[w],
-            (journal && options_.recovery.checksum_runs) ? &checksum
-                                                          : nullptr);
-        if (journal && worker_status[w].ok()) {
+            &spool_stall[w], checksum_runs ? &checksum : nullptr);
+        if (manifest && worker_status[w].ok()) {
           recovery::RunRecord record;
           record.run_id = w;
           record.is_private = false;
@@ -596,10 +596,9 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         Status st = SortAndSpool(
             r_private.chunk(w), w, ctx.node, store, *pool,
             ctx.Counters(kPhaseSortPrivate),
-            journal ? &private_part : nullptr, &r_runs[w], &spool_stall[w],
-            (journal && options_.recovery.checksum_runs) ? &checksum
-                                                          : nullptr);
-        if (journal && st.ok()) {
+            manifest ? &private_part : nullptr, &r_runs[w], &spool_stall[w],
+            checksum_runs ? &checksum : nullptr);
+        if (manifest && st.ok()) {
           recovery::RunRecord record;
           record.run_id = w;
           record.is_private = true;
@@ -663,7 +662,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         // a restarted query can skip the whole walk. The snapshot is
         // self-contained — no spool barrier needed, just the record's
         // own fdatasync.
-        if (!failed && worker_status[w].ok() && journal &&
+        if (!failed && worker_status[w].ok() && manifest &&
             durable_consumers != nullptr) {
           obs::TraceSpan commit_span(obs::kCatRecovery,
                                      "recovery.commit_chunk");
@@ -671,8 +670,8 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
           record.worker = w;
           record.state = durable_consumers->SerializeWorker(w);
           worker_status[w] = submit_commit(
-              [&journal, record = std::move(record)] {
-                return journal->CommitChunk(record);
+              [&manifest, record = std::move(record)] {
+                return manifest->CommitChunk(record);
               });
         }
 
@@ -687,7 +686,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   phases.Run(team);
 
   // Drain the committer before the pool winds down (commits call
-  // FlushUpTo) and before the report reads journal->commits().
+  // FlushUpTo) and before the report reads manifest->commits().
   if (async_commits) {
     {
       std::lock_guard<std::mutex> lock(committer_mu);
@@ -719,9 +718,9 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
     report->resumed = resuming;
     report->runs_reattached = runs_reattached;
     report->chunks_skipped = chunks_skipped;
-    report->journal_commits = journal ? journal->commits() : 0;
+    report->journal_commits = manifest ? manifest->commits() : 0;
   }
-  if (journal) JournalCommitCounter().Add(journal->commits());
+  if (manifest) JournalCommitCounter().Add(manifest->commits());
 
   for (const Status& st : worker_status) {
     MPSM_RETURN_NOT_OK(st);
@@ -736,10 +735,10 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
 
   // Success: the durable artifacts are retired (a failed or killed run
   // leaves them for the retry to resume from).
-  if (journaling && !options_.recovery.retain_artifacts) {
-    journal->Discard();  // skip the close-time sync of a doomed file
-    journal.reset();
-    recovery::JoinJournal::Remove(options_.recovery.journal_path);
+  if (journaling && !journal->options.retain_artifacts) {
+    manifest->Discard();  // skip the close-time sync of a doomed file
+    manifest.reset();
+    recovery::JoinJournal::Remove(journal->journal_path);
     store.RemovePersistent();
   }
   return CollectRunInfo(team, timer.ElapsedSeconds());

@@ -18,7 +18,6 @@
 #include "core/join_stats.h"
 #include "core/join_types.h"
 #include "disk/page_store.h"
-#include "io/io_backend_kind.h"
 #include "io/io_scheduler.h"
 #include "parallel/worker_team.h"
 #include "recovery/recovery_manager.h"
@@ -26,50 +25,6 @@
 #include "util/status.h"
 
 namespace mpsm::disk {
-
-/// Crash-recovery knobs of one D-MPSM execution (docs/recovery.md).
-struct DMpsmRecoveryOptions {
-  /// Maintain a durable manifest: spool through a persistent named
-  /// file (`spool_path`) and commit a checksummed record to
-  /// `journal_path` after each run's pages are durable and after each
-  /// completed chunk walk. Off, the spool is an anonymous temp file
-  /// that dies with the process.
-  bool journal = false;
-  std::string journal_path;
-  std::string spool_path;
-
-  /// Validated durable state from a previous incarnation of this query
-  /// (RecoveryManager::Load). Borrowed; must outlive Execute. Null (or
-  /// empty) = cold start. Requires `journal`.
-  const recovery::ResumeState* resume = nullptr;
-
-  /// Keep the manifest and spool file after a *successful* run instead
-  /// of retiring them (tests and the crash harness inspect/truncate
-  /// them). Failed runs always keep their artifacts for the retry.
-  bool retain_artifacts = false;
-
-  /// Record an fnv1a checksum over each run's tuple content in its
-  /// manifest record (costs one pass over every spooled byte on the
-  /// sort path). Only RecoveryManagerOptions::verify_runs reads it; a
-  /// run committed without one (checksum 0) is re-attached on
-  /// structural validation alone.
-  bool checksum_runs = false;
-
-  /// Per-commit durability. Relaxed (the default) makes every commit
-  /// process-crash durable — the run's write-backs have completed and
-  /// the manifest record is written before the commit returns, so a
-  /// SIGKILL'd query resumes from it via the surviving OS page cache —
-  /// and defers device fdatasyncs to query end (a power cut may lose
-  /// the un-synced tail; resume treats it as ordinary lost work).
-  /// Strict pays an fdatasync write barrier on the spool plus one on
-  /// the manifest *per commit* (~2 device flushes each, D-MPSM commits
-  /// 3x team_size times per query) for power-loss-grade durability.
-  bool strict_sync = false;
-
-  /// Crash injection (tools/crash_harness): SIGKILL this process right
-  /// after the n-th durable manifest commit. 0 = off.
-  uint64_t kill_after_commits = 0;
-};
 
 /// Buffer-pool budget of a D-MPSM execution whose pool_budget_bytes is
 /// unset.
@@ -103,7 +58,11 @@ struct DMpsmPoolShape {
   uint64_t bytes() const { return uint64_t{frames} * page_bytes; }
 };
 
-/// D-MPSM tuning.
+/// D-MPSM's spill geometry. The I/O engine is derived: a store with a
+/// synthetic device delay runs the threadpool backend (the one engine
+/// that models it), any other runs io_uring when the kernel accepts it
+/// and the threadpool when it does not (docs/io.md). Journaling is the
+/// engine's per-query argument to Execute (EngineOptions::recovery).
 struct DMpsmOptions {
   /// Page size in tuples for both spooled inputs.
   size_t tuples_per_page = 4096;
@@ -118,15 +77,6 @@ struct DMpsmOptions {
   /// Spool directory and synthetic I/O delay (see PageStoreOptions).
   std::string directory = "/tmp";
   uint32_t io_delay_us = 0;
-
-  /// Async page-I/O engine for staging-pool and private-window fetches
-  /// (docs/io.md). kAuto picks io_uring when the kernel supports it,
-  /// else the threadpool.
-  io::IoBackendKind io_backend = io::IoBackendKind::kThreadpool;
-
-  /// Crash-safe restartability (docs/recovery.md): durable manifest,
-  /// persistent spool, resume state.
-  DMpsmRecoveryOptions recovery;
 
   /// Checks every knob against its legal range (e.g. tuples_per_page
   /// >= 1). Execute and the engine front door both call this.
@@ -144,7 +94,7 @@ struct DMpsmReport {
   /// Async I/O subsystem counters: pages read through the scheduler,
   /// vectored batches, coalescing wins, stall time, queue depths.
   io::IoSchedulerStats io_sched;
-  /// Concrete backend the run used (kAuto resolved).
+  /// The I/O engine the run used (derived: see DMpsmOptions).
   io::IoBackendKind io_backend_used = io::IoBackendKind::kThreadpool;
   /// Peak resident S pages in the shared staging ring.
   size_t peak_pool_pages = 0;
@@ -178,10 +128,14 @@ class DMpsmJoin {
 
   /// Joins `r_private` with `s_public`, spooling all runs through a
   /// page store. Relations must be chunked into team.size() chunks.
-  Result<JoinRunInfo> Execute(WorkerTeam& team, const Relation& r_private,
-                              const Relation& s_public,
-                              ConsumerFactory& consumers,
-                              DMpsmReport* report = nullptr) const;
+  /// With a `journal` (docs/recovery.md) the spool is its persistent
+  /// file, each durable run and completed chunk walk is committed to
+  /// its manifest, and its resume state is re-attached; without one
+  /// the spool is an anonymous temp file that dies with the process.
+  Result<JoinRunInfo> Execute(
+      WorkerTeam& team, const Relation& r_private, const Relation& s_public,
+      ConsumerFactory& consumers, DMpsmReport* report = nullptr,
+      const recovery::QueryJournal* journal = nullptr) const;
 
   const DMpsmOptions& options() const { return options_; }
 

@@ -65,8 +65,12 @@ WorkerTeam& Engine::TeamFor(uint32_t team_size) {
 }
 
 sim::MachineModel Engine::machine() const {
-  if (calibrated_machine_.has_value()) return *calibrated_machine_;
-  return Planner(&topology_, &options_).PlanningMachine();
+  return SessionPlanner(options_).PlanningMachine();
+}
+
+Planner Engine::SessionPlanner(const EngineOptions& options) const {
+  return Planner(&topology_, &options,
+                 calibrated_machine_ ? &*calibrated_machine_ : nullptr);
 }
 
 Result<uint64_t> Engine::Ingest(Relation& rel, const Tuple* tuples,
@@ -98,8 +102,8 @@ Result<JoinPlan> Engine::Plan(const JoinSpec& spec) const {
   const EngineOptions& options = spec.options ? *spec.options : options_;
   const uint32_t team_size = TeamSizeFor(spec);
   const auto hint = CachedRunsHintFor(spec, team_size);
-  return Planner(&topology_, &options)
-      .Plan(spec, team_size, hint ? &*hint : nullptr);
+  return SessionPlanner(options).Plan(spec, team_size,
+                                     hint ? &*hint : nullptr);
 }
 
 Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
@@ -177,9 +181,8 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
     const auto hint = CachedRunsHintFor(spec, team_size);
     obs::TraceSpan plan_span(obs::kCatPlan, "plan");
     MPSM_ASSIGN_OR_RETURN(report.plan,
-                          Planner(&topology_, &options)
-                              .Plan(run_spec, team_size,
-                                    hint ? &*hint : nullptr));
+                          SessionPlanner(options).Plan(
+                              run_spec, team_size, hint ? &*hint : nullptr));
   }
   report.plan_seconds = plan_timer.ElapsedSeconds();
   ++stats_.plans_created;
@@ -283,8 +286,8 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
       break;
     case Algorithm::kDMpsm: {
       report.dmpsm.emplace();
-      disk::DMpsmOptions dmpsm_options = report.plan.dmpsm;
-      std::optional<recovery::ResumeState> resume_state;
+      const disk::DMpsmOptions& dmpsm_options = report.plan.dmpsm;
+      std::optional<recovery::QueryJournal> journal;
       if (options.recovery.enabled) {
         // Crash-safe restartability (docs/recovery.md): fingerprint
         // the query, load any durable state a previous incarnation
@@ -302,20 +305,20 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
         manager_options.verify_runs = options.recovery.verify_runs;
         manager_options.tuples_per_page = dmpsm_options.tuples_per_page;
         recovery::RecoveryManager manager(manager_options);
-        auto loaded = manager.Load(fp);
-        if (!loaded.ok()) {
-          info = loaded.status();
+        auto resume = manager.Load(fp);
+        if (!resume.ok()) {
+          info = resume.status();
           break;
         }
-        resume_state = std::move(loaded).value();
-        dmpsm_options.recovery.journal = true;
-        dmpsm_options.recovery.journal_path = manager.JournalPath(fp);
-        dmpsm_options.recovery.spool_path = manager.SpoolPath(fp);
-        dmpsm_options.recovery.resume = &*resume_state;
+        journal.emplace();
+        journal->journal_path = manager.JournalPath(fp);
+        journal->spool_path = manager.SpoolPath(fp);
+        journal->resume = std::move(resume).value();
+        journal->options = options.recovery;
       }
       info = disk::DMpsmJoin(dmpsm_options)
                  .Execute(team, *run_spec.r, *run_spec.s, *spec.consumers,
-                          &*report.dmpsm);
+                          &*report.dmpsm, journal ? &*journal : nullptr);
       break;
     }
     case Algorithm::kRadix:
@@ -349,7 +352,6 @@ Result<JoinReport> Engine::Execute(const JoinSpec& spec) {
                      sim::ObserveRun(report.info.workers,
                                      simd::KeysPerCompare(report.simd_used)));
     calibrated_machine_ = model;
-    options_.machine = model;
   }
 
   static obs::Counter& queries_total = obs::MetricsRegistry::Global().counter(

@@ -177,7 +177,7 @@ class Engine {
 
   /// Replaces the session options; takes effect from the next query.
   /// The team is kept (only a changed `workers` forces a re-spawn).
-  /// Resets any recalibration drift to the new options' machine.
+  /// Resets any recalibration drift to the starting cost model.
   void set_options(EngineOptions options) {
     options_ = std::move(options);
     calibrated_machine_.reset();
@@ -185,9 +185,10 @@ class Engine {
 
   const SessionStats& stats() const { return stats_; }
 
-  /// The cost model the next query will be planned with. Starts as the
-  /// resolved EngineOptions::machine and — under options().recalibrate
-  /// — drifts toward this host's measured coefficients query by query.
+  /// The cost model the next query will be planned with. Starts as
+  /// Planner::PlanningMachine's HyPer1-derived model and — under
+  /// options().recalibrate — drifts toward this host's measured
+  /// coefficients query by query.
   sim::MachineModel machine() const;
 
   /// Attaches a cross-query run cache (cache/run_cache.h): P-MPSM
@@ -227,6 +228,9 @@ class Engine {
   /// required size changed.
   WorkerTeam& TeamFor(uint32_t team_size);
 
+  /// A planner over `options` and the session's cost model.
+  Planner SessionPlanner(const EngineOptions& options) const;
+
   /// What the run cache would serve for spec.s (Peek at this team
   /// size); nullopt without a cache, with caller-shared runs, or on a
   /// miss. Plan and Execute price with it.
@@ -238,8 +242,9 @@ class Engine {
   std::unique_ptr<WorkerTeam> team_;
   SessionStats stats_;
   cache::RunCache* run_cache_ = nullptr;
-  /// Session cost model under recalibration; unset until the first
-  /// recalibrating query resolves EngineOptions::machine.
+  /// The session cost model under recalibration, handed to every
+  /// planner; until the first recalibrating query sets it, planners
+  /// price with their HyPer1-derived model.
   std::optional<sim::MachineModel> calibrated_machine_;
 };
 

@@ -344,7 +344,7 @@ CandidateCost Planner::EstimateCost(Algorithm algorithm,
 }
 
 sim::MachineModel Planner::PlanningMachine() const {
-  if (options_->machine.has_value()) return *options_->machine;
+  if (machine_ != nullptr) return *machine_;
   sim::MachineModel machine = sim::MachineModel::HyPer1();
   if (topology_->num_nodes() > 1) {
     machine.nodes = topology_->num_nodes();
@@ -363,9 +363,7 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
   JoinPlan plan;
   plan.mpsm = options.mpsm;
   plan.mpsm.kind = spec.kind;
-  const uint64_t budget = spec.memory_budget_bytes != 0
-                              ? spec.memory_budget_bytes
-                              : options.memory_budget_bytes;
+  const uint64_t budget = spec.memory_budget_bytes;
   plan.dmpsm = options.dmpsm;
   if (plan.dmpsm.pool_budget_bytes == 0) {
     // Cap the buffer pool's frames at half the query budget: staging
@@ -385,12 +383,11 @@ Result<JoinPlan> Planner::Plan(const JoinSpec& spec, uint32_t team_size,
   PlannerInputs& in = plan.inputs;
   in.r_tuples = spec.r->size();
   in.s_tuples = spec.s->size();
-  in.multiplicity = spec.multiplicity_hint.value_or(
+  in.multiplicity =
       in.r_tuples > 0
           ? static_cast<double>(in.s_tuples) / static_cast<double>(in.r_tuples)
-          : 1.0);
-  in.skew = std::max(spec.skew_hint.value_or(EstimateSkew(*spec.r, *spec.s)),
-                     1.0);
+          : 1.0;
+  in.skew = EstimateSkew(*spec.r, *spec.s);
   in.memory_budget_bytes = budget;
   in.working_set_bytes = WorkingSetBytes(in.r_tuples, in.s_tuples);
   in.team_size = team_size;

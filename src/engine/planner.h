@@ -39,6 +39,7 @@
 #include "disk/d_mpsm.h"
 #include "numa/topology.h"
 #include "parallel/counters.h"
+#include "recovery/recovery_manager.h"
 #include "sim/machine_model.h"
 #include "simd/simd_kind.h"
 #include "storage/relation.h"
@@ -69,30 +70,10 @@ const char* AlgorithmName(Algorithm algorithm);
 /// baselines are inner-only.
 bool SupportsKind(Algorithm algorithm, JoinKind kind);
 
-/// Crash-safe restartability of the D-MPSM spill path
-/// (docs/recovery.md). Enabled, a D-MPSM execution spools through a
-/// persistent named file and commits a checksummed manifest record
-/// after each durable run and each completed chunk walk. A repeat
-/// Execute of the *same* query (inputs, versions, team size, page
-/// geometry — the manifest fingerprint) re-attaches the durable runs
-/// and skips completed chunks; any mismatch falls back to a clean cold
-/// run. Engine::Resume is Execute with this switched on. The journal's
-/// own knobs (checksum_runs, strict_sync, retain_artifacts,
-/// kill_after_commits) are set on EngineOptions::dmpsm.recovery.
-struct RecoveryOverrides {
-  bool enabled = false;
-  /// Manifest + persistent-spool directory; empty uses the D-MPSM
-  /// spill directory (DMpsmOptions::directory).
-  std::string dir;
-  /// Re-read and checksum every recorded run during Load (paranoid
-  /// resume; catches spool corruption the manifest cannot see).
-  bool verify_runs = false;
-};
-
 /// The engine's knob set: a few session fields plus each variant's own
 /// option struct, which the planner copies into the plan (filling in
-/// only the two fields noted below). Zero-initialise, then set only
-/// what differs from the defaults.
+/// only the two fields noted below), and the recovery settings.
+/// Zero-initialise, then set only what differs from the defaults.
 struct EngineOptions {
   // ------------------------------------------------------------ session
   /// Worker-team size. 0 sizes the team to the inputs' chunk count
@@ -103,22 +84,12 @@ struct EngineOptions {
   /// Bypass planning and always run this algorithm (A/B harnesses).
   std::optional<Algorithm> force_algorithm;
 
-  /// Session-wide RAM budget for a join's working set (inputs + runs);
-  /// 0 = unlimited. JoinSpec::memory_budget_bytes overrides per query.
-  uint64_t memory_budget_bytes = 0;
-
-  /// Cost model the planner prices candidates with. Unset derives one
-  /// from the probed topology (its node/core counts with the paper's
-  /// calibrated HyPer1 coefficients); on single-node development
-  /// machines the HyPer1 layout is kept so plans match the paper's
-  /// NUMA reasoning (bench/common.h convention).
-  std::optional<sim::MachineModel> machine;
-
   /// Close the planner feedback loop: after each executed query, fold
   /// the measured per-phase times back into the session's cost model
-  /// (sim/calibration.h), so repeated sessions converge on this host's
-  /// observed ns_per_sort_unit / ns_per_merge_key. Session-level only:
-  /// a per-query options override never mutates the session model.
+  /// (sim/calibration.h, Engine::machine), so repeated sessions
+  /// converge on this host's observed ns_per_sort_unit /
+  /// ns_per_merge_key. Session-level only: a per-query options
+  /// override never mutates the session model.
   bool recalibrate = false;
 
   // ------------------------------------------------------------ tracing
@@ -136,8 +107,10 @@ struct EngineOptions {
   /// half the query's memory budget when one is set.
   disk::DMpsmOptions dmpsm;
 
-  /// Crash-safe restartable spilling joins (docs/recovery.md).
-  RecoveryOverrides recovery;
+  /// Crash-safe restartable spilling joins (docs/recovery.md): the one
+  /// place recovery is configured. Engine::Execute builds each
+  /// journaled D-MPSM query's recovery::QueryJournal from it.
+  recovery::RecoveryOptions recovery;
 };
 
 /// One join request: inputs, semantics, constraints, and the consumer
@@ -153,17 +126,12 @@ struct JoinSpec {
   /// Receives the join output; one consumer per worker.
   ConsumerFactory* consumers = nullptr;
 
-  /// RAM budget for this query's working set; 0 = the session default
-  /// (EngineOptions::memory_budget_bytes).
+  /// RAM budget for this query's working set (inputs + runs);
+  /// 0 = unlimited.
   uint64_t memory_budget_bytes = 0;
 
   /// Force a specific algorithm for this query only.
   std::optional<Algorithm> algorithm;
-
-  /// Workload statistics, when the caller knows them. Unset values are
-  /// estimated from the data (|S|/|R|; a key-histogram sample).
-  std::optional<double> multiplicity_hint;
-  std::optional<double> skew_hint;
 
   /// Per-query override of the session's EngineOptions (the pointee
   /// must outlive the Execute call). Null uses the session options.
@@ -298,9 +266,12 @@ struct CachedRunsHint {
 /// the borrowed references; cheap to construct per query.
 class Planner {
  public:
-  /// Both pointees must outlive the planner.
-  Planner(const numa::Topology* topology, const EngineOptions* options)
-      : topology_(topology), options_(options) {}
+  /// Every pointee must outlive the planner. `machine` is the session's
+  /// recalibrated cost model; null plans with the starting one
+  /// (PlanningMachine).
+  Planner(const numa::Topology* topology, const EngineOptions* options,
+          const sim::MachineModel* machine = nullptr)
+      : topology_(topology), options_(options), machine_(machine) {}
 
   /// Produces the plan for `spec` on a team of `team_size` workers.
   /// Validates the plan's option structs (their Validate() methods)
@@ -310,8 +281,12 @@ class Planner {
   Result<JoinPlan> Plan(const JoinSpec& spec, uint32_t team_size,
                         const CachedRunsHint* cached_runs = nullptr) const;
 
-  /// The cost model this planner prices candidates with (the resolved
-  /// EngineOptions::machine).
+  /// The cost model this planner prices candidates with: the session's
+  /// when one was given, else the one a session starts from (the
+  /// paper's calibrated HyPer1 coefficients with the probed topology's
+  /// node/core counts; on single-node development machines the HyPer1
+  /// layout is kept so plans match the paper's NUMA reasoning,
+  /// bench/common.h convention).
   sim::MachineModel PlanningMachine() const;
 
   /// Modeled cost of `algorithm` under `inputs` on `machine`;
@@ -335,6 +310,7 @@ class Planner {
  private:
   const numa::Topology* topology_;
   const EngineOptions* options_;
+  const sim::MachineModel* machine_;
 };
 
 }  // namespace mpsm::engine

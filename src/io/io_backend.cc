@@ -30,13 +30,6 @@ const char* IoBackendKindName(IoBackendKind kind) {
   return "unknown";
 }
 
-std::optional<IoBackendKind> ParseIoBackendKind(std::string_view name) {
-  if (name == "threadpool") return IoBackendKind::kThreadpool;
-  if (name == "uring") return IoBackendKind::kUring;
-  if (name == "auto") return IoBackendKind::kAuto;
-  return std::nullopt;
-}
-
 namespace {
 
 // Runs one vectored transfer (`transfer` is preadv or pwritev) to
@@ -142,8 +135,8 @@ Result<std::unique_ptr<AsyncIoBackend>> CreateIoBackend(IoBackendKind kind,
       if (backend == nullptr) {
         return Status::NotSupported(
             "io_uring unavailable (kernel too old, seccomp-filtered, or "
-            "built without <linux/io_uring.h>); use io_backend=auto to "
-            "fall back to the threadpool backend");
+            "built without <linux/io_uring.h>); kAuto falls back to the "
+            "threadpool backend");
       }
       return backend;
     }

@@ -1,11 +1,9 @@
-// IoBackendKind enum, split from io_backend.h so option structs can
-// name the knob without pulling in the backend machinery (threads,
-// ring buffers) — same pattern as parallel/scheduler_kind.h.
+// IoBackendKind enum, split from io_backend.h so reports can name the
+// engine without pulling in the backend machinery (threads, ring
+// buffers) — same pattern as parallel/scheduler_kind.h.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace mpsm::io {
 
@@ -20,9 +18,5 @@ enum class IoBackendKind : uint8_t {
 
 /// Name of an IoBackendKind ("threadpool", "uring", "auto").
 const char* IoBackendKindName(IoBackendKind kind);
-
-/// Parses a backend name (the strings IoBackendKindName emits);
-/// nullopt on anything else.
-std::optional<IoBackendKind> ParseIoBackendKind(std::string_view name);
 
 }  // namespace mpsm::io

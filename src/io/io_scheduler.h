@@ -37,10 +37,11 @@
 
 namespace mpsm::io {
 
-/// Scheduler tuning; Create validates it. D-MPSM runs the backend it
-/// is given at disk::kIoQueueDepth and disk::kIoBatchPages.
+/// Scheduler tuning; Create validates it. D-MPSM derives the backend
+/// from its store (disk::DMpsmOptions) and runs it at
+/// disk::kIoQueueDepth and disk::kIoBatchPages.
 struct IoSchedulerOptions {
-  /// Which engine performs the reads.
+  /// Which engine performs the reads (the conformance tests drive each).
   IoBackendKind backend = IoBackendKind::kThreadpool;
   /// Most vectored reads in flight at the backend at once (>= 1).
   size_t queue_depth = 16;

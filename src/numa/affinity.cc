@@ -15,13 +15,4 @@ bool PinCurrentThreadToCore(uint32_t core) {
   return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
 }
 
-void UnpinCurrentThread() {
-  const long online = sysconf(_SC_NPROCESSORS_ONLN);
-  if (online <= 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (long core = 0; core < online; ++core) CPU_SET(core, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-}
-
 }  // namespace mpsm::numa

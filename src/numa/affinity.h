@@ -10,7 +10,4 @@ namespace mpsm::numa {
 /// the container restricts affinity); callers treat pinning as advisory.
 bool PinCurrentThreadToCore(uint32_t core);
 
-/// Clears any affinity restriction for the calling thread (best effort).
-void UnpinCurrentThread();
-
 }  // namespace mpsm::numa

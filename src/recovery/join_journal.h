@@ -124,7 +124,7 @@ class JoinJournal {
   /// OS page cache survives SIGKILL) but a power cut may lose the
   /// un-synced tail, which resume treats as ordinary lost work. The
   /// D-MPSM spill path runs relaxed by default
-  /// (DMpsmRecoveryOptions::strict_sync) — the per-query overhead
+  /// (RecoveryOptions::strict_sync) — the per-query overhead
   /// budget cannot afford ~20 device flushes.
   void set_strict_sync(bool strict) { strict_sync_ = strict; }
 

@@ -209,7 +209,7 @@ void RecoveryManager::VerifyRuns(const QueryFingerprint& fp,
   std::vector<char> page(page_bytes);
   auto verify_one = [&](const RunRecord& run) {
     // Checksum 0 means the producer opted out of content checksums
-    // (DMpsmRecoveryOptions::checksum_runs); the structural ladder in
+    // (RecoveryOptions::checksum_runs); the structural ladder in
     // Load already validated the run, so keep it.
     if (run.content_checksum == 0) return true;
     uint64_t checksum = 0xcbf29ce484222325ull;

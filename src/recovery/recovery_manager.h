@@ -46,6 +46,67 @@ struct ResumeState {
   bool HasWork() const;
 };
 
+/// Crash-safe restartability of the D-MPSM spill path, set once on
+/// EngineOptions::recovery (docs/recovery.md). Enabled, a D-MPSM
+/// execution spools through a persistent named file and commits a
+/// checksummed manifest record after each durable run and each
+/// completed chunk walk. A repeat Execute of the *same* query (inputs,
+/// versions, team size, page geometry: the manifest fingerprint)
+/// re-attaches the durable runs and skips completed chunks; any
+/// mismatch falls back to a clean cold run. Engine::Resume is Execute
+/// with `enabled` switched on.
+struct RecoveryOptions {
+  bool enabled = false;
+  /// Manifest + persistent-spool directory; empty uses the D-MPSM
+  /// spill directory (DMpsmOptions::directory).
+  std::string dir;
+  /// Re-read and checksum every recorded run during Load (paranoid
+  /// resume; catches spool corruption the manifest cannot see).
+  bool verify_runs = false;
+
+  /// Record an fnv1a checksum over each run's tuple content in its
+  /// manifest record (costs one pass over every spooled byte on the
+  /// sort path). Only verify_runs reads it; a run committed without one
+  /// (checksum 0) is re-attached on structural validation alone.
+  bool checksum_runs = false;
+
+  /// Per-commit durability. Relaxed (the default) makes every commit
+  /// process-crash durable — the run's write-backs have completed and
+  /// the manifest record is written before the commit returns, so a
+  /// SIGKILL'd query resumes from it via the surviving OS page cache —
+  /// and defers device fdatasyncs to query end (a power cut may lose
+  /// the un-synced tail; resume treats it as ordinary lost work).
+  /// Strict pays an fdatasync write barrier on the spool plus one on
+  /// the manifest *per commit* (~2 device flushes each, D-MPSM commits
+  /// 3x team_size times per query) for power-loss-grade durability.
+  bool strict_sync = false;
+
+  /// Keep the manifest and spool file after a *successful* run instead
+  /// of retiring them (tests and the crash harness inspect/truncate
+  /// them). Failed runs always keep their artifacts for the retry.
+  bool retain_artifacts = false;
+
+  /// Crash injection (tools/crash_harness): SIGKILL this process right
+  /// after the n-th durable manifest commit. 0 = off.
+  uint64_t kill_after_commits = 0;
+};
+
+/// One journaled query: its manifest and persistent spool file
+/// (RecoveryManager::JournalPath / SpoolPath), the durable state a
+/// previous incarnation left there, and the settings it commits under.
+/// Engine::Execute builds one per query; DMpsmJoin::Execute commits to
+/// it.
+struct QueryJournal {
+  std::string journal_path;
+  std::string spool_path;
+  /// Validated durable state (RecoveryManager::Load); empty = cold
+  /// start.
+  ResumeState resume;
+  /// EngineOptions::recovery; the executor reads checksum_runs,
+  /// strict_sync, retain_artifacts and kill_after_commits.
+  RecoveryOptions options;
+};
+
 /// How the manager finds and checks durable state.
 struct RecoveryManagerOptions {
   /// Directory holding manifests and persistent spool files.

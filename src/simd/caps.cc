@@ -19,13 +19,14 @@ const Caps& DetectCaps() {
 }
 
 SimdKind Resolve(SimdKind kind) {
-  // The one switch of the joins' kind: MPSM_SIMD=scalar forces every
-  // kernel to its scalar path (read once, cached).
+  // The one switch of the joins' kind, which all request kAuto:
+  // MPSM_SIMD=scalar forces every join kernel to its scalar path (read
+  // once, cached). An explicit kind is what its caller asked for.
   static const std::optional<SimdKind> env_kind = [] {
     const auto value = GetEnv("MPSM_SIMD");
     return value.has_value() ? ParseSimdKind(*value) : std::nullopt;
   }();
-  if (env_kind.has_value()) kind = *env_kind;
+  if (kind == SimdKind::kAuto && env_kind.has_value()) kind = *env_kind;
 
   const Caps& caps = DetectCaps();
   if (kind == SimdKind::kAuto) kind = SimdKind::kAvx512;

@@ -9,7 +9,8 @@
 // kind, and an explicit kind on a host without it degrades to the
 // widest *narrower* kind instead of faulting (a kernel row asking for
 // avx512 on an avx2 box measures avx2, it does not SIGILL). The joins
-// request kAuto; JoinPlan/JoinReport print the kind they ran at.
+// request kAuto, the one kind MPSM_SIMD overrides; JoinPlan/JoinReport
+// print the kind they ran at.
 #pragma once
 
 #include <vector>
@@ -31,9 +32,11 @@ const Caps& DetectCaps();
 /// Resolves `kind` to a concrete executable kind: kAuto becomes the
 /// widest supported kind, an unsupported explicit kind degrades to the
 /// widest supported narrower one (kScalar always executes). The
-/// MPSM_SIMD environment variable, when set to a kind name, overrides
-/// the requested kind before resolution: it is the one switch of the
-/// joins' kind (CI forces "scalar" and "avx2" through it).
+/// MPSM_SIMD environment variable, when set to a kind name, replaces
+/// kAuto before resolution: it is the one switch of the joins' kind,
+/// since every join requests kAuto (CI forces "scalar" and "avx2"
+/// through it). Explicit kinds — kernel rows, the kind-sweep tests —
+/// ignore it.
 SimdKind Resolve(SimdKind kind);
 
 /// Keys compared per vector register for a *resolved* kind (1, 4, 8):

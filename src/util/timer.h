@@ -22,9 +22,6 @@ class WallTimer {
   /// Elapsed time in milliseconds.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
-  /// Elapsed time in microseconds.
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -122,9 +122,11 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   // default, and the plan must carry each value through. Two fields
   // are the planner's: mpsm.kind comes from JoinSpec::kind, and an
   // unset dmpsm.pool_budget_bytes becomes half the query budget.
+  // D-MPSM's struct is its spill geometry alone: the journal is built
+  // per query at Execute, so no plan carries a manifest or resume
+  // state.
   const auto topology = Topo();
   const auto dataset = MediumDataset(topology, 8);
-  const recovery::ResumeState resume;
 
   EngineOptions options;
   options.workers = 8;
@@ -139,15 +141,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   d.pool_budget_bytes = 3u << 20;
   d.directory = "/spill";
   d.io_delay_us = 7;
-  d.io_backend = io::IoBackendKind::kAuto;
-  d.recovery.journal = true;
-  d.recovery.journal_path = "/spill/m.jnl";
-  d.recovery.spool_path = "/spill/s.pages";
-  d.recovery.resume = &resume;
-  d.recovery.retain_artifacts = true;
-  d.recovery.checksum_runs = true;
-  d.recovery.strict_sync = true;
-  d.recovery.kill_after_commits = 5;
   Engine engine(topology, options);
 
   JoinSpec spec;
@@ -168,17 +161,6 @@ TEST(PlannerGoldenTest, PlanCarriesTheVariantOptionsUnchanged) {
   EXPECT_EQ(plan->dmpsm.pool_budget_bytes, d.pool_budget_bytes);  // wins
   EXPECT_EQ(plan->dmpsm.directory, d.directory);
   EXPECT_EQ(plan->dmpsm.io_delay_us, d.io_delay_us);
-  EXPECT_EQ(plan->dmpsm.io_backend, d.io_backend);
-  EXPECT_EQ(plan->dmpsm.recovery.journal, d.recovery.journal);
-  EXPECT_EQ(plan->dmpsm.recovery.journal_path, d.recovery.journal_path);
-  EXPECT_EQ(plan->dmpsm.recovery.spool_path, d.recovery.spool_path);
-  EXPECT_EQ(plan->dmpsm.recovery.resume, &resume);
-  EXPECT_EQ(plan->dmpsm.recovery.retain_artifacts,
-            d.recovery.retain_artifacts);
-  EXPECT_EQ(plan->dmpsm.recovery.checksum_runs, d.recovery.checksum_runs);
-  EXPECT_EQ(plan->dmpsm.recovery.strict_sync, d.recovery.strict_sync);
-  EXPECT_EQ(plan->dmpsm.recovery.kill_after_commits,
-            d.recovery.kill_after_commits);
 
   // Unset, the pool budget is half the query's; without a budget it
   // stays unset (kDefaultPoolBudgetBytes).
@@ -426,6 +408,9 @@ TEST(EngineSessionTest, AutoTeamSizeFollowsChunkingAndRespawnsOnce) {
 
 // ------------------------------------------------- round-trip matrix
 
+// `io_backend` is the engine the D-MPSM cells must run on: the
+// threadpool under a synthetic device delay, io_uring on the page
+// cache (those cells skip where the kernel refuses io_uring).
 struct MatrixCase {
   Algorithm algorithm;
   JoinKind kind;
@@ -467,7 +452,9 @@ TEST_P(EngineMatrixTest, MatchesReferenceJoin) {
 
   EngineOptions options;
   options.workers = kWorkers;
-  options.dmpsm.io_backend = io_backend;
+  if (io_backend == io::IoBackendKind::kThreadpool) {
+    options.dmpsm.io_delay_us = 1;
+  }
   Engine engine(topology, options);
 
   // Three joins on one session: the cell's join, a smaller one, then
@@ -501,13 +488,16 @@ TEST_P(EngineMatrixTest, MatchesReferenceJoin) {
     // Variant-specific diagnostics land in the unified report.
     EXPECT_EQ(report->pmpsm.has_value(), algorithm == Algorithm::kPMpsm);
     EXPECT_EQ(report->dmpsm.has_value(), algorithm == Algorithm::kDMpsm);
+    if (report->dmpsm.has_value()) {
+      EXPECT_EQ(report->dmpsm->io_backend_used, io_backend);
+    }
   }
 }
 
 std::vector<MatrixCase> AllMatrixCases() {
-  // The 5x4 algorithm x JoinKind matrix under every io backend (the
-  // backend only steers the D-MPSM spill path, but the whole matrix
-  // must stay green regardless of the session-level knob).
+  // The 5x4 algorithm x JoinKind matrix on both spill devices (the
+  // device only steers the D-MPSM spill path, but the whole matrix
+  // must stay green on either session).
   std::vector<MatrixCase> cases;
   for (const io::IoBackendKind backend :
        {io::IoBackendKind::kThreadpool, io::IoBackendKind::kUring}) {

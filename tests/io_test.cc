@@ -1,7 +1,7 @@
 // The async batched page-I/O subsystem (src/io/): backend conformance
 // across threadpool / uring, IoScheduler coalescing, queue-depth
 // and byte-budget enforcement, completion routing, fault injection via
-// a flaky mock backend, and the D-MPSM io_backend x scheduler sweep.
+// a flaky mock backend, and D-MPSM on each engine it derives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,18 +66,7 @@ void FillStore(PageStore& store, uint64_t num_pages, size_t per_page) {
   }
 }
 
-// ------------------------------------------------ kind names / parse
-
-TEST(IoBackendKindTest, NamesRoundTrip) {
-  for (const IoBackendKind kind :
-       {IoBackendKind::kThreadpool, IoBackendKind::kUring,
-        IoBackendKind::kAuto}) {
-    const auto parsed = io::ParseIoBackendKind(IoBackendKindName(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(io::ParseIoBackendKind("aio").has_value());
-}
+// ------------------------------------------------------ kind resolution
 
 TEST(IoBackendKindTest, AutoResolvesToConcreteKind) {
   const IoBackendKind resolved =
@@ -542,10 +531,12 @@ TEST(IoFaultInjectionTest, WriteFaultsSurfaceThroughFlush) {
   EXPECT_EQ((*pool)->Close().code(), StatusCode::kIoError);
 }
 
-// ------------------------------------------- d-mpsm io_backend sweep
+// ---------------------------------------------- d-mpsm engine sweep
 
-// D-MPSM walks the page index statically; `scheduler` names that walk
-// in each case's `<backend>_static` name.
+// D-MPSM derives its engine from the store: the threadpool case runs
+// a synthetic device delay, the uring case the page cache. It walks the
+// page index statically; `scheduler` names that walk in each case's
+// `<backend>_static` name.
 struct SweepCase {
   IoBackendKind backend;
   SchedulerKind scheduler = SchedulerKind::kStatic;
@@ -576,7 +567,7 @@ TEST_P(DMpsmIoSweepTest, MatchesReferenceWithSaneIoStats) {
   disk::DMpsmOptions options;
   options.tuples_per_page = 64;
   options.pool_budget_bytes = 16 * disk::PageStore::PageBytes(64);
-  options.io_backend = backend;
+  if (backend == IoBackendKind::kThreadpool) options.io_delay_us = 1;
   CountFactory counts(team_size);
   disk::DMpsmReport report;
   auto info = disk::DMpsmJoin(options).Execute(team, dataset.r, dataset.s,
@@ -618,21 +609,23 @@ TEST(DMpsmIoOptionsTest, ValidateRejectsBadIoKnobs) {
   const auto dataset = workload::Generate(topology, 4, spec);
 
   // Where the spill's pages and manifest go: a spool directory, and
-  // both files' paths when journaling.
-  for (auto mutate : {+[](disk::DMpsmOptions& o) { o.directory = ""; },
-                      +[](disk::DMpsmOptions& o) {
-                        o.recovery.journal = true;
-                        o.recovery.spool_path = "/tmp/unused.pages";
-                      },
-                      +[](disk::DMpsmOptions& o) {
-                        o.recovery.journal = true;
-                        o.recovery.journal_path = "/tmp/unused.jnl";
-                      }}) {
+  // both files' paths of a journal.
+  disk::DMpsmOptions no_directory;
+  no_directory.directory = "";
+  recovery::QueryJournal no_manifest;
+  no_manifest.spool_path = "/tmp/unused.pages";
+  recovery::QueryJournal no_spool;
+  no_spool.journal_path = "/tmp/unused.jnl";
+  const struct {
     disk::DMpsmOptions options;
-    mutate(options);
+    const recovery::QueryJournal* journal;
+  } cases[] = {{no_directory, nullptr},
+               {disk::DMpsmOptions{}, &no_manifest},
+               {disk::DMpsmOptions{}, &no_spool}};
+  for (const auto& c : cases) {
     CountFactory counts(4);
-    auto info =
-        disk::DMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts);
+    auto info = disk::DMpsmJoin(c.options).Execute(
+        team, dataset.r, dataset.s, counts, nullptr, c.journal);
     EXPECT_FALSE(info.ok());
     EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
   }

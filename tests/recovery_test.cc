@@ -19,6 +19,7 @@
 #include "core/consumers.h"
 #include "disk/d_mpsm.h"
 #include "engine/engine.h"
+#include "io/io_backend_kind.h"
 #include "numa/topology.h"
 #include "recovery/join_journal.h"
 #include "recovery/recovery_manager.h"
@@ -36,6 +37,7 @@ using recovery::ChunkRecord;
 using recovery::FingerprintFor;
 using recovery::JoinJournal;
 using recovery::QueryFingerprint;
+using recovery::QueryJournal;
 using recovery::RecoveryManager;
 using recovery::RecoveryManagerOptions;
 using recovery::ResumeState;
@@ -345,19 +347,24 @@ TEST(RecoveryManagerTest, ShortSpoolFallsBackCold) {
 
 // --------------------------------------------------- d-mpsm end to end
 
-DMpsmOptions JournaledOptions(const RecoveryManager& manager,
-                              const QueryFingerprint& fp,
-                              const std::string& dir) {
+DMpsmOptions SpillOptions(const std::string& dir) {
   DMpsmOptions options;
   options.tuples_per_page = kTuplesPerPage;
   options.pool_budget_bytes = PoolBudgetBytes();
   options.directory = dir;
-  options.recovery.journal = true;
-  options.recovery.journal_path = manager.JournalPath(fp);
-  options.recovery.spool_path = manager.SpoolPath(fp);
-  options.recovery.retain_artifacts = true;
-  options.recovery.checksum_runs = true;
   return options;
+}
+
+/// A cold journal for `fp` that checksums its runs and keeps its
+/// artifacts for the next incarnation.
+QueryJournal ColdJournal(const RecoveryManager& manager,
+                         const QueryFingerprint& fp) {
+  QueryJournal journal;
+  journal.journal_path = manager.JournalPath(fp);
+  journal.spool_path = manager.SpoolPath(fp);
+  journal.options.retain_artifacts = true;
+  journal.options.checksum_runs = true;
+  return journal;
 }
 
 TEST(DMpsmRecoveryTest, JournaledColdRunMatchesReferenceAndRetires) {
@@ -379,13 +386,14 @@ TEST(DMpsmRecoveryTest, JournaledColdRunMatchesReferenceAndRetires) {
   RecoveryManager manager({dir.path, false, kTuplesPerPage});
   const QueryFingerprint fp =
       FingerprintFor(dataset.r, dataset.s, kTeam, kTuplesPerPage);
-  DMpsmOptions options = JournaledOptions(manager, fp, dir.path);
-  options.recovery.retain_artifacts = false;
+  QueryJournal journal = ColdJournal(manager, fp);
+  journal.options.retain_artifacts = false;
 
   CountFactory counts(kTeam);
   DMpsmReport report;
-  auto info = DMpsmJoin(options).Execute(team, dataset.r, dataset.s, counts,
-                                         &report);
+  auto info = DMpsmJoin(SpillOptions(dir.path))
+                  .Execute(team, dataset.r, dataset.s, counts, &report,
+                           &journal);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(counts.Result(), expected);
   EXPECT_FALSE(report.resumed);
@@ -410,22 +418,25 @@ TEST(DMpsmRecoveryTest, ResumeFromCompleteManifestSkipsEverything) {
   RecoveryManager manager({dir.path, false, kTuplesPerPage});
   const QueryFingerprint fp =
       FingerprintFor(dataset.r, dataset.s, kTeam, kTuplesPerPage);
-  DMpsmOptions options = JournaledOptions(manager, fp, dir.path);
+  const DMpsmOptions options = SpillOptions(dir.path);
+  QueryJournal journal = ColdJournal(manager, fp);
 
   CountFactory first(kTeam);
-  ASSERT_TRUE(
-      DMpsmJoin(options).Execute(team, dataset.r, dataset.s, first).ok());
+  ASSERT_TRUE(DMpsmJoin(options)
+                  .Execute(team, dataset.r, dataset.s, first, nullptr,
+                           &journal)
+                  .ok());
 
   auto state = manager.Load(fp);
   ASSERT_TRUE(state.ok());
   ASSERT_TRUE(state->HasWork());
   EXPECT_GT(state->adopted_pages, 0u);
 
-  options.recovery.resume = &*state;
+  journal.resume = std::move(state).value();
   CountFactory second(kTeam);
   DMpsmReport report;
   auto info = DMpsmJoin(options).Execute(team, dataset.r, dataset.s, second,
-                                         &report);
+                                         &report, &journal);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(second.Result(), first.Result());
   EXPECT_TRUE(report.resumed);
@@ -471,11 +482,13 @@ TEST(DMpsmRecoveryTest, RandomizedCrashPointsResumeToExactOutput) {
   RecoveryManager manager({dir.path, true, kTuplesPerPage});
   const QueryFingerprint fp =
       FingerprintFor(dataset.r, dataset.s, kTeam, kTuplesPerPage);
-  const DMpsmOptions base = JournaledOptions(manager, fp, dir.path);
+  const DMpsmOptions options = SpillOptions(dir.path);
+  const QueryJournal cold = ColdJournal(manager, fp);
 
   MaterializeFactory full(kTeam);
-  ASSERT_TRUE(
-      DMpsmJoin(base).Execute(team, dataset.r, dataset.s, full).ok());
+  ASSERT_TRUE(DMpsmJoin(options)
+                  .Execute(team, dataset.r, dataset.s, full, nullptr, &cold)
+                  .ok());
   ASSERT_EQ(SortedRows(full.AllRows()), expected);
 
   const std::vector<char> journal_bytes =
@@ -489,29 +502,29 @@ TEST(DMpsmRecoveryTest, RandomizedCrashPointsResumeToExactOutput) {
     // Restore the crashed incarnation's artifacts, then damage them.
     WriteFileBytes(manager.SpoolPath(fp), spool_bytes.data(),
                    spool_bytes.size());
-    std::vector<char> journal = journal_bytes;
+    std::vector<char> bytes = journal_bytes;
     const int mode = trial % 3;
     if (mode == 0) {  // crash at an arbitrary byte: truncated tail
-      journal.resize(rng() % (journal.size() + 1));
+      bytes.resize(rng() % (bytes.size() + 1));
     } else if (mode == 1) {  // bit rot / torn frame mid-file
-      if (!journal.empty()) journal[rng() % journal.size()] ^= 0x20;
+      if (!bytes.empty()) bytes[rng() % bytes.size()] ^= 0x20;
     }  // mode 2: intact manifest (clean kill after the last commit)
-    WriteFileBytes(manager.JournalPath(fp), journal.data(), journal.size());
+    WriteFileBytes(manager.JournalPath(fp), bytes.data(), bytes.size());
 
     auto state = manager.Load(fp);
     ASSERT_TRUE(state.ok()) << "trial " << trial << ": "
                             << state.status().ToString();
 
-    DMpsmOptions options = base;
-    options.recovery.resume = &*state;
+    QueryJournal journal = cold;
+    journal.resume = std::move(state).value();
     MaterializeFactory out(kTeam);
     DMpsmReport report;
     auto info = DMpsmJoin(options).Execute(team, dataset.r, dataset.s, out,
-                                           &report);
+                                           &report, &journal);
     ASSERT_TRUE(info.ok())
         << "trial " << trial << ": " << info.status().ToString();
     EXPECT_EQ(SortedRows(out.AllRows()), expected) << "trial " << trial;
-    if (state->HasWork()) {
+    if (journal.resume.HasWork()) {
       EXPECT_TRUE(report.resumed) << "trial " << trial;
     }
   }
@@ -531,10 +544,13 @@ TEST(DMpsmRecoveryTest, BumpedRelationVersionRunsColdAndCorrect) {
   RecoveryManager manager({dir.path, false, kTuplesPerPage});
   const QueryFingerprint fp =
       FingerprintFor(dataset.r, dataset.s, kTeam, kTuplesPerPage);
-  const DMpsmOptions options = JournaledOptions(manager, fp, dir.path);
+  const DMpsmOptions options = SpillOptions(dir.path);
+  const QueryJournal journal = ColdJournal(manager, fp);
   CountFactory first(kTeam);
-  ASSERT_TRUE(
-      DMpsmJoin(options).Execute(team, dataset.r, dataset.s, first).ok());
+  ASSERT_TRUE(DMpsmJoin(options)
+                  .Execute(team, dataset.r, dataset.s, first, nullptr,
+                           &journal)
+                  .ok());
 
   // The input changed: the durable state keys to a different
   // fingerprint, so the restarted query finds nothing and runs cold.
@@ -546,16 +562,72 @@ TEST(DMpsmRecoveryTest, BumpedRelationVersionRunsColdAndCorrect) {
   ASSERT_TRUE(state.ok());
   EXPECT_FALSE(state->HasWork());
 
-  DMpsmOptions cold = JournaledOptions(manager, bumped, dir.path);
-  cold.recovery.resume = &*state;
+  QueryJournal cold = ColdJournal(manager, bumped);
+  cold.resume = std::move(state).value();
   CountFactory second(kTeam);
   DMpsmReport report;
-  ASSERT_TRUE(DMpsmJoin(cold)
-                  .Execute(team, dataset.r, dataset.s, second, &report)
+  ASSERT_TRUE(DMpsmJoin(options)
+                  .Execute(team, dataset.r, dataset.s, second, &report, &cold)
                   .ok());
   EXPECT_EQ(second.Result(), first.Result());
   EXPECT_FALSE(report.resumed);
   EXPECT_EQ(report.chunks_skipped, 0u);
+}
+
+TEST(DMpsmRecoveryTest, SyntheticDeviceCommitsThroughTheThreadpool) {
+  // A store with a synthetic device delay runs the threadpool engine,
+  // so this case keeps the threadpool's run-commit barriers (the
+  // write-back drain and, under strict_sync, the spool fdatasync)
+  // covered on hosts whose spill path otherwise runs io_uring.
+  TempDir dir;
+  const auto topology = numa::Topology::Simulated(2, 8);
+  workload::DatasetSpec spec;
+  spec.r_tuples = 3000;
+  spec.multiplicity = 2.0;
+  spec.key_domain = 9000;
+  spec.seed = 83;
+  const auto dataset = workload::Generate(topology, kTeam, spec);
+  WorkerTeam team(topology, kTeam);
+
+  CountFactory reference(1);
+  const uint64_t expected = baseline::ReferenceJoin(
+      dataset.r.ToVector(), dataset.s.ToVector(), JoinKind::kInner,
+      reference.ConsumerForWorker(0));
+
+  RecoveryManager manager({dir.path, false, kTuplesPerPage});
+  const QueryFingerprint fp =
+      FingerprintFor(dataset.r, dataset.s, kTeam, kTuplesPerPage);
+  DMpsmOptions options = SpillOptions(dir.path);
+  options.io_delay_us = 1;
+  QueryJournal journal = ColdJournal(manager, fp);
+  journal.options.strict_sync = true;
+
+  CountFactory first(kTeam);
+  DMpsmReport report;
+  ASSERT_TRUE(DMpsmJoin(options)
+                  .Execute(team, dataset.r, dataset.s, first, &report,
+                           &journal)
+                  .ok());
+  EXPECT_EQ(first.Result(), expected);
+  EXPECT_EQ(report.io_backend_used, io::IoBackendKind::kThreadpool);
+  EXPECT_EQ(report.journal_commits, 3u * kTeam);
+  // One spool fdatasync per run commit rode the scheduler's barrier.
+  EXPECT_GE(report.io_sched.flushes, 2u * kTeam);
+
+  auto state = manager.Load(fp);
+  ASSERT_TRUE(state.ok());
+  ASSERT_TRUE(state->HasWork());
+  journal.resume = std::move(state).value();
+  CountFactory second(kTeam);
+  DMpsmReport resumed;
+  ASSERT_TRUE(DMpsmJoin(options)
+                  .Execute(team, dataset.r, dataset.s, second, &resumed,
+                           &journal)
+                  .ok());
+  EXPECT_EQ(second.Result(), expected);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.chunks_skipped, kTeam);
+  EXPECT_EQ(resumed.io_backend_used, io::IoBackendKind::kThreadpool);
 }
 
 // ------------------------------------------------------ engine surface
@@ -578,7 +650,7 @@ TEST(EngineRecoveryTest, ExecuteThenResumeSkipsCompletedWork) {
   options.dmpsm.directory = dir.path;
   options.recovery.enabled = true;
   options.recovery.dir = dir.path;
-  options.dmpsm.recovery.retain_artifacts = true;
+  options.recovery.retain_artifacts = true;
   engine::Engine engine(topology, options);
 
   CountFactory first(kTeam);
@@ -629,7 +701,7 @@ TEST(ServiceRecoveryTest, ResubmissionResumesAndCountsIt) {
   options.engine.dmpsm.directory = dir.path;
   options.engine.recovery.enabled = true;
   options.engine.recovery.dir = dir.path;
-  options.engine.dmpsm.recovery.retain_artifacts = true;
+  options.engine.recovery.retain_artifacts = true;
   service::JoinService service(topology, options);
 
   engine::JoinSpec join;

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Crash-injection sweep: run example_crash_resume_join (SIGKILL after
 # the Nth durable manifest commit, then Engine::Resume, verified
-# against the reference oracle) across every async I/O backend. The
-# uring leg self-skips on hosts without io_uring support.
+# against the reference oracle). The spill path runs the I/O engine
+# D-MPSM derives for this host: io_uring where the kernel accepts it,
+# else the threadpool (docs/io.md).
 #
 #   tools/crash_harness/run.sh [path-to-build-dir]
 #
-# Exit 0 only when every backend's full kill-point sweep resumed to the
-# exact answer with completed chunks skipped. CI runs this on both
-# io-backend matrix rows (.github/workflows/ci.yml).
+# Exit 0 only when the full kill-point sweep resumed to the exact
+# answer with completed chunks skipped. CI runs the example directly
+# (.github/workflows/ci.yml).
 set -u
 cd "$(dirname "$0")/../.."
 
@@ -19,17 +20,8 @@ if [[ ! -x "$HARNESS" ]]; then
   exit 2
 fi
 
-failures=0
-for backend in threadpool uring; do
-  echo "=== crash sweep: $backend ==="
-  if ! "$HARNESS" "$backend"; then
-    echo "=== crash sweep FAILED: $backend ==="
-    failures=$((failures + 1))
-  fi
-done
-
-if [[ "$failures" -ne 0 ]]; then
-  echo "crash harness: $failures backend sweep(s) failed"
+if ! "$HARNESS"; then
+  echo "crash harness: the kill-point sweep failed"
   exit 1
 fi
-echo "crash harness: all backend sweeps passed"
+echo "crash harness: the kill-point sweep passed"
