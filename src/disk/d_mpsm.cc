@@ -344,7 +344,8 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   // One async page-I/O scheduler, fully owned by the buffer pool (one
   // completion queue for frame loads, one for write-backs). A synthetic
   // device delay needs the threadpool, the one engine that models it;
-  // otherwise io_uring runs wherever the cached probe accepts it.
+  // otherwise kAuto runs io_uring wherever the kernel sets up its ring
+  // and the threadpool elsewhere.
   io::IoSchedulerOptions io_options;
   io_options.backend = options_.io_delay_us > 0
                            ? io::IoBackendKind::kThreadpool

@@ -132,13 +132,16 @@ Result<std::unique_ptr<AsyncIoBackend>> CreateIoBackend(IoBackendKind kind,
       return CreateThreadpoolBackend(queue_depth);
     case IoBackendKind::kUring: {
       auto backend = CreateUringBackend(queue_depth);
-      if (backend == nullptr) {
-        return Status::NotSupported(
-            "io_uring unavailable (kernel too old, seccomp-filtered, or "
-            "built without <linux/io_uring.h>); kAuto falls back to the "
-            "threadpool backend");
+      if (backend != nullptr) return backend;
+      // The probe's one-entry ring passed, yet this ring could not be
+      // set up (out of descriptors, or of RLIMIT_MEMLOCK on kernels
+      // before 5.12): kAuto still runs, on the threadpool.
+      if (kind == IoBackendKind::kAuto) {
+        return CreateThreadpoolBackend(queue_depth);
       }
-      return backend;
+      return Status::NotSupported(
+          "io_uring unavailable (kernel too old, seccomp-filtered, ring "
+          "setup refused, or built without <linux/io_uring.h>)");
     }
     case IoBackendKind::kAuto:
       break;  // unreachable: ResolveIoBackendKind returned a concrete kind

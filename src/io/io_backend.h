@@ -137,8 +137,9 @@ bool UringSupported();
 IoBackendKind ResolveIoBackendKind(IoBackendKind kind);
 
 /// Creates a backend with the given queue depth (>= 1). kAuto resolves
-/// via ResolveIoBackendKind; an explicit kUring on a host without
-/// support returns NotSupported (the query fails, not the process).
+/// via ResolveIoBackendKind and runs the threadpool whenever the io_uring
+/// ring cannot be set up; an explicit kUring that cannot returns
+/// NotSupported (the query fails, not the process).
 Result<std::unique_ptr<AsyncIoBackend>> CreateIoBackend(IoBackendKind kind,
                                                         size_t queue_depth);
 

@@ -2,7 +2,10 @@
 // across threadpool / uring, IoScheduler coalescing, queue-depth
 // and byte-budget enforcement, completion routing, fault injection via
 // a flaky mock backend, and D-MPSM on each engine it derives.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -74,6 +77,33 @@ TEST(IoBackendKindTest, AutoResolvesToConcreteKind) {
   EXPECT_NE(resolved, IoBackendKind::kAuto);
   EXPECT_EQ(resolved, io::UringSupported() ? IoBackendKind::kUring
                                            : IoBackendKind::kThreadpool);
+}
+
+TEST(IoBackendKindTest, AutoFallsBackWhenTheRingCannotBeSetUp) {
+  // The cached probe passed, yet a later ring is refused: here no file
+  // descriptor is left, so io_uring_setup fails with EMFILE.
+  if (!io::UringSupported()) GTEST_SKIP() << "io_uring unavailable";
+  // Build each engine once first: UBSan's vptr check tests a vtable it
+  // has not cached by writing it through a pipe, which needs two free
+  // descriptors.
+  ASSERT_TRUE(io::CreateIoBackend(IoBackendKind::kUring, 16).ok());
+  ASSERT_TRUE(io::CreateIoBackend(IoBackendKind::kThreadpool, 16).ok());
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit no_new_fd = saved;
+  no_new_fd.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &no_new_fd), 0);
+  auto uring = io::CreateIoBackend(IoBackendKind::kUring, 16);
+  auto automatic = io::CreateIoBackend(IoBackendKind::kAuto, 16);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  ASSERT_FALSE(uring.ok());
+  EXPECT_EQ(uring.status().code(), StatusCode::kNotSupported);
+  ASSERT_TRUE(automatic.ok()) << automatic.status().ToString();
+  EXPECT_EQ((*automatic)->kind(), IoBackendKind::kThreadpool);
 }
 
 // ------------------------------------------- backend conformance suite

@@ -20,31 +20,38 @@ the change first in odd ones. For each named workload a side runs
 
   bench/e2e/run.py --workload W --seed S+i --seconds 20 --trace 0
 
-for the end-to-end metrics of BENCHMARK.json, then a traced run of
---traced-seconds for host.probe_ms and the per-layer metrics named by
---layer. For each named kernel regex a side runs bench_kernels with that
---benchmark_filter once and reads each row's real time.
+(the run length of BENCHMARK.json) for the end-to-end metrics, then an
+8 s traced run for host.probe_ms and the other per-layer metrics. For
+each named kernel regex a side runs bench_kernels with that
+--benchmark_filter once (0.5 s minimum time) and reads each row's real
+time.
 
-The report gives, per workload and metric (and per kernel row), each
-pair's ratio change / base, how many pairs the change won and lost
-under the metric's direction (ties count for neither), and each side's
-median and quartiles with the ratio of the medians. The raw records go
-to WORKDIR/base.json and WORKDIR/change.json in bench/e2e/run.py's
-result format, so bench/e2e/compare.py base.json change.json gives the
-benchmark's own verdicts. The exit status is nonzero when a build or a
-run fails or an e2e run returned a wrong answer.
+The report gives the end-to-end metrics as bench/e2e/compare.py does,
+verdicts included, with each pair's ratio change / base. Every
+per-layer metric of BENCHMARK.json the traced runs report, and every
+kernel row, gets one line: each side's median and quartiles, how many
+pairs the change won and lost under the metric's direction (ties count
+for neither), and each pair's ratio. The raw records go to
+WORKDIR/base.json and WORKDIR/change.json in bench/e2e/run.py's result
+format. The exit status is nonzero when a build or a run fails or an
+e2e run returned a wrong answer.
 """
 
 import argparse
 import json
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # no __pycache__ in bench/e2e/
+sys.path.insert(0, str(ROOT / "bench" / "e2e"))
+import compare  # noqa: E402  bench/e2e/compare.py
+
+TRACED_SECONDS = 8
+KERNEL_MIN_TIME = 0.5
 # Directories a side's build and runs write into; never copied or synced.
 SKIP_DIRS = {".git", ".build", "results"}
 BUILD_JOBS = str(min(4, os.cpu_count() or 1))
@@ -141,11 +148,11 @@ def e2e_run(side, workload, seed, seconds, trace):
         return json.load(f)["runs"][0]
 
 
-def kernel_run(side, pattern, min_time):
+def kernel_run(side, pattern):
     """Real time (ns) of every bench_kernels row `pattern` selects."""
     out = run([str(side / "build" / "bench_kernels"),
                "--benchmark_filter=" + pattern,
-               f"--benchmark_min_time={min_time}",
+               f"--benchmark_min_time={KERNEL_MIN_TIME}",
                "--benchmark_format=json"], cwd=side)
     scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
     rows = {}
@@ -157,28 +164,22 @@ def kernel_run(side, pattern, min_time):
     return rows
 
 
-def quartiles(values):
-    """q1, median, q3 (bench/e2e/compare.py's convention)."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    return tuple(statistics.quantiles(values, n=4))
+def pair_ratios(base, change):
+    return " ".join(f"{c / b:.3f}" if b else "-" for b, c in zip(base, change))
 
 
 def summarize(name, unit, better, base, change):
-    """Prints one metric's pairs: ratios, wins each way, medians, IQRs."""
-    ratios = [c / b if b else float("nan") for b, c in zip(base, change)]
-    wins = sum(1 for b, c in zip(base, change)
-               if (c < b if better == "lower" else c > b))
-    losses = sum(1 for b, c in zip(base, change)
-                 if (c > b if better == "lower" else c < b))
-    qb, qc = quartiles(base), quartiles(change)
-    ratio = qc[1] / qb[1] if qb[1] else float("nan")
-    print(f"  {name} [{unit}, {better} is better]: change / base "
-          f"{ratio:.3f}x; change better in {wins}, worse in {losses} of "
-          f"{len(ratios)} pairs")
-    print(f"    base   median {qb[1]:.4g} (IQR {qb[0]:.4g}-{qb[2]:.4g})")
-    print(f"    change median {qc[1]:.4g} (IQR {qc[0]:.4g}-{qc[2]:.4g})")
-    print("    pairs: " + " ".join(f"{r:.3f}" for r in ratios))
+    """Prints one metric's line: medians and quartiles, wins each way,
+    and each pair's ratio change / base."""
+    def fmt(q):
+        return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+    lower = better == "lower"
+    wins = sum(c < b if lower else c > b for b, c in zip(base, change))
+    losses = sum(c > b if lower else c < b for b, c in zip(base, change))
+    print(f"  {name} ({unit}, {better}): base {fmt(compare.quartiles(base))}"
+          f" change {fmt(compare.quartiles(change))}; change better "
+          f"{wins}, worse {losses}; pairs {pair_ratios(base, change)}")
 
 
 def main():
@@ -190,15 +191,9 @@ def main():
                         help="e2e workload to pair (repeatable)")
     parser.add_argument("--kernel", action="append", default=[],
                         help="bench_kernels filter regex (repeatable)")
-    parser.add_argument("--layer", action="append", default=[],
-                        help="per-layer metric of the traced runs to "
-                        "report besides host.probe_ms (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of pair 0; pair i runs seed + i")
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--traced-seconds", type=float, default=8)
-    parser.add_argument("--kernel-min-time", type=float, default=0.5)
     parser.add_argument("--control", action="store_true",
                         help="pair BASE_REV against a second build of "
                         "itself instead of the working tree")
@@ -213,12 +208,6 @@ def main():
     for workload in args.workload:
         if workload not in names:
             parser.error(f"unknown workload {workload!r}; one of {names}")
-    layer_specs = {s["name"]: s for s in bench["per_layer"]}
-    layers = ["host.probe_ms"] + [m for m in args.layer
-                                  if m != "host.probe_ms"]
-    for metric in layers:
-        if metric not in layer_specs:
-            parser.error(f"unknown per-layer metric {metric!r}")
 
     workdir = args.workdir.resolve()
     sides = {"base": workdir / "base",
@@ -246,9 +235,9 @@ def main():
                 log(f"pair {i}: {label} {workload} seed {seed}")
                 try:
                     untraced = e2e_run(sides[label], workload, seed,
-                                       args.seconds, 0)
+                                       bench["run_seconds"], 0)
                     traced = e2e_run(sides[label], workload, seed,
-                                     args.traced_seconds, 1)
+                                     TRACED_SECONDS, 1)
                 except (RuntimeError, OSError, ValueError) as error:
                     log(f"run failed: {error}")
                     return 1
@@ -259,8 +248,7 @@ def main():
                 for pattern in args.kernel:
                     log(f"pair {i}: {label} kernels {pattern}")
                     try:
-                        rows.update(kernel_run(sides[label], pattern,
-                                               args.kernel_min_time))
+                        rows.update(kernel_run(sides[label], pattern))
                     except (RuntimeError, ValueError) as error:
                         log(f"kernel run failed: {error}")
                         return 1
@@ -277,23 +265,33 @@ def main():
     print(f"base {described['base']} against change "
           f"{described['change']}: {args.pairs} pairs, base first in even "
           f"pairs")
+    if args.workload:
+        print()
+        compare.print_rows(compare.compare(records["base"],
+                                           records["change"], bench))
+        if args.pairs < compare.MIN_PAIRS:
+            print(f"note: fewer than {compare.MIN_PAIRS} pairs; no gain "
+                  "can be claimed")
     for workload in args.workload:
-        print(f"\n{workload}")
         runs = {label: [r for r in records[label]
                         if r["workload"] == workload] for label in records}
+
+        def values(name, trace):
+            return {label: [r["metrics"].get(name) for r in runs[label]
+                            if r["trace"] == trace] for label in runs}
+
+        print(f"\n{workload}: change / base per pair")
         for spec in bench["end_to_end"]:
-            values = {label: [r["metrics"][spec["name"]]
-                              for r in runs[label] if r["trace"] == 0]
-                      for label in runs}
+            side = values(spec["name"], 0)
+            print(f"  {spec['name']}: "
+                  f"{pair_ratios(side['base'], side['change'])}")
+        print(f"{workload}: per-layer metrics of the traced runs")
+        for spec in bench["per_layer"]:
+            side = values(spec["name"], 1)
+            if None in side["base"] + side["change"]:
+                continue
             summarize(spec["name"], spec["unit"], spec["better"],
-                      values["base"], values["change"])
-        for metric in layers:
-            spec = layer_specs[metric]
-            values = {label: [r["metrics"].get(metric, float("nan"))
-                              for r in runs[label] if r["trace"] == 1]
-                      for label in runs}
-            summarize(metric + " (traced run)", spec["unit"],
-                      spec["better"], values["base"], values["change"])
+                      side["base"], side["change"])
     if args.kernel:
         print("\nkernel rows (real time)")
         common = [name for name in kernels["base"][0]
