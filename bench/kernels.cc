@@ -752,8 +752,8 @@ BENCHMARK(BM_RunCacheIngest)->Arg(12)->Arg(16);
 // inside the threadpool backend's reads, the one engine that models
 // it); the page-cache row runs no delay on the engine D-MPSM picks for
 // this host (io_uring where the kernel accepts it; the row's label
-// names it), so it tracks raw subsystem overhead. The prefetch thread
-// and the private windows' readahead keep reads in flight while
+// names it), so it tracks raw subsystem overhead. The staging ring's
+// pins and the private windows' readahead keep reads in flight while
 // workers merge (docs/io.md) — io_stall_ms is the wait they could not
 // hide. MPSM_IO_BENCH_LOG2 scales |R| (default 2^15; CI smoke uses
 // less).

@@ -2,7 +2,7 @@
 // memory budget and the planner spills via D-MPSM (§3.1) on its own —
 // spool both inputs to disk as sorted paged runs, then join while
 // keeping only the pages around the current key-domain position
-// resident (Figure 4). The staging pool is sized from the budget and
+// resident (Figure 4). The buffer pool is sized from the budget and
 // fed by the async batched page-I/O subsystem (docs/io.md), on
 // io_uring where the kernel accepts it and the threadpool elsewhere.
 //
@@ -18,6 +18,7 @@
 #include <optional>
 
 #include "core/consumers.h"
+#include "disk/page_store.h"
 #include "engine/engine.h"
 #include "io/io_backend_kind.h"
 #include "util/env.h"
@@ -85,12 +86,12 @@ int main() {
       const auto& d = *report->dmpsm;
       const auto& options = report->plan.dmpsm;
       const size_t pool_bytes =
-          d.peak_pool_pages * options.tuples_per_page * sizeof(Tuple);
+          d.pool.frames * disk::PageStore::PageBytes(options.tuples_per_page);
       const size_t window_bytes = d.peak_window_tuples * sizeof(Tuple);
       std::printf(
           "               pool budget %.2f MB; io %llu written / %llu "
-          "read; peak resident %.2f MB pool + %.2f MB window (inputs "
-          "%.1f MB)\n",
+          "read; resident %.2f MB pool frames + %.2f MB peak window "
+          "(inputs %.1f MB)\n",
           options.pool_budget_bytes / 1e6,
           static_cast<unsigned long long>(d.io.pages_written),
           static_cast<unsigned long long>(d.io.pages_read),
@@ -124,8 +125,10 @@ int main() {
   }
 
   std::printf(
-      "\nThe spill path's resident set is the staging pool plus a small\n"
-      "per-worker window of its own run — the budget, not the input\n"
-      "size, bounds RAM. One engine session served every budget.\n");
+      "\nThe spill path joins in the pool's frames, which the budget\n"
+      "sizes, plus a small per-worker window of its own run. The budget\n"
+      "does not bound all of RAM yet: each worker also sorts its whole\n"
+      "chunk in a chunk-sized scratch buffer before spooling it. One\n"
+      "engine session served every budget.\n");
   return 0;
 }

@@ -6,9 +6,10 @@
 // frames. Clients pin pages asynchronously — SubmitPins mirrors the
 // IoScheduler's submit/drain shape, so a hit completes immediately
 // from RAM while a miss flows through the coalescing scheduler — and
-// release them with Unpin once decoded. Clock (second-chance) eviction
-// reclaims clean, unpinned, unreferenced frames; pinned frames are
-// never evicted, and dirty frames are written back before reuse.
+// release them with Unpin once done with the bytes. Clock
+// (second-chance) eviction reclaims clean, unpinned, unreferenced
+// frames; pinned frames are never evicted, and dirty frames are
+// written back before reuse.
 //
 // The write path makes run spooling non-blocking: AppendPage encodes
 // the page into a frame and returns, while a background flusher thread

@@ -365,8 +365,7 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
   const DMpsmPoolShape shape = options_.PoolShape(num_workers);
 
   // The pool owns the scheduler's two queues; clients get pin queue 0
-  // (the staging ring's prefetch thread) plus 1 + w (worker w's
-  // private window).
+  // (the staging ring) plus 1 + w (worker w's private window).
   bufferpool::BufferPoolOptions pool_options;
   pool_options.frames = shape.frames;
   pool_options.client_queues = 1 + num_workers;
@@ -568,18 +567,18 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
         }
       });
 
-  // Merge the page index and start the prefetch pipeline. Workers
-  // whose chunk walk is already done (restored consumer snapshots)
-  // never acquire from the ring, so the pipeline's release gating
-  // counts only the active consumers; with none active, phase 4 is a
-  // no-op and the ring never spins up.
+  // Merge the page index and set up the staging ring; it pins nothing
+  // before phase 4's first Acquire, so phase 3's appends keep every
+  // frame. Workers whose chunk walk is already done (restored consumer
+  // snapshots) never acquire from the ring, so the pipeline's release
+  // gating counts only the active consumers; with none active, phase 4
+  // is a no-op and there is no ring.
   phases.AddSerial(kPhasePartition, [&](WorkerContext&) {
     for (auto& part : index_parts) s_index.Append(part);
     s_index.Finalize();
     if (active_consumers > 0) {
       pipeline.emplace(store, s_index, shape.staging_capacity,
                        active_consumers, pool.get());
-      pipeline->Start();
     }
   });
 
@@ -615,9 +614,10 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
       });
 
   // Phase 4: walk the key domain in page-index order, joining each
-  // public page against the private window. The prefetch thread stages
-  // the public pages, and the private window keeps readahead in flight
-  // while the worker merges (docs/io.md).
+  // public page in its pinned frame against the private window. The
+  // workers' Acquires keep the staging ring's pins running ahead, and
+  // the private window keeps readahead in flight while the worker
+  // merges (docs/io.md).
   const simd::SimdKind merge_simd = simd::Resolve(simd::SimdKind::kAuto);
   phases.AddPhase(
       kPhaseJoin, [&] { return ChunkMorsels(num_workers); },
@@ -697,8 +697,8 @@ Result<JoinRunInfo> DMpsmJoin::Execute(WorkerTeam& team,
     committer.join();
   }
 
-  // The pipeline (and its in-flight pins) must wind down before the
-  // pool closes; the pool's close flushes every dirty frame and
+  // The pipeline must reap its in-flight pins and unpin its frames
+  // before the pool closes; the pool's close flushes every dirty frame and
   // surfaces any write-back error, and must precede the report so the
   // counters are final.
   if (pipeline.has_value()) pipeline->Stop();

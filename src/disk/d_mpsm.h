@@ -3,8 +3,9 @@
 // Both inputs are sorted into runs that are immediately spooled to a
 // page store; only the pages around the key-domain position currently
 // being joined are RAM-resident (Figure 4). All workers move through
-// the key domain synchronously, following the page index; a prefetcher
-// stages upcoming public pages ("yellow") into a bounded pool and pages
+// the key domain synchronously, following the page index; their
+// Acquires stage upcoming public pages ("yellow") in a bounded ring of
+// pinned buffer-pool frames, where the workers merge them, and pages
 // processed by the slowest worker are released ("green"). Each worker
 // keeps a sliding window of its own private run's pages; the window's
 // low end advances with the index position.
@@ -43,11 +44,12 @@ static_assert(kIoBatchPages <= io::kMaxIovPerRead);
 /// One execution's buffer pool: budget / page_bytes frames, floored at
 /// team_size + 2 (a pin or append per worker plus a flush/load slot
 /// pair) so the pool can always make progress. Each worker's readahead
-/// takes up to a 2T-th of the frames (at most kIoBatchPages), and the
-/// staging ring gets the rest but two.
+/// pins up to a 2T-th of the frames (at most kIoBatchPages), and the
+/// staging ring pins the rest but two (at least one), so a frame always
+/// stays unpinned and every pin finds one once write-back cleans it.
 struct DMpsmPoolShape {
   size_t frames = 0;
-  /// Staging ring capacity for decoded shared S pages.
+  /// Most shared S pages the staging ring holds pinned.
   size_t staging_capacity = 0;
   /// Per-worker private-window readahead in pages.
   size_t readahead = 0;
@@ -96,7 +98,7 @@ struct DMpsmReport {
   io::IoSchedulerStats io_sched;
   /// The I/O engine the run used (derived: see DMpsmOptions).
   io::IoBackendKind io_backend_used = io::IoBackendKind::kThreadpool;
-  /// Peak resident S pages in the shared staging ring.
+  /// Peak S pages the shared staging ring held pinned in pool frames.
   size_t peak_pool_pages = 0;
   /// Buffer pool counters: hits, misses, evictions, write-backs,
   /// append stalls (docs/storage.md).

@@ -139,15 +139,24 @@ Result<size_t> PageStore::ReadPage(PageId id, Tuple* out) const {
   return DecodePage(page.data(), out);
 }
 
-Result<size_t> PageStore::DecodePage(const char* raw, Tuple* out) const {
+Result<std::span<const Tuple>> PageStore::ViewPage(const char* raw) const {
   uint64_t count = 0;
   std::memcpy(&count, raw, sizeof(count));
   if (count > options_.tuples_per_page) {
     return Status::Internal("corrupt page header");
   }
-  std::memcpy(out, raw + sizeof(count), count * sizeof(Tuple));
   pages_read_.fetch_add(1, std::memory_order_relaxed);
-  return static_cast<size_t>(count);
+  // The header keeps the tuples as aligned as the page (pool frames
+  // are 64-byte aligned).
+  static_assert(alignof(Tuple) <= sizeof(count));
+  return std::span<const Tuple>(
+      reinterpret_cast<const Tuple*>(raw + sizeof(count)), count);
+}
+
+Result<size_t> PageStore::DecodePage(const char* raw, Tuple* out) const {
+  MPSM_ASSIGN_OR_RETURN(const auto tuples, ViewPage(raw));
+  std::memcpy(out, tuples.data(), tuples.size_bytes());
+  return tuples.size();
 }
 
 IoStats PageStore::io_stats() const {

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "storage/tuple.h"
@@ -87,10 +88,14 @@ class PageStore {
   /// Thread-safe. Returns the tuple count stored on the page.
   Result<size_t> ReadPage(PageId id, Tuple* out) const;
 
-  /// Decodes one raw on-disk page (page_bytes() bytes, e.g. fetched by
-  /// the async I/O subsystem) into `out`, returning the tuple count. A
-  /// corrupt header is an Internal error; success counts toward
-  /// io_stats().pages_read.
+  /// Checks the header of one raw on-disk page (page_bytes() bytes,
+  /// e.g. a pinned buffer-pool frame) and returns its tuples in place,
+  /// valid as long as `raw` is. A corrupt header is an Internal error;
+  /// success counts toward io_stats().pages_read.
+  Result<std::span<const Tuple>> ViewPage(const char* raw) const;
+
+  /// Copies one raw page's tuples (ViewPage) into `out`, returning the
+  /// tuple count.
   Result<size_t> DecodePage(const char* raw, Tuple* out) const;
 
   /// File descriptor of the backing spool file (async reads submit

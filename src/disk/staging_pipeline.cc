@@ -20,31 +20,37 @@ StagingPipeline::StagingPipeline(const PageStore& store,
 
 StagingPipeline::~StagingPipeline() { Stop(); }
 
-void StagingPipeline::Start() {
-  prefetch_thread_ = std::thread([this] { PrefetchLoop(); });
+void StagingPipeline::Stop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  stop_ = true;
+  // With stop_ set, DrainLocked unpins every pin that lands.
+  while (outstanding_ > 0) {
+    if (DrainLocked() > 0) continue;
+    lock.unlock();
+    pool_->Pump(/*block=*/true);
+    lock.lock();
+  }
+  for (Slot& slot : slots_) {
+    if (slot.state != SlotState::kResident) continue;
+    pool_->Unpin(slot.pinned);
+    slot = Slot{};
+    --resident_;
+  }
 }
 
-void StagingPipeline::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  frame_freed_.notify_all();
-  frame_loaded_.notify_all();
-  // The prefetch thread is the only submitter, and its loop exits only
-  // once every submitted pin has been reaped, so joining it guarantees
-  // no pool frame stays pinned on our behalf after this returns.
-  if (prefetch_thread_.joinable()) prefetch_thread_.join();
+void StagingPipeline::FailLocked(const Status& status) {
+  if (status_.ok()) status_ = status;
+  stop_ = true;
 }
 
 bool StagingPipeline::ClaimableLocked() const {
   if (stop_ || next_claim_ >= index_.size()) return false;
-  // A ring slot is reusable once it holds no frame, no in-flight
-  // fetch, and no pending releases of an older position.
+  // A ring slot is reusable once it holds no frame, no in-flight pin,
+  // and no pending releases of an older position.
   return slots_[next_claim_ % capacity_].state == SlotState::kFree;
 }
 
-bool StagingPipeline::ClaimAndSubmitLocked(
+void StagingPipeline::ClaimAndSubmitLocked(
     std::unique_lock<std::mutex>& lock) {
   bufferpool::PagePinRequest requests[io::kMaxIovPerRead];
   const size_t batch_max = std::min(
@@ -60,102 +66,48 @@ bool StagingPipeline::ClaimAndSubmitLocked(
     requests[n].queue = 0;
     ++n;
   }
-  if (n == 0) return false;
+  if (n == 0) return;
   outstanding_ += n;
   lock.unlock();
   const Status submitted = pool_->SubmitPins(requests, n);
   lock.lock();
-  if (!submitted.ok()) {
-    // SubmitPins rejects only malformed requests (a pipeline bug, not
-    // a device error); fail the query and let the janitor loop drain.
-    if (status_.ok()) status_ = submitted;
-    stop_ = true;
-    frame_loaded_.notify_all();
-  }
-  return true;
+  // SubmitPins rejects only malformed requests (a pipeline bug, not a
+  // device error); the pins it routed still complete and are reaped.
+  if (!submitted.ok()) FailLocked(submitted);
 }
 
-bool StagingPipeline::DrainAndPublishLocked(
-    std::unique_lock<std::mutex>& lock) {
-  lock.unlock();
-  pool_->Pump(/*block=*/false);
+size_t StagingPipeline::DrainLocked() {
   constexpr size_t kMaxDrain = 2 * io::kMaxIovPerRead;
   bufferpool::PagePinCompletion completions[kMaxDrain];
   const size_t n = pool_->DrainPins(/*queue=*/0, completions, kMaxDrain);
-  // Decode outside the lock: an in-flight slot is owned by the
-  // prefetch thread until it is published. The pool frame is borrowed
-  // only for the copy-out and unpinned immediately (second chance
-  // keeps it cached for other readers of the same page).
-  std::vector<Status> decode_status(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!completions[i].status.ok()) {
-      decode_status[i] = completions[i].status;
-      continue;
-    }
-    const size_t pos = completions[i].user_data;
-    Slot& slot = slots_[pos % capacity_];
-    slot.frame.tuples.resize(store_.tuples_per_page());
-    auto count = store_.DecodePage(pool_->Data(completions[i].frame),
-                                   slot.frame.tuples.data());
-    pool_->Unpin(completions[i].frame);
-    if (!count.ok()) {
-      decode_status[i] = count.status();
-      continue;
-    }
-    slot.frame.tuples.resize(*count);
-    slot.frame.entry = index_[pos];
-  }
-  lock.lock();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t pos = completions[i].user_data;
+    const bufferpool::PagePinCompletion& done = completions[i];
+    const size_t pos = done.user_data;
     Slot& slot = slots_[pos % capacity_];
     --outstanding_;
-    ++completed_positions_;
-    if (!decode_status[i].ok()) {
-      if (status_.ok()) status_ = decode_status[i];
-      stop_ = true;
-      slot.state = SlotState::kFree;
-      slot.pos = SIZE_MAX;
-    } else if (stop_) {
-      // Error shutdown elsewhere: drop the frame, consumers drain.
-      slot.state = SlotState::kFree;
-      slot.pos = SIZE_MAX;
-    } else {
-      slot.state = SlotState::kResident;
-      slot.releases_remaining = num_consumers_;
-      ++resident_;
-      peak_resident_ = std::max(peak_resident_, resident_);
+    Status status = done.status;
+    if (status.ok()) {
+      auto tuples = store_.ViewPage(pool_->Data(done.frame));
+      if (tuples.ok()) {
+        slot.frame.tuples = *tuples;
+      } else {
+        status = tuples.status();
+      }
     }
-  }
-  if (n > 0) frame_loaded_.notify_all();
-  return n > 0;
-}
-
-void StagingPipeline::PrefetchLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    // Exit only once every claimed fetch has completed: this thread is
-    // the janitor that guarantees Stop()'s no-pins-left contract.
-    if (completed_positions_ >= index_.size()) return;
-    if (stop_ && outstanding_ == 0) return;
-    bool progressed = false;
-    if (!stop_) progressed |= ClaimAndSubmitLocked(lock);
-    progressed |= DrainAndPublishLocked(lock);
-    if (progressed) continue;
-    if (outstanding_ > 0) {
-      // Pins in flight: park in the pool until one lands.
-      lock.unlock();
-      pool_->Pump(/*block=*/true);
-      lock.lock();
-    } else {
-      // Ring full and nothing in flight: wait for the slowest consumer
-      // to free a slot.
-      frame_freed_.wait(lock, [&] {
-        return stop_ || ClaimableLocked() ||
-               completed_positions_ >= index_.size();
-      });
+    if (!status.ok()) FailLocked(status);
+    if (stop_) {
+      if (done.frame != bufferpool::kInvalidFrame) pool_->Unpin(done.frame);
+      slot = Slot{};
+      continue;
     }
+    slot.frame.entry = index_[pos];
+    slot.pinned = done.frame;
+    slot.state = SlotState::kResident;
+    slot.releases_remaining = num_consumers_;
+    ++resident_;
+    peak_resident_ = std::max(peak_resident_, resident_);
   }
+  return n;
 }
 
 const PageFrame* StagingPipeline::Acquire(size_t pos, uint64_t* stall_ns) {
@@ -164,9 +116,20 @@ const PageFrame* StagingPipeline::Acquire(size_t pos, uint64_t* stall_ns) {
   const auto resident = [&] {
     return slot.pos == pos && slot.state == SlotState::kResident;
   };
+  // Keep the ring running ahead of the slowest consumer.
+  ClaimAndSubmitLocked(lock);
+  if (!resident()) DrainLocked();
   if (!resident() && !stop_) {
     WallTimer stall;
-    frame_loaded_.wait(lock, [&] { return resident() || stop_; });
+    do {
+      // Park in the pool until a pin lands or a frame frees; then claim
+      // what the wait freed and publish what arrived.
+      lock.unlock();
+      pool_->Pump(/*block=*/true);
+      lock.lock();
+      ClaimAndSubmitLocked(lock);
+      DrainLocked();
+    } while (!resident() && !stop_);
     const auto stalled_ns =
         static_cast<uint64_t>(stall.ElapsedSeconds() * 1e9);
     if (stall_ns != nullptr) *stall_ns += stalled_ns;
@@ -176,22 +139,19 @@ const PageFrame* StagingPipeline::Acquire(size_t pos, uint64_t* stall_ns) {
 }
 
 void StagingPipeline::Release(size_t pos) {
-  bool freed = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Slot& slot = slots_[pos % capacity_];
-    if (slot.pos != pos || slot.state != SlotState::kResident ||
-        slot.releases_remaining == 0) {
-      return;
-    }
-    if (--slot.releases_remaining == 0) {
-      slot.state = SlotState::kFree;
-      slot.pos = SIZE_MAX;
-      --resident_;
-      freed = true;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  Slot& slot = slots_[pos % capacity_];
+  if (slot.pos != pos || slot.state != SlotState::kResident ||
+      slot.releases_remaining == 0) {
+    return;
   }
-  if (freed) frame_freed_.notify_all();
+  if (--slot.releases_remaining > 0) return;
+  pool_->Unpin(slot.pinned);
+  slot = Slot{};
+  --resident_;
+  // Pin the position that reuses the slot: a consumer already waiting
+  // for it wakes on that pin's completion.
+  ClaimAndSubmitLocked(lock);
 }
 
 Status StagingPipeline::status() const {

@@ -141,13 +141,13 @@ class RecoveryManager {
   /// removed. I/O errors reading an existing manifest do surface.
   Result<ResumeState> Load(const QueryFingerprint& fp);
 
-  /// Deletes both artifacts (the query completed; its durable state is
-  /// retired).
-  void Retire(const QueryFingerprint& fp) const;
-
   const RecoveryManagerOptions& options() const { return options_; }
 
  private:
+  /// Deletes both artifacts (Load's removal of stale state; a query
+  /// that completes retires its own in DMpsmJoin::Execute).
+  void Retire(const QueryFingerprint& fp) const;
+
   /// Drops runs whose spool content no longer matches their recorded
   /// checksum (options_.verify_runs).
   void VerifyRuns(const QueryFingerprint& fp, ResumeState& state) const;

@@ -54,9 +54,10 @@ obs::Histogram& AdmissionWaitHistogram() {
 
 /// Bytes the governor reserves while a planned query runs. In-memory
 /// variants keep both inputs plus their runs resident; the spill path's
-/// residency is its buffer pool, whose frames hold the staging ring,
-/// the private windows' readahead and dirty write-back pages. The
-/// staging ring's decoded copies stay uncounted.
+/// residency is its buffer pool, whose frames hold the staging ring's
+/// pinned S pages, the private windows' readahead and dirty write-back
+/// pages. Its sort scratch stays uncounted: each worker sorts its whole
+/// chunk into a chunk-sized buffer before spooling it.
 uint64_t PlanFootprintBytes(const engine::JoinPlan& plan) {
   if (plan.algorithm == engine::Algorithm::kDMpsm) {
     return plan.dmpsm.PoolShape(plan.inputs.team_size).bytes();

@@ -2,8 +2,10 @@
 // ordering, staging pipeline lifecycle, and end-to-end join equality
 // with the in-memory algorithms under tight RAM budgets.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -14,6 +16,8 @@
 #include "disk/page_index.h"
 #include "disk/page_store.h"
 #include "disk/staging_pipeline.h"
+#include "flaky_backend.h"
+#include "io/backend_factories.h"
 #include "io/io_scheduler.h"
 #include "numa/topology.h"
 #include "util/rng.h"
@@ -144,56 +148,153 @@ TEST(PageIndexTest, AppendMergesParts) {
 
 // -------------------------------------------------- staging pipeline
 
-TEST(StagingPipelineTest, DeliversAllPagesInOrderUnderTinyPool) {
-  PageStoreOptions options;
-  options.tuples_per_page = 4;
-  PageStore store(options);
-  ASSERT_TRUE(store.Open().ok());
+class StagingPipelineTest : public testing::Test {
+ protected:
+  static constexpr size_t kTuplesPerPage = 4;
 
-  PageIndex index;
-  constexpr uint64_t kPages = 40;
-  for (uint64_t p = 0; p < kPages; ++p) {
-    std::vector<Tuple> tuples(4, Tuple{p, p});
-    auto id = store.WritePage(tuples.data(), tuples.size());
-    ASSERT_TRUE(id.ok());
-    index.Add(PageIndexEntry{p, 0, *id, 4});
+  /// Writes `pages` pages straight to the store (page p holds tuples
+  /// keyed p), indexes them in page order, and builds a pool of
+  /// `frames` frames whose reads run on `backend` (a threadpool when
+  /// null).
+  void Build(uint64_t pages, size_t frames,
+             std::unique_ptr<io::AsyncIoBackend> backend = nullptr) {
+    PageStoreOptions options;
+    options.tuples_per_page = kTuplesPerPage;
+    store_ = std::make_unique<PageStore>(options);
+    ASSERT_TRUE(store_->Open().ok());
+    for (uint64_t p = 0; p < pages; ++p) {
+      std::vector<Tuple> tuples(kTuplesPerPage, Tuple{p, p});
+      auto id = store_->WritePage(tuples.data(), tuples.size());
+      ASSERT_TRUE(id.ok());
+      index_.Add(PageIndexEntry{p, 0, *id, kTuplesPerPage});
+    }
+    index_.Finalize();
+
+    io::IoSchedulerOptions io_options;
+    io_options.completion_queues = 2;  // pool loads + write-backs
+    if (backend == nullptr) {
+      backend = io::CreateThreadpoolBackend(io_options.queue_depth);
+    }
+    auto scheduler = io::IoScheduler::CreateWithBackend(
+        std::move(backend), store_->fd(), store_->page_bytes(),
+        store_->io_delay_us(), io_options);
+    ASSERT_TRUE(scheduler.ok());
+    scheduler_ = std::move(*scheduler);
+    bufferpool::BufferPoolOptions pool_options;
+    pool_options.frames = frames;
+    auto pool = bufferpool::BufferPool::Create(store_.get(),
+                                               scheduler_.get(), pool_options);
+    ASSERT_TRUE(pool.ok());
+    pool_ = std::move(*pool);
   }
-  index.Finalize();
 
-  constexpr uint32_t kConsumers = 3;
-  io::IoSchedulerOptions io_options;
-  io_options.backend = io::IoBackendKind::kThreadpool;
-  io_options.completion_queues = 2;  // pool loads + write-backs
-  auto scheduler = io::IoScheduler::Create(
-      store.fd(), store.page_bytes(), store.io_delay_us(), io_options);
-  ASSERT_TRUE(scheduler.ok());
-  bufferpool::BufferPoolOptions pool_options;
-  pool_options.frames = 8;
-  auto pool = bufferpool::BufferPool::Create(&store, scheduler->get(),
-                                             pool_options);
-  ASSERT_TRUE(pool.ok());
-  StagingPipeline pipeline(store, index, /*capacity_pages=*/2, kConsumers,
-                           pool->get());
-  pipeline.Start();
-
-  std::atomic<bool> mismatch{false};
-  std::vector<std::thread> consumers;
-  for (uint32_t c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      for (size_t pos = 0; pos < kPages; ++pos) {
-        const auto* frame = pipeline.Acquire(pos);
-        if (frame == nullptr || frame->tuples.empty() ||
-            frame->tuples[0].key != pos) {
-          mismatch = true;
+  /// Walks index positions [0, positions) on `consumers` threads; a
+  /// consumer stops at the first position the pipeline does not
+  /// deliver. Returns how many consumers saw every page, in order.
+  static uint32_t Walk(StagingPipeline& pipeline, uint32_t consumers,
+                       size_t positions) {
+    std::atomic<uint32_t> complete{0};
+    std::vector<std::thread> threads;
+    for (uint32_t c = 0; c < consumers; ++c) {
+      threads.emplace_back([&] {
+        bool in_order = true;
+        for (size_t pos = 0; pos < positions; ++pos) {
+          const auto* frame = pipeline.Acquire(pos);
+          if (frame == nullptr) return;
+          in_order &= frame->tuples.size() == kTuplesPerPage &&
+                      frame->tuples[0].key == pos &&
+                      frame->entry.min_key == pos;
+          pipeline.Release(pos);
         }
-        pipeline.Release(pos);
-      }
-    });
+        if (in_order) ++complete;
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    return complete.load();
   }
-  for (auto& thread : consumers) thread.join();
-  EXPECT_FALSE(mismatch);
+
+  /// Pins as many other pages as the pool has frames, all at once: none
+  /// parks only when no frame is still pinned. Unpins them again.
+  void ExpectNoFramePinned() {
+    const size_t frames = pool_->options().frames;
+    const uint64_t deferred = pool_->stats().deferred_pins;
+    std::vector<bufferpool::PagePinRequest> pins(frames);
+    for (size_t i = 0; i < frames; ++i) {
+      pins[i].page = index_.size() - 1 - i;
+      pins[i].user_data = i;
+    }
+    ASSERT_TRUE(pool_->SubmitPins(pins.data(), pins.size()).ok());
+    EXPECT_EQ(pool_->stats().deferred_pins, deferred);
+    for (size_t reaped = 0; reaped < frames;) {
+      bufferpool::PagePinCompletion done[8];
+      const size_t n = pool_->DrainPins(/*queue=*/0, done, 8);
+      if (n == 0) ASSERT_TRUE(pool_->Pump(/*block=*/true).ok());
+      for (size_t i = 0; i < n; ++i) {
+        if (done[i].frame != bufferpool::kInvalidFrame) {
+          pool_->Unpin(done[i].frame);
+        }
+      }
+      reaped += n;
+    }
+  }
+
+  std::unique_ptr<PageStore> store_;
+  PageIndex index_;
+  std::unique_ptr<io::IoScheduler> scheduler_;
+  std::unique_ptr<bufferpool::BufferPool> pool_;
+};
+
+TEST_F(StagingPipelineTest, DeliversAllPagesInOrderUnderTinyPool) {
+  Build(/*pages=*/40, /*frames=*/8);
+  constexpr uint32_t kConsumers = 3;
+  StagingPipeline pipeline(*store_, index_, /*capacity_pages=*/2, kConsumers,
+                           pool_.get());
+  EXPECT_EQ(Walk(pipeline, kConsumers, index_.size()), kConsumers);
   EXPECT_TRUE(pipeline.status().ok());
   EXPECT_LE(pipeline.peak_resident_pages(), 2u);
+  pipeline.Stop();
+  ExpectNoFramePinned();
+}
+
+TEST_F(StagingPipelineTest, StopUnpinsTheFramesAnAbandonedWalkHeld) {
+  Build(/*pages=*/40, /*frames=*/8);
+  constexpr uint32_t kConsumers = 2;
+  StagingPipeline pipeline(*store_, index_, /*capacity_pages=*/4, kConsumers,
+                           pool_.get());
+  // The last Release of position 19 pins the positions that reuse its
+  // slots; nobody acquires them.
+  EXPECT_EQ(Walk(pipeline, kConsumers, /*positions=*/20), kConsumers);
+  pipeline.Stop();
+  EXPECT_TRUE(pipeline.status().ok());
+  ExpectNoFramePinned();
+}
+
+TEST_F(StagingPipelineTest, ReadErrorStopsTheWalkAndUnpinsEveryFrame) {
+  Build(/*pages=*/40, /*frames=*/8,
+        std::make_unique<io::FlakyBackend>(8, /*failure_period=*/5));
+  constexpr uint32_t kConsumers = 3;
+  StagingPipeline pipeline(*store_, index_, /*capacity_pages=*/4, kConsumers,
+                           pool_.get());
+  EXPECT_EQ(Walk(pipeline, kConsumers, index_.size()), 0u);
+  EXPECT_EQ(pipeline.status().code(), StatusCode::kIoError);
+  pipeline.Stop();
+  ExpectNoFramePinned();
+}
+
+TEST_F(StagingPipelineTest, CorruptPageHeaderFailsTheWalkWithInternal) {
+  Build(/*pages=*/40, /*frames=*/8);
+  // Page 17's header claims one tuple more than a page holds.
+  const uint64_t count = kTuplesPerPage + 1;
+  ASSERT_EQ(::pwrite(store_->fd(), &count, sizeof(count),
+                     static_cast<off_t>(store_->OffsetOfPage(17))),
+            static_cast<ssize_t>(sizeof(count)));
+  constexpr uint32_t kConsumers = 3;
+  StagingPipeline pipeline(*store_, index_, /*capacity_pages=*/4, kConsumers,
+                           pool_.get());
+  EXPECT_EQ(Walk(pipeline, kConsumers, index_.size()), 0u);
+  EXPECT_EQ(pipeline.status().code(), StatusCode::kInternal);
+  pipeline.Stop();
+  ExpectNoFramePinned();
 }
 
 // ------------------------------------------------------- d-mpsm join

@@ -500,7 +500,6 @@ TEST(IoFaultInjectionTest, PipelineFailsTheQueryNotTheProcess) {
   constexpr uint32_t kConsumers = 2;
   StagingPipeline pipeline(store, index, /*capacity_pages=*/4, kConsumers,
                            pool->get());
-  pipeline.Start();
 
   // Every consumer sees a nullptr frame at some position and drains the
   // rest; the pipeline records the first injected error.
